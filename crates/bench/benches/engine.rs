@@ -16,8 +16,8 @@
 //!   pays over the history-free default, pinning the cheap-by-default
 //!   instrumentation claim with numbers. The `*_batch` variant runs a full
 //!   64-trial word through the bit-sliced [`dradio_sim::BatchExecutor`]
-//!   (trials/sec = `BATCH_TRIALS` / mean) — the speedup the `--batch`
-//!   campaign flag buys on oblivious, history-free cells.
+//!   (trials/sec = `BATCH_TRIALS` / mean) — the speedup the runner takes on
+//!   its own for fixed-rate processes on oblivious, history-free cells.
 //! * `campaign/*` times the campaign orchestration overhead per cell:
 //!   expansion, content-hash keying, and store appends — the costs that must
 //!   stay invisible next to the simulation itself.

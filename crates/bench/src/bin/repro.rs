@@ -55,12 +55,6 @@
 //!     --store <path>      JSONL result store (default: <name>.campaign.jsonl)
 //!     --threads <N>       run/resume/fleet: cap cell-runner threads (fleet
 //!                         forwards the cap to every worker)
-//!     --batch             run/resume/worker/fleet: bit-sliced batch trial
-//!                         execution — up to 64 trials per word pass;
-//!                         unbatchable cells (adaptive adversaries, history
-//!                         recording) fall back to scalar, and results are
-//!                         byte-identical either way (fleet forwards the
-//!                         flag to every worker)
 //!     --mem-budget <SZ>   check/fleet: per-cell topology memory ceiling —
 //!                         plain bytes or a binary-suffixed size ("512MiB",
 //!                         "4GiB"); any cell whose estimated topology
@@ -319,7 +313,6 @@ fn campaign_command(args: &[String]) -> ExitCode {
     let mut progress = false;
     let mut curves = false;
     let mut threads = 0usize;
-    let mut batch = false;
     let mut workers = 2usize;
     let mut shard = 0usize;
     let mut faults_arg: Option<String> = None;
@@ -351,7 +344,6 @@ fn campaign_command(args: &[String]) -> ExitCode {
             "--csv" => csv = true,
             "--progress" => progress = true,
             "--curves" => curves = true,
-            "--batch" => batch = true,
             "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => threads = n,
                 _ => {
@@ -464,7 +456,6 @@ fn campaign_command(args: &[String]) -> ExitCode {
             shard,
             store: PathBuf::from(store),
             threads,
-            batch,
             faults,
         };
         let stdin = std::io::BufReader::new(std::io::stdin());
@@ -614,7 +605,6 @@ fn campaign_command(args: &[String]) -> ExitCode {
             FleetConfig {
                 workers,
                 threads,
-                batch,
                 progress,
                 hang_timeout,
                 lease_timeout,
@@ -669,7 +659,7 @@ fn campaign_command(args: &[String]) -> ExitCode {
     );
 
     if action != "report" {
-        let mut runner = CampaignRunner::new(&spec).progress(progress).batch(batch);
+        let mut runner = CampaignRunner::new(&spec).progress(progress);
         if threads > 0 {
             runner = runner.threads(threads);
         }
@@ -766,24 +756,14 @@ fn fleet_command(
         return ExitCode::FAILURE;
     }
     println!("{spec}");
-    // Each worker runs `threads.max(1)` cell runners concurrently, and
-    // `--batch` retires up to 64 trials per word pass, so the wall-clock
-    // proxy is rounds (or word passes) divided across every parallel
-    // stream — not one sequential scalar trial stream per worker.
+    // Each worker runs `threads.max(1)` cell runners concurrently, so the
+    // wall-clock proxy is rounds divided across every parallel stream — not
+    // one sequential trial stream per worker.
     let streams = (config.workers * config.threads.max(1)) as u64;
-    let budget: Option<u64> = if config.batch {
-        report.groups.iter().map(|g| g.max_batched_rounds).sum()
-    } else {
-        report.groups.iter().map(|g| g.max_rounds).sum()
-    };
-    let unit = if config.batch {
-        "word passes"
-    } else {
-        "rounds"
-    };
+    let budget: Option<u64> = report.groups.iter().map(|g| g.max_rounds).sum();
     match budget {
         Some(total) => println!(
-            "fleet: {} workers over {} cells; worst-case budget ≈ {} {unit} per \
+            "fleet: {} workers over {} cells; worst-case budget ≈ {} rounds per \
              parallel stream (of {total} total across {streams} streams)",
             config.workers,
             report.cells,

@@ -19,7 +19,7 @@
 
 use std::fmt;
 
-use dradio_scenario::{AdversaryClass, BackendChoice, Completion, GraphBackend, MAX_LANES};
+use dradio_scenario::{BackendChoice, Completion, GraphBackend};
 
 use crate::error::Result;
 use crate::spec::{CampaignSpec, CellSpec, TrialPolicy};
@@ -38,14 +38,6 @@ pub struct GroupBudget {
     /// `max_trials · round_budget`. `None` when some round budget is not
     /// derivable from the spec (custom-sized topology under a default rule).
     pub max_rounds: Option<u64>,
-    /// Worst-case *executor round passes* under bit-sliced batch execution
-    /// (`--batch`): batchable cells advance up to 64 trials per pass, so
-    /// they contribute `⌈max_trials / 64⌉ · round_budget`; unbatchable cells
-    /// (adaptive or custom adversaries, history-recording modes) fall back
-    /// to scalar and contribute `max_trials · round_budget`. The honest
-    /// wall-clock proxy for a batched run — `max_rounds` stays the simulated
-    /// total. `None` exactly when `max_rounds` is.
-    pub max_batched_rounds: Option<u64>,
     /// The largest estimated topology footprint among the group's cells:
     /// the storage backend the group's [`BackendChoice`] resolves to for
     /// that cell, and the estimated bytes for both network layers
@@ -159,10 +151,7 @@ pub fn check_with_budget(spec: &CampaignSpec, mem_budget: Option<u64>) -> Result
             TrialPolicy::Adaptive { max, .. } => max,
         };
         // Worst-case rounds: every trial of every cell runs to its budget.
-        // The batched estimate packs a batchable cell's trials into 64-wide
-        // lane groups, each advancing one round per executor pass.
         let mut rounds_total: Option<u64> = Some(0);
-        let mut batched_total: Option<u64> = Some(0);
         for cell in &cells {
             let budget = match cell.scenario.max_rounds {
                 Some(rounds) => Some(rounds as u64),
@@ -172,17 +161,8 @@ pub fn check_with_budget(spec: &CampaignSpec, mem_budget: Option<u64>) -> Result
                     .node_count()
                     .map(|n| 200 * n as u64 + 2_000),
             };
-            let batched_trials = if batchable(cell) {
-                (max_trials as u64).div_ceil(MAX_LANES as u64)
-            } else {
-                max_trials as u64
-            };
             rounds_total = match (rounds_total, budget) {
                 (Some(total), Some(b)) => Some(total.saturating_add(b * max_trials as u64)),
-                _ => None,
-            };
-            batched_total = match (batched_total, budget) {
-                (Some(total), Some(b)) => Some(total.saturating_add(b * batched_trials)),
                 _ => None,
             };
         }
@@ -238,7 +218,6 @@ pub fn check_with_budget(spec: &CampaignSpec, mem_budget: Option<u64>) -> Result
             cells: cells.len(),
             max_trials,
             max_rounds: rounds_total,
-            max_batched_rounds: batched_total,
             peak_topology: peak,
         });
     }
@@ -249,15 +228,6 @@ pub fn check_with_budget(spec: &CampaignSpec, mem_budget: Option<u64>) -> Result
         cells: all_cells.len(),
         warnings,
     })
-}
-
-/// Whether a cell can run on the bit-sliced batch executor: oblivious
-/// adversary (adaptive and custom classes cannot be replayed lane-wise) and
-/// no history recording. Mirrors `Scenario::is_batchable` — spec-level, so
-/// the budget estimate needs no built components.
-fn batchable(cell: &CellSpec) -> bool {
-    cell.scenario.adversary.class() == Some(AdversaryClass::Oblivious)
-        && !cell.record_mode.records_history()
 }
 
 /// Policy-level smells: degenerate adaptivity and unreachable stop targets.
@@ -346,12 +316,9 @@ impl fmt::Display for CheckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "campaign {:?}: {} distinct cells", self.name, self.cells)?;
         for g in &self.groups {
-            let rounds = match (g.max_rounds, g.max_batched_rounds) {
-                (Some(r), Some(b)) if b < r => {
-                    format!("<= {r} simulated rounds (<= {b} word passes with --batch)")
-                }
-                (Some(r), _) => format!("<= {r} simulated rounds"),
-                (None, _) => String::from("round budget not derivable from the spec"),
+            let rounds = match g.max_rounds {
+                Some(r) => format!("<= {r} simulated rounds"),
+                None => String::from("round budget not derivable from the spec"),
             };
             let memory = match g.peak_topology {
                 Some((backend, bytes)) => {
@@ -493,38 +460,6 @@ mod tests {
             "{:?}",
             report.warnings
         );
-    }
-
-    #[test]
-    fn batched_budget_packs_lane_groups_only_for_batchable_cells() {
-        // 100 trials over a batchable (oblivious, history-free) cell: the
-        // batched estimate packs them into ⌈100/64⌉ = 2 lane groups.
-        let mut spec = CampaignSpec::named("batched-budget");
-        spec.trials = TrialPolicy::Fixed(100);
-        spec.groups
-            .push(cell_group(8).rounds(crate::spec::RoundsRule::Fixed(1_000)));
-        let report = check(&spec).unwrap();
-        assert_eq!(report.groups[0].max_rounds, Some(100 * 1_000));
-        assert_eq!(report.groups[0].max_batched_rounds, Some(2 * 1_000));
-        let text = report.to_string();
-        assert!(text.contains("<= 2000 word passes with --batch"), "{text}");
-
-        // An adaptive adversary cannot batch: both estimates agree, and the
-        // display drops the batch hint.
-        let mut adaptive = cell_group(8).rounds(crate::spec::RoundsRule::Fixed(1_000));
-        adaptive.adversaries = vec![AdversarySpec::GreedyCollision];
-        spec.groups = vec![adaptive];
-        let report = check(&spec).unwrap();
-        assert_eq!(report.groups[0].max_rounds, Some(100 * 1_000));
-        assert_eq!(report.groups[0].max_batched_rounds, Some(100 * 1_000));
-        assert!(!report.to_string().contains("--batch"));
-
-        // Full recording blocks batching too.
-        let mut recorded = cell_group(8).rounds(crate::spec::RoundsRule::Fixed(1_000));
-        recorded.record_mode = dradio_scenario::RecordMode::Full;
-        spec.groups = vec![recorded];
-        let report = check(&spec).unwrap();
-        assert_eq!(report.groups[0].max_batched_rounds, Some(100 * 1_000));
     }
 
     #[test]

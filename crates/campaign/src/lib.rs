@@ -74,6 +74,6 @@ pub mod store;
 
 pub use check::{check, check_with_budget, format_bytes, CheckReport, CheckWarning, GroupBudget};
 pub use error::{CampaignError, Result};
-pub use runner::{execute_cell, execute_cell_batched, CampaignRunner, RunReport};
+pub use runner::{execute_cell, CampaignRunner, RunReport};
 pub use spec::{CampaignSpec, CellSpec, RoundsRule, StopRule, SweepGroup, TrialPolicy};
 pub use store::{CellRecord, CompactReport, FsckReport, MergeReport, ResultStore};

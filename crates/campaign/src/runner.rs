@@ -70,7 +70,6 @@ pub struct CampaignRunner<'a> {
     spec: &'a CampaignSpec,
     threads: Option<usize>,
     progress: bool,
-    batch: bool,
 }
 
 impl<'a> CampaignRunner<'a> {
@@ -80,7 +79,6 @@ impl<'a> CampaignRunner<'a> {
             spec,
             threads: None,
             progress: false,
-            batch: false,
         }
     }
 
@@ -96,16 +94,6 @@ impl<'a> CampaignRunner<'a> {
     /// stdout and the store are never touched.
     pub fn progress(mut self, enabled: bool) -> Self {
         self.progress = enabled;
-        self
-    }
-
-    /// Requests bit-sliced batch trial execution for every cell of this run,
-    /// regardless of the per-cell [`CellSpec::batch`] flag (which still
-    /// applies on its own). A pure execution strategy: unbatchable cells
-    /// fall back to the scalar path, and batched cells produce bit-for-bit
-    /// the scalar measurements, so the store bytes are identical either way.
-    pub fn batch(mut self, enabled: bool) -> Self {
-        self.batch = enabled;
         self
     }
 
@@ -157,7 +145,7 @@ impl<'a> CampaignRunner<'a> {
             let mut executed = 0;
             let mut trials_done = 0;
             for cell in &pending {
-                let record = run_cell(cell, true, &topologies, self.batch)?;
+                let record = run_cell(cell, true, &topologies)?;
                 trials_done += record.trials_run;
                 store.append(record)?;
                 topologies.committed(&cell.scenario.topology);
@@ -224,7 +212,7 @@ impl<'a> CampaignRunner<'a> {
                     // the cores. Panics are captured into the slot: an empty
                     // slot would wedge the in-order committer forever.
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_cell(&pending[i], false, topologies, self.batch)
+                        run_cell(&pending[i], false, topologies)
                     }))
                     .unwrap_or_else(|payload| {
                         Err(CampaignError::CellPanicked {
@@ -479,34 +467,17 @@ impl TopologyCache {
 ///
 /// [`CampaignError::Cell`] if the cell fails to build or run.
 pub fn execute_cell(cell: &CellSpec, parallel_trials: bool) -> Result<CellRecord> {
-    execute_cell_batched(cell, parallel_trials, false)
-}
-
-/// [`execute_cell`] with an execution-level batch request on top of the
-/// cell's own [`CellSpec::batch`] flag — what a `--batch` fleet worker runs.
-/// The record (and its serialized bytes) is identical either way.
-///
-/// # Errors
-///
-/// [`CampaignError::Cell`] if the cell fails to build or run.
-pub fn execute_cell_batched(
-    cell: &CellSpec,
-    parallel_trials: bool,
-    batch: bool,
-) -> Result<CellRecord> {
     // A default (empty) cache tracks nothing, so the cell builds its own
     // topology — correct for a worker that sees cells one at a time.
-    run_cell(cell, parallel_trials, &TopologyCache::default(), batch)
+    run_cell(cell, parallel_trials, &TopologyCache::default())
 }
 
 /// Builds and measures one cell, sharing the campaign's built topology when
-/// the cache tracks it. `batch` forces a bit-sliced trial fan-out on top of
-/// the cell's own flag (unbatchable cells still fall back to scalar).
+/// the cache tracks it.
 fn run_cell(
     cell: &CellSpec,
     parallel_trials: bool,
     topologies: &TopologyCache,
-    batch: bool,
 ) -> Result<CellRecord> {
     let at_cell = |source| CampaignError::Cell {
         cell: cell.label(),
@@ -528,15 +499,14 @@ fn run_cell(
         ScenarioRunner::new(&scenario).sequential()
     }
     .record_mode(cell.record_mode)
-    .curve(cell.curve)
-    .batch(cell.batch || batch);
+    .curve(cell.curve);
     let (measurement, trials_run) = match cell.trials {
         TrialPolicy::Fixed(trials) => {
             let measurement = if cell.curve {
                 // Stream each trial's collision curve into the measurement:
                 // trial-index order, no per-trial retention. The runner's
                 // curve path does exactly that (through one scalar executor,
-                // or lane groups of up to 64 trials when batching).
+                // or lane groups of up to 64 trials when the runner batches).
                 runner.run_trials(trials).map_err(at_cell)?
             } else {
                 Measurement::from_trials(&runner.collect_trials(trials).map_err(at_cell)?)
@@ -795,7 +765,7 @@ mod tests {
         let cells = campaign.expand().unwrap();
         for cell in &cells[..2] {
             store
-                .append(run_cell(cell, false, &TopologyCache::empty(), false).unwrap())
+                .append(run_cell(cell, false, &TopologyCache::empty()).unwrap())
                 .unwrap();
         }
         let report = CampaignRunner::new(&campaign).run(&mut store).unwrap();
@@ -1018,7 +988,7 @@ mod tests {
         let mut fresh = ResultStore::in_memory();
         for cell in &cells {
             fresh
-                .append(run_cell(cell, false, &TopologyCache::empty(), false).unwrap())
+                .append(run_cell(cell, false, &TopologyCache::empty()).unwrap())
                 .unwrap();
         }
 
@@ -1088,14 +1058,13 @@ mod tests {
             trials: TrialPolicy::Fixed(1),
             record_mode: RecordMode::None,
             curve: false,
-            batch: false,
             backend: dradio_scenario::BackendChoice::Auto,
         };
         let cache = TopologyCache::for_pending(std::slice::from_ref(&cell));
         assert!(cache.get(&bad).is_none(), "failed builds are not cached");
         assert_eq!(cache.resident(), 0);
         // The cell itself fails through its own build, like before.
-        assert!(run_cell(&cell, false, &cache, false).is_err());
+        assert!(run_cell(&cell, false, &cache).is_err());
     }
 
     /// The pre-incremental adaptive allocator, kept verbatim as the

@@ -282,14 +282,6 @@ pub struct SweepGroup {
     /// Like the record mode, this is **not** part of a cell's identity: the
     /// scalar statistics are identical with and without the curve.
     pub curve: bool,
-    /// Whether this group's cells request bit-sliced batch trial execution
-    /// (up to 64 trials per word pass; see
-    /// [`ScenarioRunner::batch`](dradio_scenario::ScenarioRunner::batch)).
-    /// A pure execution strategy: cells that cannot batch (adaptive or
-    /// custom adversaries, history-recording modes) fall back to the scalar
-    /// path, and batched cells produce bit-for-bit the scalar measurements —
-    /// so, like the record mode, this is **not** part of a cell's identity.
-    pub batch: bool,
     /// Which graph storage backend this group's cells build their topologies
     /// with (default [`BackendChoice::Auto`]: dense for small networks, CSR
     /// once the dense bitmatrix would dwarf the edge list). A pure memory/
@@ -318,7 +310,6 @@ impl SweepGroup {
             collision_detection: false,
             record_mode: RecordMode::None,
             curve: false,
-            batch: false,
             backend: BackendChoice::Auto,
         }
     }
@@ -373,13 +364,6 @@ impl SweepGroup {
     /// measurements (default off).
     pub fn curve(mut self, enabled: bool) -> Self {
         self.curve = enabled;
-        self
-    }
-
-    /// Requests bit-sliced batch trial execution for this group's cells
-    /// (default off; unbatchable cells silently fall back to scalar).
-    pub fn batch(mut self, enabled: bool) -> Self {
-        self.batch = enabled;
         self
     }
 
@@ -456,10 +440,6 @@ impl Serialize for SweepGroup {
             ("record_mode".into(), self.record_mode.to_value()),
             ("curve".into(), self.curve.to_value()),
         ];
-        // Only-when-true, so pre-batch spec files keep their exact bytes.
-        if self.batch {
-            fields.push(("batch".into(), self.batch.to_value()));
-        }
         // Only-when-forced, so pre-backend spec files keep their exact bytes.
         if self.backend != BackendChoice::Auto {
             fields.push(("backend".into(), self.backend.to_value()));
@@ -504,10 +484,8 @@ impl Deserialize for SweepGroup {
                 Some(v) => bool::from_value(v)?,
                 None => false,
             },
-            batch: match value.get("batch") {
-                Some(v) => bool::from_value(v)?,
-                None => false,
-            },
+            // A legacy `"batch"` key, from specs written while batching was
+            // a knob, is ignored: the runner decides on its own.
             backend: match value.get("backend") {
                 Some(v) => BackendChoice::from_value(v)?,
                 None => BackendChoice::Auto,
@@ -623,7 +601,6 @@ impl CampaignSpec {
                                 trials,
                                 record_mode,
                                 curve: group.curve,
-                                batch: group.batch,
                                 backend: group.backend,
                             };
                             if seen.insert(cell.key()) {
@@ -705,12 +682,6 @@ pub struct CellSpec {
     /// statistics are unchanged), and omitted from the serialized form when
     /// off so pre-curve stores keep their exact bytes.
     pub curve: bool,
-    /// Whether the cell requests bit-sliced batch trial execution. A pure
-    /// execution strategy — batched cells produce bit-for-bit the scalar
-    /// measurements, and unbatchable cells fall back to scalar — so also
-    /// **not part of the cell's identity**, and omitted from the serialized
-    /// form when off so pre-batch stores keep their exact bytes.
-    pub batch: bool,
     /// Which graph storage backend the cell builds its topology with. A pure
     /// memory/layout decision — every backend yields structurally identical
     /// networks and bit-identical measurements — so also **not part of the
@@ -766,9 +737,6 @@ impl Serialize for CellSpec {
         if self.curve {
             fields.push(("curve".into(), self.curve.to_value()));
         }
-        if self.batch {
-            fields.push(("batch".into(), self.batch.to_value()));
-        }
         if self.backend != BackendChoice::Auto {
             fields.push(("backend".into(), self.backend.to_value()));
         }
@@ -783,6 +751,8 @@ impl Deserialize for CellSpec {
                 .get(name)
                 .ok_or_else(|| serde::Error::new(format!("CellSpec is missing {name:?}")))
         };
+        // A legacy `"batch"` key, from stores written while batching was a
+        // knob, is ignored, so those lines load as-is.
         Ok(CellSpec {
             scenario: ScenarioSpec::from_value(field("scenario")?)?,
             trials: TrialPolicy::from_value(field("trials")?)?,
@@ -793,11 +763,6 @@ impl Deserialize for CellSpec {
             },
             // Absent in stores written before curves existed.
             curve: match value.get("curve") {
-                Some(v) => bool::from_value(v)?,
-                None => false,
-            },
-            // Absent in stores written before batch execution existed.
-            batch: match value.get("batch") {
                 Some(v) => bool::from_value(v)?,
                 None => false,
             },
@@ -1119,36 +1084,49 @@ mod tests {
 
     #[test]
     fn batch_flag_stays_off_the_wire_and_out_of_keys_when_false() {
-        let mut campaign = sample_campaign();
-        campaign.groups[0] = campaign.groups[0].clone().batch(true);
-        let batched_cells = campaign.expand().unwrap();
-        let plain_cells = sample_campaign().expand().unwrap();
-        for (a, b) in plain_cells.iter().zip(&batched_cells) {
-            assert!(!a.batch);
-            assert!(b.batch);
-            // A pure execution strategy: batching must not change what the
-            // cell measures, so it must not change the key either.
-            assert_eq!(a.key(), b.key(), "batch must not change the key");
+        // Batching is the runner's decision: a legacy `"batch"` key, true or
+        // false, parses with its value ignored and is never written back.
+        let plain = sample_campaign();
+        let plain_json = serde_json::to_string(&plain).unwrap();
+        assert!(!plain_json.contains("batch"), "{plain_json}");
+        let plain_cells = plain.expand().unwrap();
+        let plain_store = crate::CampaignRunner::new(&plain).run_in_memory().unwrap();
+        let cell_json = serde_json::to_string(&plain_cells[0]).unwrap();
+        assert!(!cell_json.contains("batch"), "{cell_json}");
+        for flag in ["true", "false"] {
+            let legacy_json = plain_json.replace(
+                "\"curve\":false",
+                &format!("\"curve\":false,\"batch\":{flag}"),
+            );
+            assert!(legacy_json.contains("\"batch\""));
+            let legacy: CampaignSpec = serde_json::from_str(&legacy_json).unwrap();
+            assert_eq!(legacy, plain);
+            assert_eq!(serde_json::to_string(&legacy).unwrap(), plain_json);
+            // Same cells, same keys, same store bytes as the plain group.
+            let cells = legacy.expand().unwrap();
+            assert_eq!(cells, plain_cells);
+            for (a, b) in cells.iter().zip(&plain_cells) {
+                assert_eq!(a.key(), b.key());
+            }
+            let store = crate::CampaignRunner::new(&legacy).run_in_memory().unwrap();
+            assert_eq!(store.len(), plain_store.len());
+            for (a, b) in store.records().iter().zip(plain_store.records()) {
+                assert_eq!(
+                    serde_json::to_string(a).unwrap(),
+                    serde_json::to_string(b).unwrap()
+                );
+            }
+            // A stored cell line carrying the flag loads as the plain cell.
+            let legacy_cell = cell_json.replace(
+                "\"record_mode\":\"None\"",
+                &format!("\"record_mode\":\"None\",\"batch\":{flag}"),
+            );
+            assert!(legacy_cell.contains("\"batch\""));
+            let back: CellSpec = serde_json::from_str(&legacy_cell).unwrap();
+            assert_eq!(back, plain_cells[0]);
+            assert_eq!(back.key(), plain_cells[0].key());
+            assert_eq!(serde_json::to_string(&back).unwrap(), cell_json);
         }
-        // Batched cells round-trip the flag...
-        let json = serde_json::to_string(&batched_cells[0]).unwrap();
-        assert!(json.contains("\"batch\":true"));
-        let back: CellSpec = serde_json::from_str(&json).unwrap();
-        assert!(back.batch);
-        // ...while batch-less cells keep the exact pre-batch store bytes,
-        // so `--batch` re-runs of old campaigns compare byte-for-byte.
-        let plain_json = serde_json::to_string(&plain_cells[0]).unwrap();
-        assert!(
-            !plain_json.contains("batch"),
-            "batch-less cells keep the pre-batch bytes: {plain_json}"
-        );
-        let back: CellSpec = serde_json::from_str(&plain_json).unwrap();
-        assert!(!back.batch);
-        // Groups serialize the flag only when set, too.
-        let group_json = serde_json::to_string(&sample_campaign().groups[0]).unwrap();
-        assert!(!group_json.contains("batch"));
-        let back: SweepGroup = serde_json::from_str(&group_json).unwrap();
-        assert!(!back.batch);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! The fixtures were captured by running the pre-refactor `repro` binary on
 //! its own `--example-campaign` output (an adaptive sweep) and on a small
 //! fixed-trials campaign with a fractional completion rate (exercising the
-//! completion-count reconstruction). If any of these tests fails, the store
-//! format has drifted — bump a format version rather than editing the
-//! fixtures.
+//! completion-count reconstruction). The legacy-batch fixture was captured
+//! the same way, with the last binary in which batching was a per-group
+//! spec knob, from a spec that turned it on. If any of these tests fails,
+//! the store format has drifted — bump a format version rather than editing
+//! the fixtures.
 
 use dradio_campaign::{CampaignRunner, CampaignSpec, ResultStore, StopRule, TrialPolicy};
 
@@ -44,6 +46,17 @@ const GOLDEN_FRACTIONAL_CAMPAIGN: &str = r#"{"name":"golden-fixed","seed":1,"tri
 
 const GOLDEN_FRACTIONAL_STORE: &str = concat!(
     r#"{"key":"ff4ffd889951a8fa","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Bgi"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":1,"max_rounds":5,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":3.6666666666666665,"std_dev":1.5275252316519465,"min":2.0,"max":5.0,"median":4.0,"p95":5.0},"completion_rate":0.6666666666666666,"mean_collisions":10.333333333333334}}"#,
+    "\n",
+);
+
+/// A spec from when batching was a per-group knob: the group carries
+/// `"batch": true`, which that binary copied into every cell it stored.
+const LEGACY_BATCH_CAMPAIGN: &str = r#"{"name":"legacy-batch","seed":3,"trials":{"Fixed":4},"groups":[{"topologies":[{"DualClique":{"n":16}}],"algorithms":[{"Global":"Permuted"}],"adversaries":[{"Iid":{"p":0.5}}],"problems":[{"GlobalFrom":0}],"seed":null,"trials":null,"rounds":{"Fixed":400},"collision_detection":false,"record_mode":"None","curve":false,"batch":true}]}"#;
+
+/// The store that binary wrote for [`LEGACY_BATCH_CAMPAIGN`], byte for
+/// byte: its cell carries `"batch":true`.
+const LEGACY_BATCH_STORE: &str = concat!(
+    r#"{"key":"20197961876757b2","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":3,"max_rounds":400,"collision_detection":false},"trials":{"Fixed":4},"record_mode":"None","batch":true},"trials_run":4,"measurement":{"rounds":{"count":4,"mean":6.75,"std_dev":4.112987559751022,"min":2.0,"max":12.0,"median":6.5,"p95":12.0},"completion_rate":1.0,"mean_collisions":25.5}}"#,
     "\n",
 );
 
@@ -209,5 +222,55 @@ fn compacting_an_old_store_is_the_identity() {
     assert_eq!(report.dropped, 0);
     assert_eq!(report.missing, 0);
     assert_eq!(std::fs::read_to_string(&path).unwrap(), GOLDEN_STORE);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn legacy_batch_store_lines_load_check_compact_and_resume() {
+    // Batching is now the runner's decision; a stored `"batch":true` is
+    // read past, never rewritten, and changes nothing about the cell.
+    let path = temp_path("legacy-batch");
+    std::fs::write(&path, LEGACY_BATCH_STORE).unwrap();
+    let store = ResultStore::open(&path).unwrap();
+    assert_eq!(store.len(), 1, "the legacy record loads");
+    let record = &store.records()[0];
+    assert_eq!(record.key, "20197961876757b2");
+    assert_eq!(record.cell.key(), record.key, "the flag was never identity");
+    drop(store);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), LEGACY_BATCH_STORE);
+
+    let fsck = ResultStore::fsck(&path).unwrap();
+    assert!(fsck.is_clean(), "{fsck}");
+
+    let spec: CampaignSpec = serde_json::from_str(LEGACY_BATCH_CAMPAIGN).unwrap();
+    let report = ResultStore::compact(&spec, &path).unwrap();
+    assert_eq!((report.kept, report.dropped, report.missing), (1, 0, 0));
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        LEGACY_BATCH_STORE,
+        "compaction keeps the legacy line's bytes"
+    );
+
+    let mut store = ResultStore::open(&path).unwrap();
+    let report = CampaignRunner::new(&spec).run(&mut store).unwrap();
+    assert_eq!((report.skipped, report.executed), (1, 0));
+    drop(store);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), LEGACY_BATCH_STORE);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn legacy_batch_campaigns_rerun_to_the_same_line_without_the_flag() {
+    // A fresh run of the legacy spec measures exactly what the old binary
+    // measured; only the flag, which is no longer written, drops out.
+    let path = temp_path("legacy-batch-fresh");
+    let spec: CampaignSpec = serde_json::from_str(LEGACY_BATCH_CAMPAIGN).unwrap();
+    let mut store = ResultStore::open(&path).unwrap();
+    CampaignRunner::new(&spec).run(&mut store).unwrap();
+    drop(store);
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        LEGACY_BATCH_STORE.replace(r#","batch":true"#, "")
+    );
     let _ = std::fs::remove_file(&path);
 }

@@ -61,10 +61,6 @@ pub struct FleetConfig {
     /// Cell-runner threads per worker (`0` keeps the worker default: one
     /// runner with parallel trials). Forwarded as `--threads`.
     pub threads: usize,
-    /// Bit-sliced batch trial execution in every worker (unbatchable cells
-    /// fall back to scalar; shard store bytes are identical either way).
-    /// Forwarded as `--batch`.
-    pub batch: bool,
     /// Report per-cell completions, deaths, and restarts on stderr.
     pub progress: bool,
     /// Declare a ready worker dead when it owes work (or is starving the
@@ -100,7 +96,6 @@ impl Default for FleetConfig {
         FleetConfig {
             workers: 2,
             threads: 0,
-            batch: false,
             progress: false,
             hang_timeout: None,
             lease_timeout: None,
@@ -486,9 +481,6 @@ fn worker_command(config: &FleetConfig, store: &Path, shard: usize) -> Result<Co
     cmd.arg("--shard").arg(shard.to_string());
     if config.threads > 0 {
         cmd.arg("--threads").arg(config.threads.to_string());
-    }
-    if config.batch {
-        cmd.arg("--batch");
     }
     if let Some(plan) = &config.faults {
         let shard_faults = plan.for_shard(shard);

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use dradio_campaign::{execute_cell_batched, CellSpec, ResultStore};
+use dradio_campaign::{execute_cell, CellSpec, ResultStore};
 
 use crate::error::{FleetError, Result};
 use crate::faults::{FaultKind, WorkerFault};
@@ -75,11 +75,6 @@ pub struct WorkerConfig {
     /// parallel within each cell; `n > 1`: `n` cells concurrently, trials
     /// sequential per cell. Measurements are identical either way.
     pub threads: usize,
-    /// Whether to run each cell's trials through the bit-sliced batch
-    /// executor (unbatchable cells fall back to scalar). A pure execution
-    /// strategy: shard store bytes are identical either way. Forwarded from
-    /// the coordinator's `--batch`.
-    pub batch: bool,
     /// The chaos faults armed for this shard (empty in real runs). Each
     /// fires once, right after this process's `after_cells`-th fresh
     /// append. Forwarded by the coordinator as `--faults`.
@@ -296,7 +291,7 @@ where
                         skipped.fetch_add(1, Ordering::Relaxed);
                         WorkerFrame::Done { key, trials_run }
                     } else {
-                        match execute_cell_batched(&cell, parallel_trials, config.batch) {
+                        match execute_cell(&cell, parallel_trials) {
                             Ok(record) => {
                                 let trials_run = record.trials_run;
                                 // The exact bytes append writes (line +
@@ -470,7 +465,6 @@ mod tests {
             shard: 3,
             store,
             threads,
-            batch: false,
             faults: Vec::new(),
         }
     }

@@ -301,7 +301,6 @@ pub struct ScenarioRunner<'a> {
     parallel: bool,
     record_mode: RecordMode,
     curve: bool,
-    batch: bool,
 }
 
 impl<'a> ScenarioRunner<'a> {
@@ -312,7 +311,6 @@ impl<'a> ScenarioRunner<'a> {
             parallel: true,
             record_mode: RecordMode::None,
             curve: false,
-            batch: false,
         }
     }
 
@@ -348,32 +346,18 @@ impl<'a> ScenarioRunner<'a> {
         self.curve
     }
 
-    /// Requests bit-sliced batch execution: trials fan out in lane groups of
+    /// Whether the trial fan-out runs bit-sliced: trials in lane groups of
     /// up to [`MAX_LANES`] through a [`BatchExecutor`], each group advancing
-    /// all its live trials one round per word pass.
+    /// all its live trials one round per word pass. The runner decides on
+    /// its own, by [`Scenario::is_batchable`] under the effective record
+    /// mode; everything else runs on the scalar [`TrialExecutor`].
     ///
-    /// The batch path is a pure execution strategy, never a semantics change:
+    /// The choice is a pure execution strategy, never a semantics change:
     /// lane `k` of a group produces bit-for-bit the outcome the scalar
     /// executor produces for the same trial index, so every statistic —
-    /// measurements, curves, persisted stores — is identical with and without
-    /// it. Scenarios that cannot batch (adaptive or custom adversaries,
-    /// history-recording modes) silently fall back to the scalar path; see
-    /// [`ScenarioRunner::uses_batch`].
-    pub fn batch(mut self, enabled: bool) -> Self {
-        self.batch = enabled;
-        self
-    }
-
-    /// Whether batch execution was requested (regardless of batchability).
-    pub fn has_batch(&self) -> bool {
-        self.batch
-    }
-
-    /// Whether the trial fan-out will actually run bit-sliced: batch was
-    /// requested and the scenario is batchable under the effective record
-    /// mode ([`Scenario::is_batchable`]).
+    /// measurements, curves, persisted stores — is identical either way.
     pub fn uses_batch(&self) -> bool {
-        self.batch && self.scenario.is_batchable(self.effective_record_mode())
+        self.scenario.is_batchable(self.effective_record_mode())
     }
 
     /// The record mode trials actually execute with: the configured mode,
@@ -400,10 +384,10 @@ impl<'a> ScenarioRunner<'a> {
         self.scenario.executor()
     }
 
-    /// The [`BatchExecutor`] the fan-out will use, when the batch path is
-    /// both requested and possible: [`ScenarioRunner::uses_batch`] must hold
-    /// and the scenario's actual link process must pass the executor's own
-    /// obliviousness check. `None` means the scalar path runs instead.
+    /// The [`BatchExecutor`] the fan-out will use: [`ScenarioRunner::uses_batch`]
+    /// must hold and the scenario's actual link process must pass the
+    /// executor's own obliviousness check. `None` means the scalar path runs
+    /// instead.
     fn batch_executor_if_usable(&self) -> Option<BatchExecutor> {
         if !self.uses_batch() {
             return None;
@@ -621,6 +605,11 @@ mod tests {
     use crate::problem::ProblemSpec;
     use crate::topology::TopologySpec;
     use dradio_core::algorithms::GlobalAlgorithm;
+    use dradio_core::kinds;
+    use dradio_sim::{
+        sampling, Action, BatchProfile, Message, Process, ProcessContext, ProcessFactory, Role,
+        Round,
+    };
 
     fn scenario(seed: u64) -> Scenario {
         Scenario::on(TopologySpec::DualClique { n: 16 })
@@ -909,64 +898,112 @@ mod tests {
         assert_eq!(legacy, m);
     }
 
+    /// A fixed-rate beacon field: the source sends its DATA message with
+    /// probability 1/2 each round and every other node its own at 1/8. It
+    /// declares the matching `FixedRate` profile, so oblivious history-free
+    /// fan-outs over it take the batch kernel.
+    struct Beacon {
+        msg: Message,
+        rate: f64,
+    }
+
+    impl Process for Beacon {
+        fn on_round(&mut self, _round: Round, rng: &mut dyn rand::RngCore) -> Action {
+            if sampling::bernoulli(rng, self.rate) {
+                Action::Transmit(self.msg.clone())
+            } else {
+                Action::Listen
+            }
+        }
+        fn batch_profile(&self) -> BatchProfile {
+            BatchProfile::FixedRate {
+                rate: self.rate,
+                message: Some(self.msg.clone()),
+            }
+        }
+    }
+
+    fn beacon_scenario(adversary: AdversarySpec, seed: u64) -> Scenario {
+        let factory: ProcessFactory = std::sync::Arc::new(|ctx: &ProcessContext| {
+            let rate = if ctx.role == Role::Source { 0.5 } else { 0.125 };
+            let msg = Message::plain(ctx.id, kinds::DATA, ctx.id.index() as u64);
+            Box::new(Beacon { msg, rate }) as Box<dyn Process>
+        });
+        Scenario::on(TopologySpec::DualClique { n: 16 })
+            .custom_algorithm("beacon", factory)
+            .adversary(adversary)
+            .problem(ProblemSpec::GlobalFrom(0))
+            .seed(seed)
+            .max_rounds(400)
+            .build()
+            .expect("valid scenario")
+    }
+
+    /// The reference: every trial through one reused scalar executor.
+    fn scalar_loop(runner: &ScenarioRunner<'_>, trials: usize) -> Vec<TrialOutcome> {
+        let mut executor = runner.executor();
+        (0..trials)
+            .map(|t| runner.run_trial_on(&mut executor, t))
+            .collect()
+    }
+
     #[test]
     fn batch_fan_out_matches_scalar_everywhere() {
-        let s = scenario(31);
+        let s = beacon_scenario(AdversarySpec::Iid { p: 0.5 }, 31);
         let runner = ScenarioRunner::new(&s);
-        let batched = runner.batch(true);
-        assert!(batched.has_batch());
-        assert!(batched.uses_batch(), "iid adversary + RecordMode::None");
+        assert!(runner.uses_batch(), "fixed-rate + iid + RecordMode::None");
         // Trial-by-trial outcomes: ragged tail group (100 = 64 + 36), a
         // group smaller than one lane word, and both execution strategies.
         for trials in [100usize, 7, 64] {
+            let expected = scalar_loop(&runner, trials);
             assert_eq!(
-                batched.collect_trials(trials).unwrap(),
                 runner.collect_trials(trials).unwrap(),
+                expected,
                 "{trials} trials"
             );
             assert_eq!(
-                batched.sequential().collect_trials(trials).unwrap(),
-                runner.collect_trials(trials).unwrap(),
+                runner.sequential().collect_trials(trials).unwrap(),
+                expected,
                 "{trials} trials, sequential lane groups"
             );
         }
         // Measurements, with and without curve streaming.
         assert_eq!(
-            batched.run_trials(70).unwrap(),
-            runner.run_trials(70).unwrap()
+            runner.run_trials(70).unwrap(),
+            Measurement::from_trials(&scalar_loop(&runner, 70)).unwrap()
         );
+        let curved = runner.curve(true);
+        let mut acc = curved.accumulator();
+        let mut executor = curved.executor();
+        for t in 0..70 {
+            curved.run_trial_into(&mut executor, t, &mut acc);
+        }
         assert_eq!(
-            batched.curve(true).run_trials(70).unwrap(),
-            runner.curve(true).run_trials(70).unwrap(),
+            curved.run_trials(70).unwrap(),
+            acc.finish().unwrap(),
             "batched lane groups stream the identical contention curve"
         );
     }
 
     #[test]
     fn unbatchable_runners_fall_back_to_scalar() {
+        // Registered algorithms declare no fixed-rate profile.
         let s = scenario(5);
-        let runner = ScenarioRunner::new(&s).batch(true);
-        // Full recording cannot batch; the fallback still answers.
-        let full = runner.record_mode(RecordMode::Full);
+        let runner = ScenarioRunner::new(&s);
+        assert!(!runner.uses_batch());
+        assert_eq!(runner.collect_trials(5).unwrap(), scalar_loop(&runner, 5));
+        // Full recording cannot batch, even over fixed-rate processes.
+        let beacons = beacon_scenario(AdversarySpec::Iid { p: 0.5 }, 5);
+        let full = ScenarioRunner::new(&beacons).record_mode(RecordMode::Full);
         assert!(!full.uses_batch());
-        assert_eq!(
-            full.collect_trials(5).unwrap(),
-            ScenarioRunner::new(&s).collect_trials(5).unwrap()
-        );
+        assert_eq!(full.collect_trials(5).unwrap(), scalar_loop(&full, 5));
         // An adaptive adversary cannot batch either.
-        let adaptive = Scenario::on(TopologySpec::DualClique { n: 8 })
-            .algorithm(GlobalAlgorithm::Permuted)
-            .adversary(AdversarySpec::GreedyCollision)
-            .problem(ProblemSpec::GlobalFrom(0))
-            .seed(3)
-            .max_rounds(5_000)
-            .build()
-            .expect("valid scenario");
-        let adaptive_runner = ScenarioRunner::new(&adaptive).batch(true);
+        let adaptive = beacon_scenario(AdversarySpec::GreedyCollision, 3);
+        let adaptive_runner = ScenarioRunner::new(&adaptive);
         assert!(!adaptive_runner.uses_batch());
         assert_eq!(
             adaptive_runner.run_trials(4).unwrap(),
-            ScenarioRunner::new(&adaptive).run_trials(4).unwrap()
+            Measurement::from_trials(&scalar_loop(&adaptive_runner, 4)).unwrap()
         );
     }
 

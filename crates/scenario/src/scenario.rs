@@ -536,8 +536,9 @@ impl Scenario {
     /// # Errors
     ///
     /// [`SimError::UnsupportedBatch`](dradio_sim::SimError::UnsupportedBatch)
-    /// when the scenario's adversary is not oblivious; callers fall back to
-    /// the scalar executor (see [`Scenario::is_batchable`]).
+    /// when some process lacks a fixed-rate profile or the adversary is not
+    /// oblivious; callers run the scalar executor instead (see
+    /// [`Scenario::is_batchable`]).
     pub fn batch_executor(&self) -> dradio_sim::Result<BatchExecutor> {
         let config = SimConfig::default()
             .with_seed(self.spec.seed)
@@ -554,16 +555,23 @@ impl Scenario {
         )
     }
 
-    /// Whether trial fan-outs over this scenario may use the bit-sliced
-    /// [`BatchExecutor`] when asked to: the adversary must be declared
-    /// oblivious and `record_mode` must not record history. Custom adversary
-    /// specs (unknown class) and adaptive classes report `false`.
+    /// Whether trial fan-outs over this scenario run on the bit-sliced
+    /// [`BatchExecutor`] under `record_mode` — the one batching rule, with
+    /// no knob: `record_mode` keeps no history, the adversary is declared
+    /// oblivious (custom specs, whose class is unknown, and adaptive classes
+    /// are not), and every process declares a coherent
+    /// [`BatchProfile::FixedRate`](dradio_sim::BatchProfile::FixedRate).
+    /// Everything else runs on the scalar [`TrialExecutor`].
     ///
-    /// This is a spec-level pre-check; [`Scenario::batch_executor`] re-checks
-    /// the actual link process it constructs.
+    /// The process probe runs last and stops at the first
+    /// [`Generic`](dradio_sim::BatchProfile::Generic) profile, before any
+    /// link process or lane buffer exists, so a scalar algorithm costs one
+    /// process construction. [`Scenario::batch_executor`] re-checks the
+    /// actual link process it constructs.
     pub fn is_batchable(&self, record_mode: RecordMode) -> bool {
-        self.spec.adversary.class() == Some(AdversaryClass::Oblivious)
-            && !record_mode.records_history()
+        !record_mode.records_history()
+            && self.spec.adversary.class() == Some(AdversaryClass::Oblivious)
+            && BatchExecutor::supports(&self.topology.dual, &self.factory, &self.assignment)
     }
 
     /// Checks a recorded history against the problem's correctness

@@ -9,6 +9,11 @@
 //! detection for the whole group resolve with word-wide AND/OR algebra — one
 //! pass over the transmitting neighbors serves all 64 trials.
 //!
+//! The executor is a fixed-rate kernel: every process in the network must
+//! opt into [`BatchProfile::FixedRate`], so transmit decisions for 8
+//! interleaved ChaCha8 streams collapse to one threshold compare per random
+//! word and no process objects run at all.
+//!
 //! # Equivalence contract
 //!
 //! Lane `k` of a group produces **exactly** the [`ExecutionOutcome`] of
@@ -17,24 +22,17 @@
 //! per-lane [`StopTracker`] retires finished lanes (masked out while the rest
 //! of the group drains), and per-lane [`Metrics`] and collision curves follow
 //! the scalar bookkeeping rules. The root `integration_batch` suite pins this
-//! across every batchable registered algorithm × adversary × problem class.
+//! across every topology family × oblivious adversary class.
 //!
 //! # What is refused
 //!
+//! * Processes whose profile is [`BatchProfile::Generic`] (or an incoherent
+//!   `FixedRate`) — they run on the scalar executor.
 //! * [`RecordMode::Full`] — retaining per-round history defeats lane packing
 //!   (and is what adaptive adversaries force); callers fall back to the
 //!   scalar executor.
 //! * Adaptive adversary classes — their views borrow the execution history.
 //! * Lane groups larger than [`MAX_LANES`].
-//!
-//! # The two execution paths
-//!
-//! The **generic path** drives one boxed [`Process`] per (lane, node), so it
-//! is correct for every oblivious-adversary scenario; lanes still share each
-//! adjacency pass during reception. The **fixed-rate kernel** engages when
-//! every process in the network opts into [`BatchProfile::FixedRate`]:
-//! transmit decisions for 8 interleaved ChaCha8 streams collapse to one
-//! threshold compare per random word, and no process objects run at all.
 
 use std::sync::Arc;
 
@@ -42,16 +40,15 @@ use dradio_graphs::{DualGraph, Edge, Graph, GraphBackend, NeighborRow, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::action::{Action, Feedback};
 use crate::config::SimConfig;
 use crate::engine::{derive_stream_seed, ExecutionOutcome};
 use crate::error::SimError;
-use crate::executor::LinkFactory;
+use crate::executor::{process_contexts, validated_contexts, LinkFactory};
 use crate::history::History;
 use crate::link::{AdversaryClass, AdversarySetup, AdversaryView, LinkProcess};
 use crate::message::MessageKind;
 use crate::metrics::Metrics;
-use crate::process::{Assignment, BatchProfile, Process, ProcessContext, ProcessFactory};
+use crate::process::{Assignment, BatchProfile, ProcessContext, ProcessFactory};
 use crate::recorder::RecordMode;
 use crate::round::Round;
 use crate::stop::{StopCondition, StopTracker};
@@ -76,7 +73,8 @@ fn group_mask(count: usize) -> u64 {
 /// assignment × adversary recipe × stop condition) combination.
 ///
 /// Construction mirrors [`TrialExecutor::new`](crate::TrialExecutor::new) and
-/// additionally refuses non-oblivious adversary recipes up front. See the
+/// additionally refuses processes without a fixed-rate profile and
+/// non-oblivious adversary recipes up front. See the
 /// [module documentation](self) for the equivalence contract.
 ///
 /// # Example
@@ -141,10 +139,8 @@ pub struct BatchExecutor {
     assignment: Assignment,
     config: SimConfig,
     link_factory: LinkFactory,
-    contexts: Vec<ProcessContext>,
     tracker_template: StopTracker,
-    kernel: Option<KernelPlan>,
-    force_generic: bool,
+    kernel: KernelPlan,
     lanes: Vec<Lane>,
     shared: Shared,
     kscratch: KernelScratch,
@@ -152,12 +148,9 @@ pub struct BatchExecutor {
 
 /// Per-lane state: everything one trial owns privately. The word-parallel
 /// passes live in [`Shared`]; a lane only holds what must not leak between
-/// trials (RNG streams, processes, the adversary, the stop tracker, and the
+/// trials (the adversary and its RNG stream, the stop tracker, and the
 /// outcome bookkeeping).
 struct Lane {
-    processes: Vec<Box<dyn Process>>,
-    actions: Vec<Action>,
-    node_rngs: Vec<ChaCha8Rng>,
     adversary_rng: ChaCha8Rng,
     link: Box<dyn LinkProcess>,
     link_spent: bool,
@@ -173,9 +166,6 @@ struct Lane {
 impl Lane {
     fn new(tracker: StopTracker, link: Box<dyn LinkProcess>) -> Self {
         Lane {
-            processes: Vec::new(),
-            actions: Vec::new(),
-            node_rngs: Vec::new(),
             adversary_rng: ChaCha8Rng::seed_from_u64(0),
             link,
             link_spent: false,
@@ -335,37 +325,42 @@ struct KernelPlan {
 }
 
 impl KernelPlan {
-    /// Probes one process per node; `None` unless every profile is
-    /// `FixedRate` with a coherent message.
-    fn probe(contexts: &[ProcessContext], factory: &ProcessFactory) -> Option<KernelPlan> {
-        let mut coin = Vec::new();
-        let mut always = Vec::new();
-        let mut kinds = vec![MessageKind::new(0); contexts.len()];
-        for (u, ctx) in contexts.iter().enumerate() {
-            match (factory)(ctx).batch_profile() {
-                BatchProfile::Generic => return None,
-                BatchProfile::FixedRate { rate, message } => {
-                    if rate <= 0.0 {
-                        continue; // never transmits; the message is irrelevant
-                    }
-                    // A positive rate with no message violates the profile
-                    // contract; treat the process as generic rather than
-                    // deliver nothing.
-                    let message = message?;
-                    kinds[u] = message.kind();
-                    if rate >= 1.0 {
-                        always.push(u as u32);
-                    } else {
-                        coin.push((u as u32, bernoulli_threshold(rate)));
-                    }
-                }
+    /// Probes one process per context, in node order, and stops at the
+    /// first whose profile is not a coherent `FixedRate` — so a
+    /// [`BatchProfile::Generic`] network costs one process construction.
+    /// Returns the offending node on refusal.
+    fn probe(
+        contexts: impl Iterator<Item = ProcessContext>,
+        factory: &ProcessFactory,
+    ) -> std::result::Result<KernelPlan, NodeId> {
+        let mut plan = KernelPlan {
+            coin: Vec::new(),
+            always: Vec::new(),
+            kinds: Vec::new(),
+        };
+        for ctx in contexts {
+            let BatchProfile::FixedRate { rate, message } = (factory)(&ctx).batch_profile() else {
+                return Err(ctx.id);
+            };
+            let u = ctx.id.index() as u32;
+            if rate <= 0.0 {
+                // Never transmits; the message is irrelevant.
+                plan.kinds.push(MessageKind::new(0));
+                continue;
+            }
+            // A positive rate with no message violates the profile contract;
+            // refuse rather than deliver nothing.
+            let Some(message) = message else {
+                return Err(ctx.id);
+            };
+            plan.kinds.push(message.kind());
+            if rate >= 1.0 {
+                plan.always.push(u);
+            } else {
+                plan.coin.push((u, bernoulli_threshold(rate)));
             }
         }
-        Some(KernelPlan {
-            coin,
-            always,
-            kinds,
-        })
+        Ok(plan)
     }
 }
 
@@ -755,9 +750,10 @@ impl BatchExecutor {
     /// # Errors
     ///
     /// Everything the scalar constructor rejects, plus
-    /// [`SimError::UnsupportedBatch`] when `link_factory` produces a
-    /// non-oblivious adversary (adaptive views borrow per-round history the
-    /// lanes do not retain).
+    /// [`SimError::UnsupportedBatch`] when some process does not declare a
+    /// coherent [`BatchProfile::FixedRate`] (checked first, stopping at the
+    /// first such node) or `link_factory` produces a non-oblivious adversary
+    /// (adaptive views borrow per-round history the lanes do not retain).
     ///
     /// # Panics
     ///
@@ -771,24 +767,15 @@ impl BatchExecutor {
         stop: StopCondition,
         config: SimConfig,
     ) -> Result<Self> {
-        config.validate()?;
         let dual = dual.into();
-        let n = dual.len();
-        if n == 0 {
-            return Err(SimError::EmptyNetwork);
-        }
-        if assignment.len() != n {
-            return Err(SimError::AssignmentSizeMismatch {
-                network: n,
-                assignment: assignment.len(),
-            });
-        }
-        if let Some(max_index) = stop.max_node_index() {
-            assert!(
-                max_index < n,
-                "stop condition references node {max_index} but the network has {n} nodes"
-            );
-        }
+        let contexts = validated_contexts(&dual, &assignment, Some(&stop), &config)?;
+        let kernel =
+            KernelPlan::probe(contexts, &factory).map_err(|node| SimError::UnsupportedBatch {
+                reason: format!(
+                    "the process at node {node} has no coherent fixed-rate batch \
+                     profile; run on the scalar executor"
+                ),
+            })?;
         let probe = link_factory();
         if probe.class() != AdversaryClass::Oblivious {
             return Err(SimError::UnsupportedBatch {
@@ -798,13 +785,8 @@ impl BatchExecutor {
                 ),
             });
         }
-        let max_degree = dual.max_degree();
-        let contexts: Vec<ProcessContext> = NodeId::all(n)
-            .map(|u| ProcessContext::new(u, n, max_degree, assignment.role(u)))
-            .collect();
-        let kernel = KernelPlan::probe(&contexts, &factory);
         let shared = Shared::new(dual.g(), !dual.is_static());
-        let tracker = StopTracker::new(stop, n);
+        let tracker = StopTracker::new(stop, dual.len());
         let tracker_template = tracker.clone();
         let lanes = vec![Lane::new(tracker, probe)];
         Ok(BatchExecutor {
@@ -813,10 +795,8 @@ impl BatchExecutor {
             assignment,
             config,
             link_factory,
-            contexts,
             tracker_template,
             kernel,
-            force_generic: false,
             lanes,
             shared,
             kscratch: KernelScratch::new(),
@@ -834,18 +814,15 @@ impl BatchExecutor {
         &self.config
     }
 
-    /// Returns `true` if every process opted into
-    /// [`BatchProfile::FixedRate`], so groups run on the word-parallel
-    /// kernel instead of boxed per-lane processes.
-    pub fn has_kernel(&self) -> bool {
-        self.kernel.is_some()
-    }
-
-    /// Forces the generic boxed-process path even when the fixed-rate
-    /// kernel is available (a diagnostic knob; the equivalence suite uses
-    /// it to pin kernel == generic == scalar).
-    pub fn set_force_generic(&mut self, force: bool) {
-        self.force_generic = force;
+    /// Whether the kernel can drive every process `factory` builds over
+    /// `dual` under `assignment`: each declares a coherent
+    /// [`BatchProfile::FixedRate`]. Stops at the first process that does
+    /// not, so a [`BatchProfile::Generic`] algorithm costs one process
+    /// construction. The adversary class, the record mode and the inputs
+    /// themselves are checked by [`BatchExecutor::new`] and
+    /// [`BatchExecutor::execute_group`].
+    pub fn supports(dual: &DualGraph, factory: &ProcessFactory, assignment: &Assignment) -> bool {
+        KernelPlan::probe(process_contexts(dual, assignment), factory).is_ok()
     }
 
     /// Runs one independent trial per seed, all lanes in lockstep, and
@@ -877,15 +854,9 @@ impl BatchExecutor {
                     .into(),
             });
         }
-        let kernel = self.kernel.is_some() && !self.force_generic;
-        self.prepare_group(seeds, kernel)?;
+        self.prepare_group(seeds)?;
         if !self.lanes[0].tracker.is_done() {
-            let live = group_mask(count);
-            if kernel {
-                self.run_kernel(live, record_mode);
-            } else {
-                self.run_generic(live, record_mode);
-            }
+            self.run_kernel(group_mask(count), record_mode);
         } else {
             // Degenerate stop conditions (e.g. an empty receiver set) are
             // complete before any round executes — in every lane at once,
@@ -909,10 +880,11 @@ impl BatchExecutor {
             .collect())
     }
 
-    /// Reseeds (and where needed rebuilds) per-lane state for a new group
-    /// and runs the start-of-execution hooks, mirroring the scalar
-    /// executor's per-trial reseed step lane by lane.
-    fn prepare_group(&mut self, seeds: &[u64], kernel: bool) -> Result<()> {
+    /// Reseeds (and where needed rebuilds) per-lane state for a new group,
+    /// runs the adversaries' start hooks, and keys every coin node's
+    /// per-lane stream — mirroring the scalar executor's per-trial reseed
+    /// step lane by lane.
+    fn prepare_group(&mut self, seeds: &[u64]) -> Result<()> {
         let n = self.dual.len();
         while self.lanes.len() < seeds.len() {
             self.lanes.push(Lane::new(
@@ -942,17 +914,6 @@ impl BatchExecutor {
             lane.rounds_executed = 0;
             lane.completion_round = None;
             lane.completed = false;
-            if !kernel {
-                lane.node_rngs
-                    .resize_with(n, || ChaCha8Rng::seed_from_u64(0));
-                for (u, rng) in lane.node_rngs.iter_mut().enumerate() {
-                    *rng = ChaCha8Rng::seed_from_u64(derive_stream_seed(seed, u as u64));
-                }
-                lane.processes.clear();
-                for ctx in &self.contexts {
-                    lane.processes.push((self.factory)(ctx));
-                }
-            }
             let setup = AdversarySetup {
                 dual: &self.dual,
                 factory: &self.factory,
@@ -960,137 +921,20 @@ impl BatchExecutor {
                 horizon: self.config.max_rounds(),
             };
             lane.link.on_start(&setup, &mut lane.adversary_rng);
-            if !kernel {
-                for (u, process) in lane.processes.iter_mut().enumerate() {
-                    process.on_start(&mut lane.node_rngs[u]);
-                }
+        }
+        let ks = &mut self.kscratch;
+        ks.keys
+            .resize(self.kernel.coin.len() * MAX_LANES, [0u32; 8]);
+        for (ci, &(node, _)) in self.kernel.coin.iter().enumerate() {
+            for lane_idx in 0..MAX_LANES {
+                ks.keys[ci * MAX_LANES + lane_idx] = match seeds.get(lane_idx) {
+                    Some(&seed) => key_from_u64(derive_stream_seed(seed, u64::from(node))),
+                    None => [0u32; 8],
+                };
             }
         }
-        if kernel {
-            if let Some(plan) = &self.kernel {
-                let ks = &mut self.kscratch;
-                ks.keys.resize(plan.coin.len() * MAX_LANES, [0u32; 8]);
-                for (ci, &(node, _)) in plan.coin.iter().enumerate() {
-                    for lane_idx in 0..MAX_LANES {
-                        ks.keys[ci * MAX_LANES + lane_idx] = match seeds.get(lane_idx) {
-                            Some(&seed) => key_from_u64(derive_stream_seed(seed, u64::from(node))),
-                            None => [0u32; 8],
-                        };
-                    }
-                }
-                ks.t_buf.resize(STREAMS * n, 0);
-            }
-        }
+        ks.t_buf.resize(STREAMS * n, 0);
         Ok(())
-    }
-
-    /// The generic path: one boxed process per (lane, node), lock-stepped;
-    /// reception is still resolved word-parallel across lanes.
-    fn run_generic(&mut self, mut live: u64, record_mode: RecordMode) {
-        let dual = &self.dual;
-        let lanes = &mut self.lanes;
-        let shared = &mut self.shared;
-        let n = dual.len();
-        let horizon = self.config.max_rounds();
-        let collision_detection = self.config.collision_detection();
-        let records_collisions = record_mode.records_collisions();
-
-        // lint: hot-path
-        for round in Round::range(horizon) {
-            // 1. Every live lane's processes pick actions with their private
-            //    coins; transmit decisions land in the shared lane masks.
-            shared.transmit[..n].fill(0);
-            let mut mask = live;
-            while mask != 0 {
-                let lane_idx = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let bit = 1u64 << lane_idx;
-                let lane = &mut lanes[lane_idx];
-                lane.actions.clear();
-                for u in 0..n {
-                    let action = lane.processes[u].on_round(round, &mut lane.node_rngs[u]);
-                    if action.is_transmit() {
-                        shared.transmit[u] |= bit;
-                        lane.metrics.transmissions += 1;
-                    }
-                    lane.actions.push(action);
-                }
-            }
-
-            // 2. Each lane's adversary fixes its dynamic edges.
-            let mut mask = live;
-            while mask != 0 {
-                let lane_idx = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                decide_lane_edges(dual, shared, &mut lanes[lane_idx], round);
-            }
-
-            // 3. Word-parallel reception across all lanes.
-            fold_reception(dual, shared, lanes, live);
-
-            // 4. Feedback, metrics, and stop observation per (node, lane).
-            //    Lane streams are private and a round's observations commute,
-            //    so interleaving lanes within a node preserves scalar
-            //    behaviour exactly.
-            let mut round_collisions = [0usize; MAX_LANES];
-            for u in 0..n {
-                let tu = shared.transmit[u];
-                let ge1 = shared.ge1[u];
-                let ge2 = shared.ge2[u];
-                let mut mask = live;
-                while mask != 0 {
-                    let lane_idx = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let bit = 1u64 << lane_idx;
-                    let lane = &mut lanes[lane_idx];
-                    let feedback = if tu & bit != 0 {
-                        Feedback::Transmitted
-                    } else if ge2 & bit != 0 {
-                        lane.metrics.collisions += 1;
-                        round_collisions[lane_idx] += 1;
-                        if collision_detection {
-                            Feedback::Collision
-                        } else {
-                            Feedback::Silence
-                        }
-                    } else if ge1 & bit != 0 {
-                        let sender = shared.senders[u * MAX_LANES + lane_idx] as usize;
-                        let message = lane.actions[sender]
-                            .message()
-                            // lint: allow(D4) -- a set ge1 bit is only written
-                            // from this lane's transmit mask two steps above
-                            .expect("a set reception bit implies a message")
-                            // lint: allow(D3) -- feedback owns its message; a
-                            // broadcast message is a small copyable token
-                            .clone();
-                        lane.metrics.deliveries += 1;
-                        lane.tracker.observe_one(
-                            NodeId::new(u),
-                            NodeId::new(sender),
-                            message.kind(),
-                        );
-                        Feedback::Received(message)
-                    } else {
-                        lane.metrics.idle_listens += 1;
-                        Feedback::Silence
-                    };
-                    lane.processes[u].on_feedback(round, &feedback, &mut lane.node_rngs[u]);
-                }
-            }
-
-            // 5. Record, evaluate stops, retire finished lanes.
-            finish_round(
-                lanes,
-                &mut live,
-                round,
-                &round_collisions,
-                records_collisions,
-            );
-            if live == 0 {
-                break;
-            }
-        }
-        // lint: end-hot-path
     }
 
     /// The fixed-rate kernel: transmit decisions for 8 interleaved ChaCha8
@@ -1102,9 +946,7 @@ impl BatchExecutor {
         let lanes = &mut self.lanes;
         let shared = &mut self.shared;
         let ks = &mut self.kscratch;
-        let Some(plan) = self.kernel.as_ref() else {
-            return; // unreachable: callers check has_kernel first
-        };
+        let plan = &self.kernel;
         let n = dual.len();
         let horizon = self.config.max_rounds();
         let records_collisions = record_mode.records_collisions();
@@ -1248,7 +1090,6 @@ impl std::fmt::Debug for BatchExecutor {
         f.debug_struct("BatchExecutor")
             .field("n", &self.dual.len())
             .field("config", &self.config)
-            .field("kernel", &self.kernel.is_some())
             .finish()
     }
 }
@@ -1256,9 +1097,10 @@ impl std::fmt::Debug for BatchExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Action;
     use crate::link::{LinkDecision, StaticLinks};
     use crate::message::Message;
-    use crate::process::Role;
+    use crate::process::{Process, Role};
     use crate::sampling;
     use crate::TrialExecutor;
     use dradio_graphs::topology;
@@ -1266,35 +1108,21 @@ mod tests {
 
     const DATA: MessageKind = MessageKind::new(1);
 
-    /// Decay-style flooding: informed nodes transmit their message with a
-    /// fixed probability; uninformed nodes adopt the first message they hear.
-    /// Deliberately `BatchProfile::Generic` (stateful feedback).
-    struct EchoRelay {
-        msg: Option<Message>,
-        rate: f64,
-    }
+    /// Always listens and declares `profile`: the kernel must refuse a
+    /// `Generic` one and a positive rate with no message.
+    struct Listener(BatchProfile);
 
-    impl Process for EchoRelay {
-        fn on_round(&mut self, _round: Round, rng: &mut dyn RngCore) -> Action {
-            match &self.msg {
-                Some(m) if sampling::bernoulli(rng, self.rate) => Action::Transmit(m.clone()),
-                _ => Action::Listen,
-            }
+    impl Process for Listener {
+        fn on_round(&mut self, _round: Round, _rng: &mut dyn RngCore) -> Action {
+            Action::Listen
         }
-        fn on_feedback(&mut self, _round: Round, feedback: &Feedback, _rng: &mut dyn RngCore) {
-            if self.msg.is_none() {
-                if let Feedback::Received(m) = feedback {
-                    self.msg = Some(m.clone());
-                }
-            }
+        fn batch_profile(&self) -> BatchProfile {
+            self.0.clone()
         }
     }
 
-    fn echo_factory(rate: f64) -> ProcessFactory {
-        Arc::new(move |ctx: &ProcessContext| {
-            let msg = (ctx.role == Role::Source).then(|| Message::plain(ctx.id, DATA, 7));
-            Box::new(EchoRelay { msg, rate }) as Box<dyn Process>
-        })
+    fn listener_factory(profile: BatchProfile) -> ProcessFactory {
+        Arc::new(move |_: &ProcessContext| Box::new(Listener(profile.clone())) as Box<dyn Process>)
     }
 
     /// Fixed-rate beacon that opts into the word-parallel kernel.
@@ -1477,82 +1305,16 @@ mod tests {
     }
 
     #[test]
-    fn generic_path_matches_scalar_per_lane() {
-        let mut batch = BatchExecutor::new(
-            topology::star(6).unwrap(),
-            echo_factory(0.5),
-            Assignment::global(6, NodeId::new(0)),
-            static_link(),
-            StopCondition::global_broadcast(DATA, NodeId::new(0)),
-            SimConfig::default().with_max_rounds(50),
-        )
-        .unwrap();
-        assert!(!batch.has_kernel());
-        let mut scalar = TrialExecutor::new(
-            topology::star(6).unwrap(),
-            echo_factory(0.5),
-            Assignment::global(6, NodeId::new(0)),
-            static_link(),
-            StopCondition::global_broadcast(DATA, NodeId::new(0)),
-            SimConfig::default().with_max_rounds(50),
-        )
-        .unwrap();
-        let all: Vec<u64> = (0..64).collect();
-        let ragged: Vec<u64> = (100..117).collect();
-        for mode in [RecordMode::None, RecordMode::CollisionsOnly] {
-            assert_groups_match_scalar(
-                &mut batch,
-                &mut scalar,
-                &[&all, &ragged, &[7], &[1, 2, 3]],
-                mode,
-            );
-        }
-    }
-
-    #[test]
-    fn generic_path_matches_scalar_with_dynamic_adversary() {
+    fn kernel_matches_scalar_with_dynamic_adversary() {
         let mut batch = BatchExecutor::new(
             topology::dual_clique(8).unwrap(),
-            echo_factory(0.4),
+            rate_factory(0.7, 0.3),
             Assignment::global(8, NodeId::new(0)),
             flaky_link(),
             StopCondition::global_broadcast(DATA, NodeId::new(0)),
-            SimConfig::default().with_max_rounds(60),
+            SimConfig::default().with_max_rounds(40),
         )
         .unwrap();
-        let mut scalar = TrialExecutor::new(
-            topology::dual_clique(8).unwrap(),
-            echo_factory(0.4),
-            Assignment::global(8, NodeId::new(0)),
-            flaky_link(),
-            StopCondition::global_broadcast(DATA, NodeId::new(0)),
-            SimConfig::default().with_max_rounds(60),
-        )
-        .unwrap();
-        let seeds: Vec<u64> = (0..40).collect();
-        assert_groups_match_scalar(
-            &mut batch,
-            &mut scalar,
-            &[&seeds],
-            RecordMode::CollisionsOnly,
-        );
-    }
-
-    #[test]
-    fn kernel_matches_scalar_and_generic() {
-        let build_batch = || {
-            BatchExecutor::new(
-                topology::dual_clique(8).unwrap(),
-                rate_factory(0.7, 0.3),
-                Assignment::global(8, NodeId::new(0)),
-                flaky_link(),
-                StopCondition::global_broadcast(DATA, NodeId::new(0)),
-                SimConfig::default().with_max_rounds(40),
-            )
-            .unwrap()
-        };
-        let mut batch = build_batch();
-        assert!(batch.has_kernel());
         let mut scalar = TrialExecutor::new(
             topology::dual_clique(8).unwrap(),
             rate_factory(0.7, 0.3),
@@ -1567,16 +1329,6 @@ mod tests {
         for mode in [RecordMode::None, RecordMode::CollisionsOnly] {
             assert_groups_match_scalar(&mut batch, &mut scalar, &[&all, &ragged, &[42]], mode);
         }
-        // The forced-generic path agrees with the kernel lane for lane.
-        let mut generic = build_batch();
-        generic.set_force_generic(true);
-        let fast = batch
-            .execute_group(&ragged, RecordMode::CollisionsOnly)
-            .unwrap();
-        let slow = generic
-            .execute_group(&ragged, RecordMode::CollisionsOnly)
-            .unwrap();
-        assert_eq!(fast, slow);
     }
 
     #[test]
@@ -1601,7 +1353,6 @@ mod tests {
             SimConfig::default().with_max_rounds(9),
         )
         .unwrap();
-        assert!(batch.has_kernel());
         let mut scalar = TrialExecutor::new(
             topology::star(5).unwrap(),
             factory,
@@ -1657,7 +1408,7 @@ mod tests {
     fn batch_refuses_what_it_cannot_replicate() {
         let mut batch = BatchExecutor::new(
             topology::star(4).unwrap(),
-            echo_factory(0.5),
+            rate_factory(0.5, 0.0),
             Assignment::global(4, NodeId::new(0)),
             static_link(),
             StopCondition::max_rounds(),
@@ -1693,7 +1444,7 @@ mod tests {
         }
         let err = BatchExecutor::new(
             topology::star(4).unwrap(),
-            echo_factory(0.5),
+            rate_factory(0.5, 0.0),
             Assignment::global(4, NodeId::new(0)),
             Arc::new(|| Box::new(Adaptive) as Box<dyn LinkProcess>),
             StopCondition::max_rounds(),
@@ -1701,13 +1452,71 @@ mod tests {
         )
         .expect_err("adaptive adversaries must be refused at construction");
         assert!(matches!(err, SimError::UnsupportedBatch { .. }));
+
+        // A positive rate with no message breaks the FixedRate contract.
+        let err = BatchExecutor::new(
+            topology::star(4).unwrap(),
+            listener_factory(BatchProfile::FixedRate {
+                rate: 0.5,
+                message: None,
+            }),
+            Assignment::relays(4),
+            static_link(),
+            StopCondition::max_rounds(),
+            SimConfig::default().with_max_rounds(5),
+        )
+        .expect_err("a rate without a message must be refused");
+        assert!(matches!(err, SimError::UnsupportedBatch { .. }));
+    }
+
+    #[test]
+    fn generic_processes_are_refused_at_the_first_node() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let processes = Arc::new(AtomicUsize::new(0));
+        let links = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&processes);
+        let inner = listener_factory(BatchProfile::Generic);
+        let factory: ProcessFactory = Arc::new(move |ctx: &ProcessContext| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            inner(ctx)
+        });
+        let counted = Arc::clone(&links);
+        let link: LinkFactory = Arc::new(move || {
+            counted.fetch_add(1, Ordering::Relaxed);
+            Box::new(StaticLinks::none())
+        });
+        let dual = topology::star(6).unwrap();
+        let assignment = Assignment::global(6, NodeId::new(0));
+        assert!(!BatchExecutor::supports(&dual, &factory, &assignment));
+        assert_eq!(processes.load(Ordering::Relaxed), 1);
+        let err = BatchExecutor::new(
+            dual,
+            factory,
+            assignment,
+            link,
+            StopCondition::max_rounds(),
+            SimConfig::default().with_max_rounds(5),
+        )
+        .expect_err("generic processes run on the scalar executor");
+        assert!(
+            matches!(&err, SimError::UnsupportedBatch { reason } if reason.contains("node v0")),
+            "{err}"
+        );
+        // One more process, and no link process, for the refused executor.
+        assert_eq!(processes.load(Ordering::Relaxed), 2);
+        assert_eq!(links.load(Ordering::Relaxed), 0);
+        assert!(BatchExecutor::supports(
+            &topology::star(6).unwrap(),
+            &rate_factory(0.5, 0.2),
+            &Assignment::global(6, NodeId::new(0)),
+        ));
     }
 
     #[test]
     fn validation_mirrors_the_scalar_constructor() {
         let err = BatchExecutor::new(
             topology::line(3).unwrap(),
-            echo_factory(0.5),
+            rate_factory(0.5, 0.0),
             Assignment::relays(2),
             static_link(),
             StopCondition::max_rounds(),
@@ -1717,7 +1526,7 @@ mod tests {
         assert!(matches!(err, SimError::AssignmentSizeMismatch { .. }));
         let err = BatchExecutor::new(
             topology::line(3).unwrap(),
-            echo_factory(0.5),
+            rate_factory(0.5, 0.0),
             Assignment::relays(3),
             static_link(),
             StopCondition::max_rounds(),

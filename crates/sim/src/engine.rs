@@ -5,8 +5,7 @@ use std::sync::Arc;
 use dradio_graphs::DualGraph;
 
 use crate::config::SimConfig;
-use crate::error::SimError;
-use crate::executor::TrialExecutor;
+use crate::executor::{validated_contexts, TrialExecutor};
 use crate::history::History;
 use crate::link::LinkProcess;
 use crate::metrics::Metrics;
@@ -120,10 +119,12 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// * [`SimError::EmptyNetwork`] if the network has no nodes.
-    /// * [`SimError::AssignmentSizeMismatch`] if `assignment` covers a
-    ///   different number of nodes.
-    /// * [`SimError::InvalidConfig`] if the configuration is invalid.
+    /// * [`SimError::EmptyNetwork`](crate::SimError::EmptyNetwork) if the
+    ///   network has no nodes.
+    /// * [`SimError::AssignmentSizeMismatch`](crate::SimError::AssignmentSizeMismatch)
+    ///   if `assignment` covers a different number of nodes.
+    /// * [`SimError::InvalidConfig`](crate::SimError::InvalidConfig) if the
+    ///   configuration is invalid.
     pub fn new(
         dual: impl Into<Arc<DualGraph>>,
         factory: ProcessFactory,
@@ -132,17 +133,8 @@ impl Simulator {
         config: SimConfig,
     ) -> Result<Self> {
         let dual = dual.into();
-        config.validate()?;
-        let n = dual.len();
-        if n == 0 {
-            return Err(SimError::EmptyNetwork);
-        }
-        if assignment.len() != n {
-            return Err(SimError::AssignmentSizeMismatch {
-                network: n,
-                assignment: assignment.len(),
-            });
-        }
+        // Only the checks matter here; `run` builds the contexts it needs.
+        let _ = validated_contexts(&dual, &assignment, None, &config)?;
         Ok(Simulator {
             dual,
             link,
@@ -225,6 +217,7 @@ pub fn run_simulation(
 mod tests {
     use super::*;
     use crate::action::Action;
+    use crate::error::SimError;
     use crate::link::{AdversaryClass, AdversaryView, LinkDecision, StaticLinks};
     use crate::message::{Message, MessageKind};
     use crate::process::{Process, ProcessContext, Role};

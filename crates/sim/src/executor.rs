@@ -52,6 +52,53 @@ use crate::Result;
 /// trial's process cannot [`reset`](LinkProcess::reset) itself.
 pub type LinkFactory = Arc<dyn Fn() -> Box<dyn LinkProcess> + Send + Sync>;
 
+/// The checks every constructor shares — [`Simulator::new`](crate::Simulator::new),
+/// [`TrialExecutor::new`] and [`BatchExecutor::new`](crate::BatchExecutor::new):
+/// a valid configuration, a non-empty network, an assignment covering every
+/// node, and (when given) a stop condition inside the network. On success,
+/// yields each node's [`ProcessContext`] lazily, so a caller that stops
+/// early never builds the whole list.
+///
+/// # Panics
+///
+/// Panics if `stop` references nodes outside the network (a programming
+/// error in the experiment setup, not a runtime condition).
+pub(crate) fn validated_contexts<'a>(
+    dual: &DualGraph,
+    assignment: &'a Assignment,
+    stop: Option<&StopCondition>,
+    config: &SimConfig,
+) -> Result<impl Iterator<Item = ProcessContext> + 'a> {
+    config.validate()?;
+    let n = dual.len();
+    if n == 0 {
+        return Err(SimError::EmptyNetwork);
+    }
+    if assignment.len() != n {
+        return Err(SimError::AssignmentSizeMismatch {
+            network: n,
+            assignment: assignment.len(),
+        });
+    }
+    if let Some(max_index) = stop.and_then(StopCondition::max_node_index) {
+        assert!(
+            max_index < n,
+            "stop condition references node {max_index} but the network has {n} nodes"
+        );
+    }
+    Ok(process_contexts(dual, assignment))
+}
+
+/// Each node's [`ProcessContext`] over `dual`, in node order, built lazily.
+pub(crate) fn process_contexts<'a>(
+    dual: &DualGraph,
+    assignment: &'a Assignment,
+) -> impl Iterator<Item = ProcessContext> + 'a {
+    let n = dual.len();
+    let max_degree = dual.max_degree();
+    NodeId::all(n).map(move |u| ProcessContext::new(u, n, max_degree, assignment.role(u)))
+}
+
 /// A reusable execution harness over one fixed (network × algorithm ×
 /// assignment × adversary recipe × stop condition) combination.
 ///
@@ -173,27 +220,9 @@ impl TrialExecutor {
         stop: StopCondition,
         config: SimConfig,
     ) -> Result<Self> {
-        config.validate()?;
+        let contexts: Vec<ProcessContext> =
+            validated_contexts(&dual, &assignment, Some(&stop), &config)?.collect();
         let n = dual.len();
-        if n == 0 {
-            return Err(SimError::EmptyNetwork);
-        }
-        if assignment.len() != n {
-            return Err(SimError::AssignmentSizeMismatch {
-                network: n,
-                assignment: assignment.len(),
-            });
-        }
-        if let Some(max_index) = stop.max_node_index() {
-            assert!(
-                max_index < n,
-                "stop condition references node {max_index} but the network has {n} nodes"
-            );
-        }
-        let max_degree = dual.max_degree();
-        let contexts: Vec<ProcessContext> = NodeId::all(n)
-            .map(|u| ProcessContext::new(u, n, max_degree, assignment.role(u)))
-            .collect();
         let scratch = RoundScratch::new(
             n,
             dual.g().row_words(),

@@ -125,12 +125,13 @@ pub trait Process: Send {
         "process"
     }
 
-    /// How the bit-sliced [`BatchExecutor`](crate::BatchExecutor) may drive
-    /// this process. The default, [`BatchProfile::Generic`], is always
-    /// correct: the batch engine runs one boxed process per lane exactly as
-    /// the scalar path does. A process whose whole behaviour is "flip one
-    /// coin per round, transmit a fixed message on success" can return
-    /// [`BatchProfile::FixedRate`] to opt into the word-parallel kernel.
+    /// Whether the bit-sliced [`BatchExecutor`](crate::BatchExecutor) may
+    /// drive this process. The default, [`BatchProfile::Generic`], is always
+    /// correct: the process runs on the scalar executor. A process whose
+    /// whole behaviour is "flip one coin per round, transmit a fixed message
+    /// on success" can return [`BatchProfile::FixedRate`]; when every process
+    /// in the network does (and the adversary is oblivious and no history is
+    /// recorded), trial fan-outs take the word-parallel kernel on their own.
     ///
     /// # Contract for `FixedRate { rate, message }`
     ///
@@ -141,7 +142,7 @@ pub trait Process: Send {
     /// * [`Process::on_start`] and [`Process::on_feedback`] draw nothing and
     ///   change nothing observable; the process is stateless across rounds.
     /// * The profile must not depend on anything but the
-    ///   [`ProcessContext`] the factory saw (it is probed once per batch).
+    ///   [`ProcessContext`] the factory saw (it is probed once per executor).
     ///
     /// Violating the contract silently desynchronizes batch and scalar
     /// outcomes; the equivalence suite exists to catch exactly that.
@@ -150,12 +151,12 @@ pub trait Process: Send {
     }
 }
 
-/// How the batch executor may drive a process (see
+/// Whether the batch executor may drive a process (see
 /// [`Process::batch_profile`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum BatchProfile {
-    /// No structure assumed: the batch engine runs one boxed process per
-    /// lane, byte-for-byte like the scalar executor.
+    /// No structure assumed: the process runs on the scalar executor, and
+    /// any network containing it never enters the batch kernel.
     #[default]
     Generic,
     /// The process transmits a fixed message with a fixed per-round
@@ -167,7 +168,7 @@ pub enum BatchProfile {
         rate: f64,
         /// The message transmitted on success. `None` is only meaningful
         /// when `rate <= 0.0` (the process never transmits); a positive
-        /// rate with no message falls back to [`BatchProfile::Generic`].
+        /// rate with no message is treated as [`BatchProfile::Generic`].
         message: Option<Message>,
     },
 }

@@ -1,14 +1,21 @@
-//! Integration tests for bit-sliced batch trial execution: every batchable
-//! registered algorithm × adversary × problem class must produce outcomes
-//! identical to the scalar trial path, trial for trial, and ragged lane
-//! groups (1–63 live lanes) must behave exactly like full words.
+//! Integration tests for bit-sliced batch trial execution. Batching is the
+//! runner's own decision: a trial fan-out takes the fixed-rate kernel
+//! exactly when the adversary is oblivious, no history is recorded, and
+//! every process declares a `FixedRate` profile. These suites pin that rule,
+//! pin that the kernel's outcomes equal a scalar `TrialExecutor` loop trial
+//! for trial on both graph backends, and pin that ragged lane groups (1–63
+//! live lanes) behave exactly like full words.
+
+mod support;
 
 use dradio::prelude::*;
 use proptest::prelude::*;
+use support::{beacon_scenario, families, scalar_loop};
 
-/// Every oblivious (batchable) adversary spec over a dual clique, including
-/// the schedule- and algorithm-aware ones.
-fn oblivious_adversaries(n: usize) -> Vec<(&'static str, AdversarySpec)> {
+/// Every oblivious adversary spec that fits any topology, including the
+/// schedule- and algorithm-aware ones (the bracelet attack needs a bracelet
+/// and is added per family).
+fn oblivious_adversaries() -> Vec<(&'static str, AdversarySpec)> {
     vec![
         ("static-none", AdversarySpec::StaticNone),
         ("static-all", AdversarySpec::StaticAll),
@@ -23,148 +30,213 @@ fn oblivious_adversaries(n: usize) -> Vec<(&'static str, AdversarySpec)> {
         (
             "schedule",
             AdversarySpec::Schedule {
-                rounds: vec![vec![(0, n / 2)], vec![], vec![(1, n / 2 + 1), (0, n / 2)]],
+                rounds: vec![vec![(0, 4)], vec![], vec![(1, 5), (0, 4)]],
             },
         ),
         (
             "decay-aware",
             AdversarySpec::DecayAware {
                 levels: None,
-                assumed_transmitters: (0..n / 2).collect(),
+                assumed_transmitters: Vec::new(),
             },
         ),
     ]
 }
 
-/// Batch and scalar runners must agree outcome-for-outcome on `trials`
-/// trials, and the batch runner must actually take the batch path.
-fn assert_batch_matches_scalar(label: &str, scenario: &Scenario, trials: usize) {
-    let scalar = ScenarioRunner::new(scenario).sequential();
-    let batched = scalar.batch(true);
+/// The runner must take the kernel on its own, and its outcomes must equal
+/// the scalar loop trial for trial.
+fn assert_kernel_matches_scalar(label: &str, scenario: &Scenario, trials: usize) {
+    let runner = ScenarioRunner::new(scenario).sequential();
     assert!(
-        batched.uses_batch(),
-        "{label}: expected the batch path (oblivious adversary, no history)"
+        runner.uses_batch(),
+        "{label}: expected the kernel (fixed-rate processes, oblivious adversary, no history)"
+    );
+    assert!(
+        scenario.batch_executor().is_ok(),
+        "{label}: the kernel must accept what the rule selects"
     );
     assert_eq!(
-        batched.collect_trials(trials).unwrap(),
-        scalar.collect_trials(trials).unwrap(),
-        "{label}: batch and scalar trial outcomes diverged"
+        runner.collect_trials(trials).unwrap(),
+        scalar_loop(&runner, trials),
+        "{label}: kernel and scalar trial outcomes diverged"
+    );
+}
+
+/// A registered algorithm must stay on the scalar path and still match the
+/// scalar loop.
+fn assert_runs_scalar(label: &str, scenario: &Scenario, trials: usize) {
+    let runner = ScenarioRunner::new(scenario).sequential();
+    assert!(
+        !runner.uses_batch(),
+        "{label}: a registered algorithm entered the kernel"
+    );
+    assert_eq!(
+        runner.collect_trials(trials).unwrap(),
+        scalar_loop(&runner, trials),
+        "{label}: runner and scalar loop diverged"
     );
 }
 
 #[test]
-fn every_batchable_global_combination_matches_scalar() {
-    let n = 16;
-    for algorithm in GlobalAlgorithm::all() {
-        for (name, adversary) in oblivious_adversaries(n) {
-            let scenario = Scenario::on(TopologySpec::DualClique { n })
-                .algorithm(algorithm)
-                .adversary(adversary)
-                .problem(ProblemSpec::GlobalFrom(0))
-                .seed(11)
-                .max_rounds(400)
-                .build()
-                .expect("valid scenario");
-            assert_batch_matches_scalar(&format!("{algorithm:?}/{name}/global"), &scenario, 9);
+fn every_topology_family_takes_the_kernel_on_both_backends() {
+    for (topology, problem) in families() {
+        let mut adversaries = oblivious_adversaries();
+        if matches!(
+            topology,
+            TopologySpec::Bracelet { .. } | TopologySpec::BraceletWithClasp { .. }
+        ) {
+            adversaries.push(("bracelet-attack", AdversarySpec::BraceletAttack));
+        }
+        for (name, adversary) in adversaries {
+            let label = format!("{}/{name}", topology.label());
+            let dense = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Dense, 21);
+            let csr = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Csr, 21);
+            assert_eq!(csr.dual().graph_backend(), GraphBackend::Csr);
+            assert_kernel_matches_scalar(&format!("{label}/dense"), &dense, 9);
+            assert_kernel_matches_scalar(&format!("{label}/csr"), &csr, 9);
+            assert_eq!(
+                ScenarioRunner::new(&dense)
+                    .sequential()
+                    .collect_trials(9)
+                    .unwrap(),
+                ScenarioRunner::new(&csr)
+                    .sequential()
+                    .collect_trials(9)
+                    .unwrap(),
+                "{label}: kernel outcomes diverged across backends"
+            );
         }
     }
 }
 
+/// Every oblivious global combination: each registered algorithm runs scalar
+/// (no paper algorithm declares a profile yet), the fixed-rate beacon takes
+/// the kernel, and both match the scalar loop.
+#[test]
+fn every_batchable_global_combination_matches_scalar() {
+    let topology = TopologySpec::DualClique { n: 16 };
+    let problem = ProblemSpec::GlobalFrom(0);
+    for (name, adversary) in oblivious_adversaries() {
+        for algorithm in GlobalAlgorithm::all() {
+            let scenario = Scenario::on(topology.clone())
+                .algorithm(algorithm)
+                .adversary(adversary.clone())
+                .problem(problem.clone())
+                .seed(11)
+                .max_rounds(400)
+                .build()
+                .expect("valid scenario");
+            assert_runs_scalar(&format!("{algorithm:?}/{name}/global"), &scenario, 9);
+        }
+        let beacon = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Auto, 11);
+        assert_kernel_matches_scalar(&format!("beacon/{name}/global"), &beacon, 9);
+    }
+}
+
+/// The local counterpart: every registered local algorithm runs scalar, the
+/// beacon takes the kernel, on a random geometric deployment.
 #[test]
 fn every_batchable_local_combination_matches_scalar() {
-    for algorithm in LocalAlgorithm::all() {
-        let scenario = Scenario::on(TopologySpec::RandomGeometric {
-            n: 24,
-            side: 2.0,
-            r: 1.5,
-            seed: 5,
-        })
-        .algorithm(algorithm)
-        .adversary(AdversarySpec::Iid { p: 0.5 })
-        .problem(ProblemSpec::LocalRandom { count: 4, seed: 6 })
-        .seed(12)
-        .max_rounds(400)
-        .build()
-        .expect("dense deployments connect");
-        assert_batch_matches_scalar(&format!("{algorithm:?}/iid/local"), &scenario, 9);
+    let topology = TopologySpec::RandomGeometric {
+        n: 24,
+        side: 2.0,
+        r: 1.5,
+        seed: 5,
+    };
+    let problem = ProblemSpec::LocalRandom { count: 4, seed: 6 };
+    for (name, adversary) in oblivious_adversaries() {
+        for algorithm in LocalAlgorithm::all() {
+            let scenario = Scenario::on(topology.clone())
+                .algorithm(algorithm)
+                .adversary(adversary.clone())
+                .problem(problem.clone())
+                .seed(12)
+                .max_rounds(400)
+                .build()
+                .expect("dense deployments connect");
+            assert_runs_scalar(&format!("{algorithm:?}/{name}/local"), &scenario, 9);
+        }
+        let beacon = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Auto, 12);
+        assert_kernel_matches_scalar(&format!("beacon/{name}/local"), &beacon, 9);
     }
 }
 
 #[test]
 fn bracelet_attack_batches_and_matches_scalar() {
-    let scenario = Scenario::on(TopologySpec::Bracelet { k: 3 })
+    let topology = TopologySpec::Bracelet { k: 3 };
+    let adversary = AdversarySpec::BraceletAttack;
+    let problem = ProblemSpec::LocalHeadsA;
+    let beacon = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Auto, 13);
+    assert_kernel_matches_scalar("beacon/bracelet-attack/local", &beacon, 9);
+    let decay = Scenario::on(topology)
         .algorithm(LocalAlgorithm::StaticDecay)
-        .adversary(AdversarySpec::BraceletAttack)
-        .problem(ProblemSpec::LocalHeadsA)
+        .adversary(adversary)
+        .problem(problem)
         .seed(13)
         .max_rounds(300)
         .build()
         .expect("valid scenario");
-    assert_batch_matches_scalar("static-decay/bracelet-attack/local", &scenario, 9);
+    assert_runs_scalar("static-decay/bracelet-attack/local", &decay, 9);
 }
 
 #[test]
 fn batch_measurements_agree_with_and_without_curves() {
-    let scenario = Scenario::on(TopologySpec::DualClique { n: 16 })
-        .algorithm(GlobalAlgorithm::Permuted)
-        .adversary(AdversarySpec::Iid { p: 0.5 })
-        .problem(ProblemSpec::GlobalFrom(0))
-        .seed(14)
-        .max_rounds(400)
-        .build()
-        .expect("valid scenario");
-    let scalar = ScenarioRunner::new(&scenario);
-    let batched = scalar.batch(true);
-    assert_eq!(
-        batched.run_trials(70).unwrap(),
-        scalar.run_trials(70).unwrap()
+    let scenario = beacon_scenario(
+        &TopologySpec::DualClique { n: 16 },
+        &AdversarySpec::Iid { p: 0.5 },
+        &ProblemSpec::GlobalFrom(0),
+        BackendChoice::Auto,
+        14,
     );
+    let runner = ScenarioRunner::new(&scenario);
+    assert!(runner.uses_batch());
     assert_eq!(
-        batched.curve(true).run_trials(70).unwrap(),
-        scalar.curve(true).run_trials(70).unwrap(),
-        "curve streaming over lane groups must fold like the scalar loop"
+        runner.run_trials(70).unwrap(),
+        Measurement::from_trials(&scalar_loop(&runner, 70)).unwrap()
     );
+    // Curve streaming over lane groups must fold like the scalar loop.
+    let curved = runner.curve(true);
+    assert!(curved.uses_batch(), "CollisionsOnly keeps no history");
+    let mut acc = curved.accumulator();
+    let mut executor = curved.executor();
+    for t in 0..70 {
+        curved.run_trial_into(&mut executor, t, &mut acc);
+    }
+    assert_eq!(curved.run_trials(70).unwrap(), acc.finish().unwrap());
 }
 
 #[test]
 fn adaptive_adversaries_and_full_recording_fall_back_to_scalar() {
-    let adaptive = Scenario::on(TopologySpec::DualClique { n: 12 })
-        .algorithm(GlobalAlgorithm::Permuted)
-        .adversary(AdversarySpec::DenseSparse {
+    let topology = TopologySpec::DualClique { n: 12 };
+    let problem = ProblemSpec::GlobalFrom(0);
+    for adversary in [
+        AdversarySpec::DenseSparse {
             density_factor: None,
-        })
-        .problem(ProblemSpec::GlobalFrom(0))
-        .seed(15)
-        .max_rounds(400)
-        .build()
-        .expect("valid scenario");
-    let runner = ScenarioRunner::new(&adaptive).batch(true);
-    assert!(runner.has_batch());
-    assert!(!runner.uses_batch(), "adaptive adversaries cannot batch");
-    assert_eq!(
-        runner.collect_trials(5).unwrap(),
-        ScenarioRunner::new(&adaptive).collect_trials(5).unwrap()
-    );
+        },
+        AdversarySpec::GreedyCollision,
+        AdversarySpec::Omniscient,
+    ] {
+        let adaptive = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Auto, 15);
+        assert_runs_scalar(&format!("beacon/{}", adversary.label()), &adaptive, 5);
+    }
 
-    let oblivious = Scenario::on(TopologySpec::DualClique { n: 12 })
-        .algorithm(GlobalAlgorithm::Permuted)
-        .adversary(AdversarySpec::Iid { p: 0.5 })
-        .problem(ProblemSpec::GlobalFrom(0))
-        .seed(16)
-        .max_rounds(400)
-        .build()
-        .expect("valid scenario");
-    let full = ScenarioRunner::new(&oblivious)
-        .batch(true)
-        .record_mode(RecordMode::Full);
+    let oblivious = beacon_scenario(
+        &topology,
+        &AdversarySpec::Iid { p: 0.5 },
+        &problem,
+        BackendChoice::Auto,
+        16,
+    );
+    let full = ScenarioRunner::new(&oblivious).record_mode(RecordMode::Full);
     assert!(!full.uses_batch(), "history recording cannot batch");
+    assert_eq!(full.collect_trials(5).unwrap(), scalar_loop(&full, 5));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Ragged lane groups: any trial count — below one word, exactly one
-    /// word, or a full word plus a ragged tail — matches the scalar path
+    /// word, or a full word plus a ragged tail — matches the scalar loop
     /// outcome for outcome.
     #[test]
     fn ragged_lane_groups_match_scalar(
@@ -172,20 +244,18 @@ proptest! {
         trials in 1usize..150,
         seed in 0u64..500,
     ) {
-        let scenario = Scenario::on(TopologySpec::DualClique { n: 2 * (n / 2) })
-            .algorithm(GlobalAlgorithm::Permuted)
-            .adversary(AdversarySpec::Iid { p: 0.5 })
-            .problem(ProblemSpec::GlobalFrom(0))
-            .seed(seed)
-            .max_rounds(200)
-            .build()
-            .expect("valid scenario");
-        let scalar = ScenarioRunner::new(&scenario).sequential();
-        let batched = scalar.batch(true);
-        prop_assert!(batched.uses_batch());
+        let scenario = beacon_scenario(
+            &TopologySpec::DualClique { n: 2 * (n / 2) },
+            &AdversarySpec::Iid { p: 0.5 },
+            &ProblemSpec::GlobalFrom(0),
+            BackendChoice::Auto,
+            seed,
+        );
+        let runner = ScenarioRunner::new(&scenario).sequential();
+        prop_assert!(runner.uses_batch());
         prop_assert_eq!(
-            batched.collect_trials(trials).unwrap(),
-            scalar.collect_trials(trials).unwrap()
+            runner.collect_trials(trials).unwrap(),
+            scalar_loop(&runner, trials)
         );
     }
 }

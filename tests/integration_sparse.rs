@@ -5,115 +5,19 @@
 //! family, on oblivious and adaptive adversaries, on the scalar and the
 //! bit-sliced batch paths, and through the campaign cell executor.
 
+mod support;
+
 use dradio::prelude::*;
 use proptest::prelude::*;
+use support::{beacon_scenario, families, scalar_loop};
 
-/// One scenario per registered declarative topology family ([`TopologySpec`]
-/// minus the runtime-attached `Custom`), with an algorithm and problem that
-/// fit the family.
-fn registry() -> Vec<(TopologySpec, AlgorithmSpec, ProblemSpec)> {
-    let global: AlgorithmSpec = GlobalAlgorithm::Permuted.into();
-    let local: AlgorithmSpec = LocalAlgorithm::StaticDecay.into();
-    let from0 = ProblemSpec::GlobalFrom(0);
-    vec![
-        (
-            TopologySpec::Clique { n: 10 },
-            global.clone(),
-            from0.clone(),
-        ),
-        (
-            TopologySpec::DualClique { n: 12 },
-            global.clone(),
-            from0.clone(),
-        ),
-        (
-            TopologySpec::DualCliqueWithBridge {
-                n: 12,
-                t_a: 2,
-                t_b: 8,
-            },
-            global.clone(),
-            from0.clone(),
-        ),
-        (
-            TopologySpec::Bracelet { k: 2 },
-            local.clone(),
-            ProblemSpec::LocalHeadsA,
-        ),
-        (
-            TopologySpec::BraceletWithClasp { k: 2, t: 1 },
-            local.clone(),
-            ProblemSpec::LocalHeadsA,
-        ),
-        (TopologySpec::Line { n: 9 }, global.clone(), from0.clone()),
-        (TopologySpec::Ring { n: 9 }, global.clone(), from0.clone()),
-        (TopologySpec::Star { n: 9 }, global.clone(), from0.clone()),
-        (
-            TopologySpec::LineOfCliques {
-                cliques: 3,
-                clique_size: 4,
-            },
-            global.clone(),
-            from0.clone(),
-        ),
-        (
-            TopologySpec::Grid { cols: 4, rows: 5 },
-            global.clone(),
-            from0.clone(),
-        ),
-        (
-            TopologySpec::Torus { cols: 4, rows: 4 },
-            global.clone(),
-            from0.clone(),
-        ),
-        (
-            TopologySpec::BalancedTree {
-                branching: 2,
-                depth: 3,
-            },
-            global.clone(),
-            from0.clone(),
-        ),
-        (
-            TopologySpec::RandomGeometric {
-                n: 20,
-                side: 2.0,
-                r: 1.5,
-                seed: 5,
-            },
-            local.clone(),
-            ProblemSpec::LocalRandom { count: 4, seed: 6 },
-        ),
-        (
-            TopologySpec::GridGeometric {
-                cols: 4,
-                rows: 4,
-                spacing: 1.0,
-                r: 1.5,
-            },
-            local,
-            ProblemSpec::LocalRandom { count: 4, seed: 6 },
-        ),
-        (
-            TopologySpec::ErdosRenyiDual {
-                n: 14,
-                p_reliable: 0.4,
-                p_dynamic: 0.3,
-                seed: 3,
-            },
-            global.clone(),
-            from0.clone(),
-        ),
-        (
-            TopologySpec::SparseErdosRenyi {
-                n: 40,
-                p: 0.2,
-                seed: 7,
-            },
-            global,
-            from0,
-        ),
-    ]
+/// The registered algorithm that fits `problem`'s kind.
+fn algorithm_for(problem: &ProblemSpec) -> AlgorithmSpec {
+    if problem.is_global() {
+        GlobalAlgorithm::Permuted.into()
+    } else {
+        LocalAlgorithm::StaticDecay.into()
+    }
 }
 
 /// The adversary classes every backend must agree under: oblivious static,
@@ -148,7 +52,8 @@ fn build(
 
 #[test]
 fn every_registered_topology_and_adversary_agrees_across_backends() {
-    for (topology, algorithm, problem) in registry() {
+    for (topology, problem) in families() {
+        let algorithm = algorithm_for(&problem);
         // The backend knob really converts the storage.
         let dense_built = topology
             .build_with_backend(BackendChoice::Dense)
@@ -195,16 +100,24 @@ fn every_registered_topology_and_adversary_agrees_across_backends() {
                 "{label}: measurement bytes diverged across backends"
             );
 
-            // ...and the batch path wherever it engages (oblivious
-            // adversaries): CSR-batched must match dense-scalar exactly.
-            let csr_batched = ScenarioRunner::new(&csr).sequential().batch(true);
-            if csr_batched.uses_batch() {
-                assert_eq!(
-                    dense_runner.collect_trials(4).unwrap(),
-                    csr_batched.collect_trials(4).unwrap(),
-                    "{label}: CSR batch diverged from dense scalar"
-                );
-            }
+            // ...and the batch kernel wherever the runner takes it: a
+            // fixed-rate process under an oblivious adversary, CSR kernel
+            // against the dense scalar loop.
+            let dense_beacon =
+                beacon_scenario(&topology, &adversary, &problem, BackendChoice::Dense, 21);
+            let csr_beacon =
+                beacon_scenario(&topology, &adversary, &problem, BackendChoice::Csr, 21);
+            let csr_kernel = ScenarioRunner::new(&csr_beacon).sequential();
+            assert_eq!(
+                csr_kernel.uses_batch(),
+                adversary.class() == Some(AdversaryClass::Oblivious),
+                "{label}: the runner's batching rule"
+            );
+            assert_eq!(
+                scalar_loop(&ScenarioRunner::new(&dense_beacon), 4),
+                csr_kernel.collect_trials(4).unwrap(),
+                "{label}: CSR kernel diverged from dense scalar"
+            );
         }
     }
 }
@@ -244,7 +157,7 @@ fn bracelet_attack_agrees_across_backends() {
 
 #[test]
 fn campaign_cells_store_identical_bytes_under_every_backend() {
-    use dradio::campaign::{execute_cell, execute_cell_batched};
+    use dradio::campaign::execute_cell;
 
     let scenario = ScenarioSpec {
         topology: TopologySpec::Grid { cols: 6, rows: 5 },
@@ -260,18 +173,16 @@ fn campaign_cells_store_identical_bytes_under_every_backend() {
         trials: TrialPolicy::Fixed(3),
         record_mode: RecordMode::None,
         curve: false,
-        batch: false,
         backend,
     };
 
     let auto = execute_cell(&cell(BackendChoice::Auto), false).unwrap();
     let dense = execute_cell(&cell(BackendChoice::Dense), false).unwrap();
     let csr = execute_cell(&cell(BackendChoice::Csr), false).unwrap();
-    let csr_batched = execute_cell_batched(&cell(BackendChoice::Csr), false, true).unwrap();
 
     // Same measurement (and measurement bytes), same identity key: a forced
     // backend resumes, merges, and dedups against auto-built stores.
-    for record in [&dense, &csr, &csr_batched] {
+    for record in [&dense, &csr] {
         assert_eq!(record.key, auto.key);
         assert_eq!(record.measurement, auto.measurement);
         assert_eq!(
@@ -287,7 +198,8 @@ proptest! {
     /// Ragged degrees: sparse Erdős–Rényi networks have wildly uneven rows
     /// (including isolated nodes), so CSR row walks, scratch sizing, and the
     /// word algebra all face non-uniform shapes. Outcomes must still match
-    /// the dense backend trial for trial, scalar and batched.
+    /// the dense backend trial for trial, on the scalar path and (for a
+    /// fixed-rate process) on the batch kernel.
     #[test]
     fn ragged_degree_networks_agree_across_backends(
         n in 8usize..48,
@@ -305,10 +217,15 @@ proptest! {
         let csr_runner = ScenarioRunner::new(&csr).sequential();
         let expected = dense_runner.collect_trials(trials).unwrap();
         prop_assert_eq!(&expected, &csr_runner.collect_trials(trials).unwrap());
-        // Ragged trial counts over ragged rows on the batch path too.
-        let batched = csr_runner.batch(true);
-        prop_assert!(batched.uses_batch());
-        prop_assert_eq!(&expected, &batched.collect_trials(trials).unwrap());
+        // Ragged trial counts over ragged rows on the batch kernel too.
+        let dense_beacon = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Dense, 21);
+        let csr_beacon = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Csr, 21);
+        let kernel = ScenarioRunner::new(&csr_beacon).sequential();
+        prop_assert!(kernel.uses_batch());
+        prop_assert_eq!(
+            scalar_loop(&ScenarioRunner::new(&dense_beacon), trials),
+            kernel.collect_trials(trials).unwrap()
+        );
     }
 
     /// Star graphs are the extreme ragged shape — one hub of degree n-1,
