@@ -20,8 +20,10 @@
 //! which starves the receivers at the clasp of any delivery for
 //! `Ω(√n / log n)` rounds.
 
+use std::sync::Arc;
+
 use dradio_graphs::topology::Bracelet;
-use dradio_graphs::{Edge, NodeId};
+use dradio_graphs::{DualGraph, NodeId};
 use dradio_sim::{
     Action, AdversaryClass, AdversarySetup, AdversaryView, Feedback, LinkDecision, LinkProcess,
     ProcessContext, Round,
@@ -57,7 +59,7 @@ pub struct BraceletOblivious {
     config: BraceletConfig,
     /// Per-round label computed at `on_start`: `true` means dense.
     dense_rounds: Vec<bool>,
-    dynamic_edges: Vec<Edge>,
+    dual: Option<Arc<DualGraph>>,
     horizon: usize,
 }
 
@@ -79,7 +81,7 @@ impl BraceletOblivious {
             bands,
             config,
             dense_rounds: Vec::new(),
-            dynamic_edges: Vec::new(),
+            dual: None,
             horizon: bracelet.band_length(),
         }
     }
@@ -162,7 +164,7 @@ impl LinkProcess for BraceletOblivious {
     }
 
     fn on_start(&mut self, setup: &AdversarySetup<'_>, rng: &mut dyn RngCore) {
-        self.dynamic_edges = setup.dual.dynamic_edges();
+        self.dual = Some(Arc::clone(setup.dual));
         let horizon = self.horizon.min(setup.horizon);
         // Evaluate every band's isolated broadcast function on fresh support
         // sequences.
@@ -186,15 +188,14 @@ impl LinkProcess for BraceletOblivious {
             Some(&label) => label,
             None => self.config.after_horizon_all,
         };
-        if dense {
-            LinkDecision::from_edges(self.dynamic_edges.clone())
-        } else {
-            LinkDecision::none()
+        match &self.dual {
+            Some(dual) if dense => LinkDecision::all_dynamic(dual),
+            _ => LinkDecision::none(),
         }
     }
 
     fn reset(&mut self) -> bool {
-        // `dynamic_edges` and the dense-round labels are recomputed by
+        // `dual` and the dense-round labels are recomputed by
         // `on_start` (from the adversary stream of the next execution's
         // seed); the band structure and config are immutable.
         true

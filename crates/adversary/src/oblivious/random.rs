@@ -9,11 +9,17 @@
 //!
 //! Both are *oblivious*: the per-round coin flips are driven by the adversary
 //! RNG stream, fixed independently of the execution, and could equivalently
-//! have been tabulated before round 0.
+//! have been tabulated before round 0. [`IidLinks`] declares exactly that
+//! through [`LinkProfile::Iid`], so the engine reads only the coins of edges
+//! that touch a transmitter instead of calling `decide`.
 
-use dradio_graphs::Edge;
+use std::sync::Arc;
+
+use dradio_graphs::DualGraph;
 use dradio_sim::sampling::bernoulli;
-use dradio_sim::{AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess};
+use dradio_sim::{
+    AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess, LinkProfile,
+};
 use rand::RngCore;
 
 /// Each dynamic edge is present in each round independently with probability
@@ -29,7 +35,7 @@ use rand::RngCore;
 #[derive(Debug, Clone)]
 pub struct IidLinks {
     p: f64,
-    dynamic: Vec<Edge>,
+    dual: Option<Arc<DualGraph>>,
 }
 
 impl IidLinks {
@@ -38,7 +44,7 @@ impl IidLinks {
     pub fn new(p: f64) -> Self {
         IidLinks {
             p: p.clamp(0.0, 1.0),
-            dynamic: Vec::new(),
+            dual: None,
         }
     }
 
@@ -54,12 +60,16 @@ impl LinkProcess for IidLinks {
     }
 
     fn on_start(&mut self, setup: &AdversarySetup<'_>, _rng: &mut dyn RngCore) {
-        self.dynamic = setup.dual.dynamic_edges();
+        self.dual = Some(Arc::clone(setup.dual));
     }
 
     fn decide(&mut self, _view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> LinkDecision {
-        let edges = self
-            .dynamic
+        let Some(dual) = &self.dual else {
+            return LinkDecision::none();
+        };
+        let edges = dual
+            .dynamic_index()
+            .edges()
             .iter()
             .copied()
             .filter(|_| bernoulli(rng, self.p))
@@ -68,12 +78,18 @@ impl LinkProcess for IidLinks {
     }
 
     fn reset(&mut self) -> bool {
-        // `dynamic` is rewritten by `on_start`; there is no other state.
+        // `dual` is rewritten by `on_start`; there is no other state.
         true
     }
 
     fn name(&self) -> &'static str {
         "iid-links"
+    }
+
+    fn link_profile(&self) -> LinkProfile {
+        // `decide` draws one `bernoulli(rng, p)` per dynamic edge in
+        // canonical order and nothing else: the `Iid` contract verbatim.
+        LinkProfile::Iid { p: self.p }
     }
 }
 
@@ -88,7 +104,7 @@ pub struct GilbertElliottLinks {
     p_recover: f64,
     /// Probability of starting in the good state.
     p_start_good: f64,
-    dynamic: Vec<Edge>,
+    dual: Option<Arc<DualGraph>>,
     good: Vec<bool>,
     started: bool,
 }
@@ -102,7 +118,7 @@ impl GilbertElliottLinks {
             p_fail: p_fail.clamp(0.0, 1.0),
             p_recover: p_recover.clamp(0.0, 1.0),
             p_start_good: 0.5,
-            dynamic: Vec::new(),
+            dual: None,
             good: Vec::new(),
             started: false,
         }
@@ -131,18 +147,20 @@ impl LinkProcess for GilbertElliottLinks {
     }
 
     fn on_start(&mut self, setup: &AdversarySetup<'_>, rng: &mut dyn RngCore) {
-        self.dynamic = setup.dual.dynamic_edges();
-        self.good = self
-            .dynamic
-            .iter()
-            .map(|_| bernoulli(rng, self.p_start_good))
-            .collect();
+        let edges = setup.dual.dynamic_index().edges();
+        self.good.clear();
+        self.good
+            .extend(edges.iter().map(|_| bernoulli(rng, self.p_start_good)));
+        self.dual = Some(Arc::clone(setup.dual));
         self.started = true;
     }
 
     fn decide(&mut self, _view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> LinkDecision {
+        let Some(dual) = &self.dual else {
+            return LinkDecision::none();
+        };
         let mut active = Vec::new();
-        for (i, edge) in self.dynamic.iter().enumerate() {
+        for (i, edge) in dual.dynamic_index().edges().iter().enumerate() {
             if self.good[i] {
                 active.push(*edge);
                 if bernoulli(rng, self.p_fail) {
@@ -156,7 +174,7 @@ impl LinkProcess for GilbertElliottLinks {
     }
 
     fn reset(&mut self) -> bool {
-        // `dynamic`, `good`, and `started` are all rewritten by `on_start`.
+        // `dual`, `good`, and `started` are all rewritten by `on_start`.
         true
     }
 
@@ -214,6 +232,23 @@ mod tests {
     fn iid_clamps_probability() {
         assert_eq!(IidLinks::new(7.0).probability(), 1.0);
         assert_eq!(IidLinks::new(-7.0).probability(), 0.0);
+    }
+
+    #[test]
+    fn iid_declares_its_profile_and_bursty_links_do_not() {
+        assert_eq!(
+            IidLinks::new(0.3).link_profile(),
+            LinkProfile::Iid { p: 0.3 }
+        );
+        assert_eq!(
+            IidLinks::new(7.0).link_profile(),
+            LinkProfile::Iid { p: 1.0 }
+        );
+        assert_eq!(
+            GilbertElliottLinks::new(0.1, 0.1).link_profile(),
+            LinkProfile::Opaque,
+            "a Markov chain needs every coin"
+        );
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! On the dual clique network this forces `Ω(n / log n)` rounds for both
 //! global and local broadcast (Figure 1 row 2), which experiment E5 measures.
 
-use dradio_graphs::Edge;
+use std::sync::Arc;
+
+use dradio_graphs::DualGraph;
 use dradio_sim::process::log2_ceil;
 use dradio_sim::{AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess};
 use rand::RngCore;
@@ -29,7 +31,7 @@ use rand::RngCore;
 pub struct DenseSparseOnline {
     density_factor: f64,
     threshold: f64,
-    dynamic_edges: Vec<Edge>,
+    dual: Option<Arc<DualGraph>>,
     dense_rounds_seen: usize,
     sparse_rounds_seen: usize,
 }
@@ -42,7 +44,7 @@ impl DenseSparseOnline {
         DenseSparseOnline {
             density_factor: density_factor.max(0.1),
             threshold: 0.0,
-            dynamic_edges: Vec::new(),
+            dual: None,
             dense_rounds_seen: 0,
             sparse_rounds_seen: 0,
         }
@@ -76,7 +78,7 @@ impl LinkProcess for DenseSparseOnline {
     }
 
     fn on_start(&mut self, setup: &AdversarySetup<'_>, _rng: &mut dyn RngCore) {
-        self.dynamic_edges = setup.dual.dynamic_edges();
+        self.dual = Some(Arc::clone(setup.dual));
         self.threshold = self.density_factor * log2_ceil(setup.dual.len().max(2)).max(1) as f64;
     }
 
@@ -84,7 +86,10 @@ impl LinkProcess for DenseSparseOnline {
         let expected = view.expected_transmitters().unwrap_or(0.0);
         if expected > self.threshold {
             self.dense_rounds_seen += 1;
-            LinkDecision::from_edges(self.dynamic_edges.clone())
+            match &self.dual {
+                Some(dual) => LinkDecision::all_dynamic(dual),
+                None => LinkDecision::none(),
+            }
         } else {
             self.sparse_rounds_seen += 1;
             LinkDecision::none()

@@ -17,7 +17,9 @@
 //! fixed-trials campaign with a fractional completion rate (exercising the
 //! completion-count reconstruction). The legacy-batch fixture was captured
 //! the same way, with the last binary in which batching was a per-group
-//! spec knob, from a spec that turned it on. If any of these tests fails,
+//! spec knob, from a spec that turned it on. The link-profile fixtures were
+//! captured with the last binary in which every oblivious `Iid`/static link
+//! round ran `decide` over all dynamic edges. If any of these tests fails,
 //! the store format has drifted — bump a format version rather than editing
 //! the fixtures.
 
@@ -57,6 +59,74 @@ const LEGACY_BATCH_CAMPAIGN: &str = r#"{"name":"legacy-batch","seed":3,"trials":
 /// byte: its cell carries `"batch":true`.
 const LEGACY_BATCH_STORE: &str = concat!(
     r#"{"key":"20197961876757b2","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":3,"max_rounds":400,"collision_detection":false},"trials":{"Fixed":4},"record_mode":"None","batch":true},"trials_run":4,"measurement":{"rounds":{"count":4,"mean":6.75,"std_dev":4.112987559751022,"min":2.0,"max":12.0,"median":6.5,"p95":12.0},"completion_rate":1.0,"mean_collisions":25.5}}"#,
+    "\n",
+);
+
+/// Oblivious link cells whose adversaries declare an `Iid` link profile
+/// (`Iid` at 0.3 and 0.5, `StaticAll`, `StaticNone`): a global and a local
+/// algorithm on a random geometric deployment (dense under the automatic
+/// backend) and on the dual clique.
+const LINK_PROFILE_CAMPAIGN: &str = r#"{"name":"link-profile-pin","seed":4,"trials":{"Fixed":3},"groups":[{"topologies":[{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},{"DualClique":{"n":16}}],"algorithms":[{"Global":"Permuted"}],"adversaries":[{"Iid":{"p":0.3}},{"Iid":{"p":0.5}},"StaticAll","StaticNone"],"problems":[{"GlobalFrom":0}],"seed":null,"trials":null,"rounds":{"Fixed":300},"collision_detection":false,"record_mode":"None","curve":false},{"topologies":[{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},{"DualClique":{"n":16}}],"algorithms":[{"Local":"Uniform"}],"adversaries":[{"Iid":{"p":0.3}},{"Iid":{"p":0.5}},"StaticAll","StaticNone"],"problems":[{"LocalRandom":{"count":4,"seed":6}}],"seed":null,"trials":null,"rounds":{"Fixed":300},"collision_detection":false,"record_mode":"None","curve":false}]}"#;
+
+/// The store the last binary that ran `decide` for every such round wrote
+/// for [`LINK_PROFILE_CAMPAIGN`], byte for byte.
+const LINK_PROFILE_STORE: &str = concat!(
+    r#"{"key":"fcf7a93194aed6c8","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.3}},"problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":20.333333333333332,"std_dev":2.5166114784235836,"min":18.0,"max":23.0,"median":20.0,"p95":23.0},"completion_rate":1.0,"mean_collisions":314.3333333333333}}"#,
+    "\n",
+    r#"{"key":"afa9e9ee3021725a","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":20.333333333333332,"std_dev":2.5166114784235836,"min":18.0,"max":23.0,"median":20.0,"p95":23.0},"completion_rate":1.0,"mean_collisions":330.3333333333333}}"#,
+    "\n",
+    r#"{"key":"c77ee4a20e060196","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":"StaticAll","problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":14.666666666666666,"std_dev":9.073771725877465,"min":8.0,"max":25.0,"median":11.0,"p95":25.0},"completion_rate":1.0,"mean_collisions":254.66666666666666}}"#,
+    "\n",
+    r#"{"key":"9bf622cbb1f871e9","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":"StaticNone","problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":19.666666666666668,"std_dev":4.618802153517007,"min":17.0,"max":25.0,"median":17.0,"p95":25.0},"completion_rate":1.0,"mean_collisions":273.0}}"#,
+    "\n",
+    r#"{"key":"3cc196ae789fae4f","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.3}},"problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":12.333333333333334,"std_dev":7.023769168568492,"min":5.0,"max":19.0,"median":13.0,"p95":19.0},"completion_rate":1.0,"mean_collisions":44.666666666666664}}"#,
+    "\n",
+    r#"{"key":"da995fa451db64f9","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":8.333333333333334,"std_dev":5.686240703077327,"min":2.0,"max":13.0,"median":10.0,"p95":13.0},"completion_rate":1.0,"mean_collisions":31.333333333333332}}"#,
+    "\n",
+    r#"{"key":"f9503bccd500f771","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Permuted"},"adversary":"StaticAll","problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":2.6666666666666665,"std_dev":2.081665999466133,"min":1.0,"max":5.0,"median":2.0,"p95":5.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
+    "\n",
+    r#"{"key":"25e31e7f96ed0684","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Permuted"},"adversary":"StaticNone","problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":12.0,"std_dev":3.4641016151377544,"min":8.0,"max":14.0,"median":14.0,"p95":14.0},"completion_rate":1.0,"mean_collisions":22.333333333333332}}"#,
+    "\n",
+    r#"{"key":"cda72c8d89821e67","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":{"Iid":{"p":0.3}},"problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":93.0,"std_dev":52.57375771237966,"min":55.0,"max":153.0,"median":71.0,"p95":153.0},"completion_rate":1.0,"mean_collisions":2.6666666666666665}}"#,
+    "\n",
+    r#"{"key":"f1755c72f0f806b5","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":{"Iid":{"p":0.5}},"problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":40.666666666666664,"std_dev":13.203534880225572,"min":29.0,"max":55.0,"median":38.0,"p95":55.0},"completion_rate":1.0,"mean_collisions":3.3333333333333335}}"#,
+    "\n",
+    r#"{"key":"8869e3d38a782009","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":"StaticAll","problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":37.333333333333336,"std_dev":18.0092568789868,"min":19.0,"max":55.0,"median":38.0,"p95":55.0},"completion_rate":1.0,"mean_collisions":7.666666666666667}}"#,
+    "\n",
+    r#"{"key":"d72953c27456d3f2","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":"StaticNone","problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":123.66666666666667,"std_dev":59.676907873425655,"min":55.0,"max":163.0,"median":153.0,"p95":163.0},"completion_rate":1.0,"mean_collisions":2.0}}"#,
+    "\n",
+    r#"{"key":"872afea0e335d820","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Local":"Uniform"},"adversary":{"Iid":{"p":0.3}},"problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":11.0,"std_dev":6.928203230275509,"min":7.0,"max":19.0,"median":7.0,"p95":19.0},"completion_rate":1.0,"mean_collisions":0.6666666666666666}}"#,
+    "\n",
+    r#"{"key":"8d76352b3008f946","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Local":"Uniform"},"adversary":{"Iid":{"p":0.5}},"problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":11.0,"std_dev":6.928203230275509,"min":7.0,"max":19.0,"median":7.0,"p95":19.0},"completion_rate":1.0,"mean_collisions":1.6666666666666667}}"#,
+    "\n",
+    r#"{"key":"c0654476071ce2c6","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Local":"Uniform"},"adversary":"StaticAll","problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":7.0,"std_dev":1.0,"min":6.0,"max":8.0,"median":7.0,"p95":8.0},"completion_rate":1.0,"mean_collisions":4.666666666666667}}"#,
+    "\n",
+    r#"{"key":"a536194a0ea0641f","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Local":"Uniform"},"adversary":"StaticNone","problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":10.333333333333334,"std_dev":7.571877794400365,"min":5.0,"max":19.0,"median":7.0,"p95":19.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
+    "\n",
+);
+
+/// The random geometric cells of [`LINK_PROFILE_CAMPAIGN`] with the CSR
+/// backend forced.
+const LINK_PROFILE_CSR_CAMPAIGN: &str = r#"{"name":"link-profile-pin-csr","seed":4,"trials":{"Fixed":3},"groups":[{"topologies":[{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}}],"algorithms":[{"Global":"Permuted"}],"adversaries":[{"Iid":{"p":0.3}},{"Iid":{"p":0.5}},"StaticAll","StaticNone"],"problems":[{"GlobalFrom":0}],"seed":null,"trials":null,"rounds":{"Fixed":300},"collision_detection":false,"record_mode":"None","curve":false,"backend":"Csr"},{"topologies":[{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}}],"algorithms":[{"Local":"Uniform"}],"adversaries":[{"Iid":{"p":0.3}},{"Iid":{"p":0.5}},"StaticAll","StaticNone"],"problems":[{"LocalRandom":{"count":4,"seed":6}}],"seed":null,"trials":null,"rounds":{"Fixed":300},"collision_detection":false,"record_mode":"None","curve":false,"backend":"Csr"}]}"#;
+
+/// The store that binary wrote for [`LINK_PROFILE_CSR_CAMPAIGN`]: the same
+/// measurements, each cell carrying `"backend":"Csr"`.
+const LINK_PROFILE_CSR_STORE: &str = concat!(
+    r#"{"key":"fcf7a93194aed6c8","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.3}},"problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":20.333333333333332,"std_dev":2.5166114784235836,"min":18.0,"max":23.0,"median":20.0,"p95":23.0},"completion_rate":1.0,"mean_collisions":314.3333333333333}}"#,
+    "\n",
+    r#"{"key":"afa9e9ee3021725a","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":20.333333333333332,"std_dev":2.5166114784235836,"min":18.0,"max":23.0,"median":20.0,"p95":23.0},"completion_rate":1.0,"mean_collisions":330.3333333333333}}"#,
+    "\n",
+    r#"{"key":"c77ee4a20e060196","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":"StaticAll","problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":14.666666666666666,"std_dev":9.073771725877465,"min":8.0,"max":25.0,"median":11.0,"p95":25.0},"completion_rate":1.0,"mean_collisions":254.66666666666666}}"#,
+    "\n",
+    r#"{"key":"9bf622cbb1f871e9","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":"StaticNone","problem":{"GlobalFrom":0},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":19.666666666666668,"std_dev":4.618802153517007,"min":17.0,"max":25.0,"median":17.0,"p95":25.0},"completion_rate":1.0,"mean_collisions":273.0}}"#,
+    "\n",
+    r#"{"key":"cda72c8d89821e67","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":{"Iid":{"p":0.3}},"problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":93.0,"std_dev":52.57375771237966,"min":55.0,"max":153.0,"median":71.0,"p95":153.0},"completion_rate":1.0,"mean_collisions":2.6666666666666665}}"#,
+    "\n",
+    r#"{"key":"f1755c72f0f806b5","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":{"Iid":{"p":0.5}},"problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":40.666666666666664,"std_dev":13.203534880225572,"min":29.0,"max":55.0,"median":38.0,"p95":55.0},"completion_rate":1.0,"mean_collisions":3.3333333333333335}}"#,
+    "\n",
+    r#"{"key":"8869e3d38a782009","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":"StaticAll","problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":37.333333333333336,"std_dev":18.0092568789868,"min":19.0,"max":55.0,"median":38.0,"p95":55.0},"completion_rate":1.0,"mean_collisions":7.666666666666667}}"#,
+    "\n",
+    r#"{"key":"d72953c27456d3f2","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":"StaticNone","problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":123.66666666666667,"std_dev":59.676907873425655,"min":55.0,"max":163.0,"median":153.0,"p95":163.0},"completion_rate":1.0,"mean_collisions":2.0}}"#,
     "\n",
 );
 
@@ -273,4 +343,31 @@ fn legacy_batch_campaigns_rerun_to_the_same_line_without_the_flag() {
         LEGACY_BATCH_STORE.replace(r#","batch":true"#, "")
     );
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn link_profile_cells_reproduce_the_stores_decide_wrote() {
+    // Oblivious `Iid`-profiled cells no longer call `decide` when no history
+    // is kept: the engine reads only the coins of edges that touch a
+    // transmitter. The bytes must not move, on either backend.
+    for (campaign, golden, tag) in [
+        (LINK_PROFILE_CAMPAIGN, LINK_PROFILE_STORE, "link-profile"),
+        (
+            LINK_PROFILE_CSR_CAMPAIGN,
+            LINK_PROFILE_CSR_STORE,
+            "link-profile-csr",
+        ),
+    ] {
+        let path = temp_path(tag);
+        let spec: CampaignSpec = serde_json::from_str(campaign).unwrap();
+        let mut store = ResultStore::open(&path).unwrap();
+        CampaignRunner::new(&spec).run(&mut store).unwrap();
+        drop(store);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            golden,
+            "{tag}: the profile path drifted from the decide path's store"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -1,6 +1,7 @@
 //! The dual graph `(G, G')` network model.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::GraphError;
 use crate::geometry::Embedding;
@@ -32,14 +33,140 @@ use crate::Result;
 /// let dual = DualGraph::new(g, g_prime)?;
 /// assert_eq!(dual.len(), 3);
 /// assert_eq!(dual.dynamic_edges().len(), 1); // only (0, 2) is dynamic
+/// assert_eq!(dual.dynamic_index().edges(), dual.dynamic_edges().as_slice());
 /// # Ok::<(), dradio_graphs::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct DualGraph {
     g: Graph,
     g_prime: Graph,
     embedding: Option<Embedding>,
     name: String,
+    /// The dynamic-edge index, built on first use and shared by clones
+    /// (both layers are immutable once the dual graph exists).
+    dynamic: OnceLock<Arc<DynamicEdgeIndex>>,
+}
+
+impl PartialEq for DualGraph {
+    /// Structural equality of the layers, embedding and name; the lazily
+    /// built dynamic-edge index is derived data and takes no part.
+    fn eq(&self, other: &Self) -> bool {
+        self.g == other.g
+            && self.g_prime == other.g_prime
+            && self.embedding == other.embedding
+            && self.name == other.name
+    }
+}
+
+impl fmt::Debug for DualGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DualGraph")
+            .field("g", &self.g)
+            .field("g_prime", &self.g_prime)
+            .field("embedding", &self.embedding)
+            .field("name", &self.name)
+            .finish()
+    }
+}
+
+/// The dynamic edges `E' \ E` of a [`DualGraph`] in canonical order, plus
+/// each node's incident dynamic edges.
+///
+/// Canonical order is the order of [`DualGraph::dynamic_edges`]: ascending
+/// by lower endpoint, then by higher endpoint. Edge `k` of that list has
+/// *canonical index* `k`, which is how link processes that draw one coin
+/// per dynamic edge per round address their coins.
+///
+/// Built once per graph by [`DualGraph::dynamic_index`] and shared by every
+/// trial that runs on the graph, so no link process copies the list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DynamicEdgeIndex {
+    edges: Vec<Edge>,
+    /// `offsets[u]..offsets[u + 1]` delimits node `u`'s entries in
+    /// `incidences`.
+    offsets: Vec<usize>,
+    /// `(neighbour, canonical index)` per incident dynamic edge, ascending
+    /// by neighbour (and so by canonical index) within each node.
+    incidences: Vec<(u32, u32)>,
+}
+
+impl DynamicEdgeIndex {
+    /// Builds and validates the index of `g_prime \ g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network or its dynamic-edge count does not fit in
+    /// `u32`, or if a layer answers inconsistently (an edge out of order,
+    /// missing from `G'`, or present in `G`).
+    fn build(g: &Graph, g_prime: &Graph) -> Self {
+        let n = g_prime.len();
+        let mut edges = Vec::new();
+        let mut degree = vec![0usize; n];
+        for u in g_prime.nodes() {
+            for &v in g_prime.neighbors(u) {
+                if u < v && !g.has_edge(u, v) {
+                    edges.push(Edge::new(u, v));
+                    degree[u.index()] += 1;
+                    degree[v.index()] += 1;
+                }
+            }
+        }
+        assert!(
+            n <= u32::MAX as usize && edges.len() <= u32::MAX as usize,
+            "the dynamic-edge index addresses nodes and edges with u32"
+        );
+        assert!(
+            edges.windows(2).all(|pair| pair[0] < pair[1])
+                && edges.iter().all(|e| {
+                    let (u, v) = e.endpoints();
+                    g_prime.has_edge(u, v) && !g.has_edge(u, v)
+                }),
+            "dynamic edges must be strictly ascending, in G' and not in G"
+        );
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0usize);
+        for d in &degree {
+            offsets.push(offsets[offsets.len() - 1] + d);
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut incidences = vec![(0u32, 0u32); 2 * edges.len()];
+        for (k, edge) in edges.iter().enumerate() {
+            let (u, v) = edge.endpoints();
+            incidences[cursor[u.index()]] = (v.index() as u32, k as u32);
+            cursor[u.index()] += 1;
+            incidences[cursor[v.index()]] = (u.index() as u32, k as u32);
+            cursor[v.index()] += 1;
+        }
+        DynamicEdgeIndex {
+            edges,
+            offsets,
+            incidences,
+        }
+    }
+
+    /// The dynamic edges in canonical order.
+    pub fn edges(&self) -> &[Edge] {
+        &self.edges
+    }
+
+    /// Number of dynamic edges.
+    pub fn len(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Returns `true` if the network has no dynamic edge.
+    pub fn is_empty(&self) -> bool {
+        self.edges.is_empty()
+    }
+
+    /// The dynamic edges at `u` as `(neighbour, canonical index)` pairs,
+    /// ascending by neighbour. Out-of-range nodes have none.
+    pub fn incident(&self, u: NodeId) -> &[(u32, u32)] {
+        match self.offsets.get(u.index()..u.index().saturating_add(2)) {
+            Some(&[start, end]) => &self.incidences[start..end],
+            _ => &[],
+        }
+    }
 }
 
 impl DualGraph {
@@ -67,6 +194,7 @@ impl DualGraph {
             g_prime,
             embedding: None,
             name: String::from("dual"),
+            dynamic: OnceLock::new(),
         })
     }
 
@@ -78,6 +206,7 @@ impl DualGraph {
             g,
             embedding: None,
             name: String::from("static"),
+            dynamic: OnceLock::new(),
         }
     }
 
@@ -152,19 +281,31 @@ impl DualGraph {
     }
 
     /// Returns this network with both layers converted to `backend` (cheap
-    /// clones where a layer already matches); name and embedding carry over.
-    /// Simulation outcomes are backend-independent — only memory footprint
-    /// and row-scan strategy change.
+    /// clones where a layer already matches); name, embedding and a built
+    /// dynamic-edge index carry over. Simulation outcomes are
+    /// backend-independent — only memory footprint and row-scan strategy
+    /// change.
     pub fn with_graph_backend(&self, backend: GraphBackend) -> DualGraph {
         DualGraph {
             g: self.g.with_backend(backend),
             g_prime: self.g_prime.with_backend(backend),
             embedding: self.embedding.clone(),
             name: self.name.clone(),
+            dynamic: self.dynamic.clone(),
         }
     }
 
-    /// Returns the dynamic edges `E' \ E` in canonical order.
+    /// The dynamic-edge index: `E' \ E` in canonical order with per-node
+    /// incidences. Built and validated on first use, once per graph (clones
+    /// share it); later calls are a pointer read.
+    pub fn dynamic_index(&self) -> &DynamicEdgeIndex {
+        self.dynamic
+            .get_or_init(|| Arc::new(DynamicEdgeIndex::build(&self.g, &self.g_prime)))
+    }
+
+    /// Returns the dynamic edges `E' \ E` in canonical order, recomputed
+    /// into a fresh vector. Callers that run per trial should borrow
+    /// [`dynamic_index`](DualGraph::dynamic_index)`.edges()` instead.
     pub fn dynamic_edges(&self) -> Vec<Edge> {
         self.g_prime
             .edges()
@@ -293,6 +434,62 @@ mod tests {
         assert_eq!(dyn_edges.len(), 1);
         assert_eq!(dyn_edges[0].endpoints(), (NodeId::new(0), NodeId::new(2)));
         assert!(!dual.is_static());
+    }
+
+    #[test]
+    fn dynamic_index_lists_the_difference_with_incidences() {
+        use crate::topology;
+        for dual in [
+            topology::dual_clique(10).unwrap(),
+            topology::dual_clique(10)
+                .unwrap()
+                .with_graph_backend(GraphBackend::Csr),
+            {
+                use rand::SeedableRng;
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+                let config = topology::GeometricConfig::new(30, 2.0, 1.5);
+                topology::random_geometric(&config, &mut rng).unwrap()
+            },
+        ] {
+            let index = dual.dynamic_index();
+            assert_eq!(index.edges(), dual.dynamic_edges().as_slice());
+            assert_eq!(index.len(), dual.dynamic_edges().len());
+            let mut seen = vec![0usize; index.len()];
+            for u in dual.g().nodes() {
+                let incident = index.incident(u);
+                assert!(incident.windows(2).all(|w| w[0] < w[1]), "ascending");
+                for &(w, k) in incident {
+                    let edge = index.edges()[k as usize];
+                    assert_eq!(edge, Edge::new(u, NodeId::new(w as usize)));
+                    seen[k as usize] += 1;
+                }
+            }
+            assert!(seen.iter().all(|&c| c == 2), "each edge at both ends");
+            assert!(index.incident(NodeId::new(dual.len())).is_empty());
+            assert!(index.incident(NodeId::new(usize::MAX)).is_empty());
+        }
+    }
+
+    #[test]
+    fn dynamic_index_is_shared_and_outside_equality() {
+        let (g, gp) = triangle_line();
+        let dual = DualGraph::new(g, gp).unwrap();
+        let untouched = dual.clone();
+        let built = dual.dynamic_index() as *const DynamicEdgeIndex;
+        assert_eq!(dual, untouched, "building the index changes no identity");
+        let cloned = dual.clone();
+        assert!(
+            std::ptr::eq(cloned.dynamic_index(), built),
+            "clones share it"
+        );
+        let csr = dual.with_graph_backend(GraphBackend::Csr);
+        assert!(
+            std::ptr::eq(csr.dynamic_index(), built),
+            "backends share it"
+        );
+        assert_eq!(format!("{dual:?}"), format!("{untouched:?}"));
+        let empty = DualGraph::static_model(Graph::complete(4));
+        assert!(empty.dynamic_index().is_empty());
     }
 
     #[test]

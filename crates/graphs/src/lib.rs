@@ -44,7 +44,7 @@ pub mod properties;
 pub mod regions;
 pub mod topology;
 
-pub use dual::DualGraph;
+pub use dual::{DualGraph, DynamicEdgeIndex};
 pub use error::GraphError;
 pub use geometry::{Embedding, Point};
 pub use graph::{

@@ -12,7 +12,11 @@
 //! The executor is a fixed-rate kernel: every process in the network must
 //! opt into [`BatchProfile::FixedRate`], so transmit decisions for 8
 //! interleaved ChaCha8 streams collapse to one threshold compare per random
-//! word and no process objects run at all.
+//! word and no process objects run at all. Transmit decisions are known
+//! before the link step, so a lane whose adversary declares
+//! [`LinkProfile::Iid`] never calls `decide`: it reads only the coins of
+//! the dynamic edges between its own transmitters and listeners (see
+//! [`LinkProcess::link_profile`]).
 //!
 //! # Equivalence contract
 //!
@@ -45,12 +49,16 @@ use crate::engine::{derive_stream_seed, ExecutionOutcome};
 use crate::error::SimError;
 use crate::executor::{process_contexts, validated_contexts, LinkFactory};
 use crate::history::History;
-use crate::link::{AdversaryClass, AdversarySetup, AdversaryView, LinkProcess};
+use crate::link::{
+    activate_iid_edges, AdversaryClass, AdversarySetup, AdversaryView, IidPlan, LinkProcess,
+    LinkProfile,
+};
 use crate::message::MessageKind;
 use crate::metrics::Metrics;
 use crate::process::{Assignment, BatchProfile, ProcessContext, ProcessFactory};
 use crate::recorder::RecordMode;
 use crate::round::Round;
+use crate::sampling::bernoulli_threshold;
 use crate::stop::{StopCondition, StopTracker};
 use crate::Result;
 
@@ -154,6 +162,9 @@ struct Lane {
     adversary_rng: ChaCha8Rng,
     link: Box<dyn LinkProcess>,
     link_spent: bool,
+    /// The engine-evaluated path when the adversary declares
+    /// [`LinkProfile::Iid`]; `None` calls `decide`.
+    iid: Option<IidPlan>,
     tracker: StopTracker,
     active_edges: Vec<Edge>,
     metrics: Metrics,
@@ -169,6 +180,7 @@ impl Lane {
             adversary_rng: ChaCha8Rng::seed_from_u64(0),
             link,
             link_spent: false,
+            iid: None,
             tracker,
             active_edges: Vec::new(),
             metrics: Metrics::default(),
@@ -223,6 +235,9 @@ struct Shared {
     first_tx: Vec<u64>,
     /// `second_tx[v]`: lanes whose second transmitter in node order is `v`.
     second_tx: Vec<u64>,
+    /// Nodes transmitting in at least one live lane this round, in no
+    /// particular order.
+    tx_nodes: Vec<u32>,
 }
 
 impl Shared {
@@ -269,6 +284,7 @@ impl Shared {
             } else {
                 Vec::new()
             },
+            tx_nodes: Vec::new(),
         }
     }
 
@@ -382,18 +398,6 @@ impl KernelScratch {
             t_buf: Vec::new(),
         }
     }
-}
-
-/// The integer threshold `T` with
-/// `uniform_f64(x) < rate  ⟺  (x >> 11) < T` for `0 < rate < 1`.
-///
-/// `uniform_f64` is `(x >> 11) as f64 * 2⁻⁵³`; the 53-bit integer converts
-/// exactly and the power-of-two scale is lossless, so the comparison is the
-/// real-number `k < rate·2⁵³` — which holds iff `k < ceil(rate·2⁵³)` whether
-/// or not `rate·2⁵³` is an integer. `rate·2⁵³` itself is an exact f64
-/// product (power-of-two scaling of a finite f64 below 1).
-fn bernoulli_threshold(rate: f64) -> u64 {
-    (rate * 9_007_199_254_740_992.0).ceil() as u64
 }
 
 /// One ChaCha quarter-round applied across all interleaved streams.
@@ -921,6 +925,12 @@ impl BatchExecutor {
                 horizon: self.config.max_rounds(),
             };
             lane.link.on_start(&setup, &mut lane.adversary_rng);
+            // Lanes never record history, so an `Iid` profile always lets
+            // the engine read just the coins reception can see.
+            lane.iid = match lane.link.link_profile() {
+                LinkProfile::Iid { p } => Some(IidPlan::new(p, &lane.adversary_rng, &self.dual)),
+                LinkProfile::Opaque => None,
+            };
         }
         let ks = &mut self.kscratch;
         ks.keys
@@ -985,12 +995,13 @@ impl BatchExecutor {
 
             // 1. Transmit lane masks for this round, from the buffer.
             shared.transmit[..n].fill(0);
+            shared.tx_nodes.clear();
             let mut round_tx = [0usize; MAX_LANES];
             for &(node, _) in &plan.coin {
-                let node = node as usize;
-                let m = ks.t_buf[j * n + node] & live;
+                let m = ks.t_buf[j * n + node as usize] & live;
                 if m != 0 {
-                    shared.transmit[node] = m;
+                    shared.transmit[node as usize] = m;
+                    shared.tx_nodes.push(node);
                     let mut bits = m;
                     while bits != 0 {
                         round_tx[bits.trailing_zeros() as usize] += 1;
@@ -1002,6 +1013,7 @@ impl BatchExecutor {
                 for &node in &plan.always {
                     shared.transmit[node as usize] = live;
                 }
+                shared.tx_nodes.extend_from_slice(&plan.always);
                 let mut bits = live;
                 while bits != 0 {
                     round_tx[bits.trailing_zeros() as usize] += plan.always.len();
@@ -1009,12 +1021,35 @@ impl BatchExecutor {
                 }
             }
 
-            // 2. Each lane's adversary fixes its dynamic edges.
+            // 2. Each lane's adversary fixes its dynamic edges: an `Iid`
+            //    profile from the lane's own transmitters, anything else
+            //    through `decide`.
             let mut mask = live;
             while mask != 0 {
                 let lane_idx = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                decide_lane_edges(dual, shared, &mut lanes[lane_idx], round);
+                let lane = &mut lanes[lane_idx];
+                match lane.iid {
+                    Some(iid) => {
+                        let bit = 1u64 << lane_idx;
+                        let transmit = &shared.transmit;
+                        lane.active_edges.clear();
+                        activate_iid_edges(
+                            &iid,
+                            dual,
+                            round,
+                            shared
+                                .tx_nodes
+                                .iter()
+                                .map(|&v| v as usize)
+                                .filter(|&v| transmit[v] & bit != 0),
+                            |w| transmit[w] & bit != 0,
+                            &mut lane.adversary_rng,
+                            &mut lane.active_edges,
+                        );
+                    }
+                    None => decide_lane_edges(dual, shared, lane, round),
+                }
             }
 
             // 3. Word-parallel reception across all lanes.

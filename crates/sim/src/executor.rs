@@ -39,7 +39,10 @@ use crate::config::SimConfig;
 use crate::engine::{derive_stream_seed, ExecutionOutcome};
 use crate::error::SimError;
 use crate::history::{Delivery, RoundRecord};
-use crate::link::{AdversaryClass, AdversarySetup, AdversaryView, LinkProcess};
+use crate::link::{
+    activate_iid_edges, AdversaryClass, AdversarySetup, AdversaryView, IidPlan, LinkProcess,
+    LinkProfile,
+};
 use crate::metrics::Metrics;
 use crate::process::{Assignment, Process, ProcessContext, ProcessFactory};
 use crate::recorder::{RecordMode, Recorder};
@@ -339,6 +342,15 @@ impl TrialExecutor {
             process.on_start(&mut self.node_rngs[i]);
         }
 
+        // An `Iid` profile lets the engine read only the coins reception can
+        // see, unless the history must list every active edge.
+        let iid = match link.link_profile() {
+            LinkProfile::Iid { p } if !adaptive && !recorder.wants_history() => {
+                Some(IidPlan::new(p, &self.adversary_rng, &self.dual))
+            }
+            _ => None,
+        };
+
         let mut completion_round = None;
         let mut rounds_executed = 0usize;
 
@@ -379,38 +391,7 @@ impl TrialExecutor {
                     .push(p.on_round(round, &mut self.node_rngs[i]));
             }
 
-            // 3. The link process fixes the dynamic edges, seeing only what
-            //    its class entitles it to (the recorder's history is complete
-            //    here: adaptive classes auto-promote to full recording).
-            let decision = {
-                let view = AdversaryView::new(
-                    round,
-                    n,
-                    adaptive.then(|| recorder.history()),
-                    adaptive.then_some(scratch.transmit_probs.as_slice()),
-                    offline.then_some(scratch.actions.as_slice()),
-                );
-                link.decide(&view, &mut self.adversary_rng)
-            };
-
-            // Filter the decision down to genuine dynamic edges. The dynamic
-            // adjacency bit rows double as an O(1) duplicate check.
-            scratch.clear_dynamic();
-            scratch.active_edges.clear();
-            for edge in decision.edges() {
-                let (u, v) = edge.endpoints();
-                let is_dynamic =
-                    self.dual.g_prime().has_edge(u, v) && !self.dual.g().has_edge(u, v);
-                if !is_dynamic {
-                    metrics.rejected_link_edges += 1;
-                } else if !scratch.dynamic_bit(u, v) {
-                    scratch.set_dynamic(u, v);
-                    scratch.active_edges.push(*edge);
-                }
-            }
-
-            // 4. Reception under the collision rule, from the packed
-            //    transmitter bitset.
+            // 3. The transmitter set, ascending and as a packed bitset.
             scratch.transmitters.clear();
             scratch.transmitter_bits.iter_mut().for_each(|w| *w = 0);
             for (i, action) in scratch.actions.iter().enumerate() {
@@ -419,6 +400,54 @@ impl TrialExecutor {
                     scratch.transmitters.push(NodeId::new(i));
                 }
             }
+
+            // 4. The link process fixes the dynamic edges, seeing only what
+            //    its class entitles it to (the recorder's history is complete
+            //    here: adaptive classes auto-promote to full recording).
+            scratch.clear_dynamic();
+            if let Some(plan) = &iid {
+                let bits = &scratch.transmitter_bits;
+                activate_iid_edges(
+                    plan,
+                    &self.dual,
+                    round,
+                    scratch.transmitters.iter().map(|v| v.index()),
+                    |w| bits[w / 64] >> (w % 64) & 1 == 1,
+                    &mut self.adversary_rng,
+                    &mut scratch.active_edges,
+                );
+                for edge in &scratch.active_edges {
+                    let (u, v) = edge.endpoints();
+                    scratch.dynamic.set(u, v);
+                }
+            } else {
+                let decision = {
+                    let view = AdversaryView::new(
+                        round,
+                        n,
+                        adaptive.then(|| recorder.history()),
+                        adaptive.then_some(scratch.transmit_probs.as_slice()),
+                        offline.then_some(scratch.actions.as_slice()),
+                    );
+                    link.decide(&view, &mut self.adversary_rng)
+                };
+                // Filter the decision down to genuine dynamic edges. The
+                // dynamic adjacency doubles as an O(1) duplicate check.
+                for edge in decision.edges() {
+                    let (u, v) = edge.endpoints();
+                    let is_dynamic =
+                        self.dual.g_prime().has_edge(u, v) && !self.dual.g().has_edge(u, v);
+                    if !is_dynamic {
+                        metrics.rejected_link_edges += 1;
+                    } else if !scratch.dynamic.bit(u, v) {
+                        scratch.dynamic.set(u, v);
+                        scratch.active_edges.push(*edge);
+                    }
+                }
+            }
+
+            // 5. Reception under the collision rule, from the packed
+            //    transmitter bitset.
             let transmitter_count = scratch.transmitters.len();
             metrics.transmissions += transmitter_count;
 
@@ -471,7 +500,7 @@ impl TrialExecutor {
                     } else if probe_transmitters {
                         for &v in &scratch.transmitters {
                             let connected =
-                                g.has_edge(u, v) || (use_dynamic && scratch.dynamic_bit(u, v));
+                                g.has_edge(u, v) || (use_dynamic && scratch.dynamic.bit(u, v));
                             if connected {
                                 count += 1;
                                 if count >= 2 {
@@ -483,7 +512,7 @@ impl TrialExecutor {
                     } else {
                         match g.neighbor_row(u) {
                             NeighborRow::Dense(row) => {
-                                let dyn_row = scratch.dynamic_row(u_idx);
+                                let dyn_row = scratch.dynamic.row(u_idx);
                                 for w in 0..words {
                                     let mut hit = row[w] & scratch.transmitter_bits[w];
                                     if use_dynamic {
@@ -518,7 +547,7 @@ impl TrialExecutor {
                                     }
                                 }
                                 if use_dynamic && count < 2 {
-                                    for &v in scratch.dynamic_list(u_idx) {
+                                    for &v in scratch.dynamic.list(u_idx) {
                                         let v_idx = v.index();
                                         if scratch.transmitter_bits[v_idx / 64] >> (v_idx % 64) & 1
                                             == 1
@@ -544,7 +573,7 @@ impl TrialExecutor {
                             let message = scratch.actions[sender.index()]
                                 .message()
                                 // lint: allow(D4) -- the transmitter bitset is
-                                // built from Transmit actions two steps above
+                                // built from Transmit actions in step 3
                                 .expect("a set transmitter bit implies a message");
                             metrics.deliveries += 1;
                             self.tracker.observe_one(u, sender, message.kind());
@@ -573,12 +602,12 @@ impl TrialExecutor {
                 }
             }
 
-            // 5. Deliver feedback to the processes.
+            // 6. Deliver feedback to the processes.
             for (i, feedback) in scratch.feedbacks.iter().enumerate() {
                 self.processes[i].on_feedback(round, feedback, &mut self.node_rngs[i]);
             }
 
-            // 6. Record and evaluate the stop condition (already observed
+            // 7. Record and evaluate the stop condition (already observed
             //    delivery by delivery, in ascending receiver order).
             recorder.push_collisions(round_collisions);
             if recorder.wants_history() {
@@ -633,8 +662,8 @@ impl std::fmt::Debug for TrialExecutor {
 /// records and transmitter probing) and as a packed `u64` bitset aligned
 /// with [`dradio_graphs::Graph::neighbor_bits`], so reception resolves 64
 /// candidate neighbors per word instead of chasing adjacency `Vec`s. Dynamic
-/// edges activated by the link process live in equally packed per-node bit
-/// rows; only rows actually touched in a round are cleared afterwards.
+/// edges activated by the link process live in a [`DynamicAdjacency`];
+/// only what the round's active edges wrote is cleared afterwards.
 #[derive(Debug)]
 struct RoundScratch {
     /// Per-node actions of the current round.
@@ -647,22 +676,10 @@ struct RoundScratch {
     transmitters: Vec<NodeId>,
     /// Packed transmitter bitset (bit `v` set iff node `v` transmits).
     transmitter_bits: Vec<u64>,
-    /// Packed per-node dynamic adjacency rows for the current round
-    /// (`words_per_row` words per node; empty when the network is static or
-    /// the graph backend is CSR).
-    dynamic_rows: Vec<u64>,
-    /// Per-node dynamic adjacency *lists* for the current round — the CSR
-    /// backend's O(n + active-edges) replacement for `dynamic_rows`, whose
-    /// n × words bit matrix would itself be the quadratic allocation the
-    /// sparse backend exists to avoid. Empty unless the network is dynamic
-    /// *and* the backend is CSR.
-    dynamic_lists: Vec<Vec<NodeId>>,
-    /// Nodes whose dynamic row/list was written this round (cleared lazily).
-    touched_rows: Vec<usize>,
+    /// The current round's active dynamic edges as adjacency.
+    dynamic: DynamicAdjacency,
     /// The deduplicated genuine dynamic edges of the current round.
     active_edges: Vec<Edge>,
-    /// Words per packed row.
-    words_per_row: usize,
 }
 
 impl RoundScratch {
@@ -673,19 +690,8 @@ impl RoundScratch {
             feedbacks: Vec::with_capacity(n),
             transmitters: Vec::with_capacity(n),
             transmitter_bits: vec![0u64; words_per_row],
-            dynamic_rows: if has_dynamic_edges && !sparse {
-                vec![0u64; n.saturating_mul(words_per_row)]
-            } else {
-                Vec::new()
-            },
-            dynamic_lists: if has_dynamic_edges && sparse {
-                vec![Vec::new(); n]
-            } else {
-                Vec::new()
-            },
-            touched_rows: Vec::new(),
+            dynamic: DynamicAdjacency::new(n, words_per_row, has_dynamic_edges, sparse),
             active_edges: Vec::new(),
-            words_per_row,
         }
     }
 
@@ -698,69 +704,104 @@ impl RoundScratch {
         self.transmitters.clear();
         self.transmitter_bits.iter_mut().for_each(|w| *w = 0);
         self.clear_dynamic();
-        self.active_edges.clear();
     }
 
-    /// Zeroes the dynamic rows/lists touched by the previous round.
+    /// Zeroes what the previous round's active edges wrote and forgets them.
     fn clear_dynamic(&mut self) {
-        if self.dynamic_lists.is_empty() {
-            for &row in &self.touched_rows {
-                let start = row * self.words_per_row;
-                self.dynamic_rows[start..start + self.words_per_row].fill(0);
-            }
-        } else {
-            for &row in &self.touched_rows {
-                self.dynamic_lists[row].clear();
+        self.dynamic.clear(&self.active_edges);
+        self.active_edges.clear();
+    }
+}
+
+/// One round's active dynamic edges as adjacency: packed per-node bit rows
+/// (`words_per_row` words per node) on the dense backend, per-node lists on
+/// CSR — whose O(n + active-edges) footprint replaces the n × words bit
+/// matrix that would itself be the quadratic allocation the sparse backend
+/// exists to avoid. Both are empty when the network is static.
+#[derive(Debug)]
+struct DynamicAdjacency {
+    rows: Vec<u64>,
+    lists: Vec<Vec<NodeId>>,
+    words_per_row: usize,
+}
+
+impl DynamicAdjacency {
+    fn new(n: usize, words_per_row: usize, has_dynamic_edges: bool, sparse: bool) -> Self {
+        DynamicAdjacency {
+            rows: if has_dynamic_edges && !sparse {
+                vec![0u64; n.saturating_mul(words_per_row)]
+            } else {
+                Vec::new()
+            },
+            lists: if has_dynamic_edges && sparse {
+                vec![Vec::new(); n]
+            } else {
+                Vec::new()
+            },
+            words_per_row,
+        }
+    }
+
+    /// Zeroes what `edges` set: per edge, the two row words holding its
+    /// bits (dense) or its endpoints' two lists (CSR). Every other bit in
+    /// those words belongs to another edge of the same round, cleared too.
+    fn clear(&mut self, edges: &[Edge]) {
+        for edge in edges {
+            let (u, v) = edge.endpoints();
+            let (ui, vi) = (u.index(), v.index());
+            if self.lists.is_empty() {
+                self.rows[ui * self.words_per_row + vi / 64] = 0;
+                self.rows[vi * self.words_per_row + ui / 64] = 0;
+            } else {
+                self.lists[ui].clear();
+                self.lists[vi].clear();
             }
         }
-        self.touched_rows.clear();
     }
 
     /// Returns `true` if the dynamic edge `(u, v)` is active this round.
-    fn dynamic_bit(&self, u: NodeId, v: NodeId) -> bool {
-        if self.dynamic_lists.is_empty() {
+    fn bit(&self, u: NodeId, v: NodeId) -> bool {
+        if self.lists.is_empty() {
             let idx = u.index() * self.words_per_row + v.index() / 64;
-            self.dynamic_rows[idx] >> (v.index() % 64) & 1 == 1
+            self.rows[idx] >> (v.index() % 64) & 1 == 1
         } else {
             // Dynamic lists stay tiny (one entry per active edge at u this
             // round), so the linear probe is cheaper than keeping them sorted.
-            self.dynamic_lists[u.index()].contains(&v)
+            self.lists[u.index()].contains(&v)
         }
     }
 
     /// Activates the dynamic edge `(u, v)` for this round.
-    fn set_dynamic(&mut self, u: NodeId, v: NodeId) {
+    fn set(&mut self, u: NodeId, v: NodeId) {
         let (ui, vi) = (u.index(), v.index());
-        if self.dynamic_lists.is_empty() {
-            self.dynamic_rows[ui * self.words_per_row + vi / 64] |= 1u64 << (vi % 64);
-            self.dynamic_rows[vi * self.words_per_row + ui / 64] |= 1u64 << (ui % 64);
+        if self.lists.is_empty() {
+            self.rows[ui * self.words_per_row + vi / 64] |= 1u64 << (vi % 64);
+            self.rows[vi * self.words_per_row + ui / 64] |= 1u64 << (ui % 64);
         } else {
-            self.dynamic_lists[ui].push(v);
-            self.dynamic_lists[vi].push(u);
+            self.lists[ui].push(v);
+            self.lists[vi].push(u);
         }
-        self.touched_rows.push(ui);
-        self.touched_rows.push(vi);
     }
 
-    /// The packed dynamic adjacency row of node `u` (all zeroes when the
-    /// network is static; unused — and empty — on the CSR backend, which
-    /// reads [`dynamic_list`](RoundScratch::dynamic_list) instead).
-    fn dynamic_row(&self, u: usize) -> &[u64] {
-        if self.dynamic_rows.is_empty() {
+    /// The packed dynamic adjacency row of node `u` (empty when the network
+    /// is static or the backend is CSR, which reads
+    /// [`list`](DynamicAdjacency::list) instead).
+    fn row(&self, u: usize) -> &[u64] {
+        if self.rows.is_empty() {
             &[]
         } else {
             let start = u * self.words_per_row;
-            &self.dynamic_rows[start..start + self.words_per_row]
+            &self.rows[start..start + self.words_per_row]
         }
     }
 
     /// The dynamic neighbors activated at node `u` this round (empty when
     /// the network is static or the backend is dense).
-    fn dynamic_list(&self, u: usize) -> &[NodeId] {
-        if self.dynamic_lists.is_empty() {
+    fn list(&self, u: usize) -> &[NodeId] {
+        if self.lists.is_empty() {
             &[]
         } else {
-            &self.dynamic_lists[u]
+            &self.lists[u]
         }
     }
 }

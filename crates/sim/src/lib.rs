@@ -95,7 +95,8 @@ pub use error::SimError;
 pub use executor::{LinkFactory, TrialExecutor};
 pub use history::{Delivery, History, RoundRecord};
 pub use link::{
-    AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess, StaticLinks,
+    AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess, LinkProfile,
+    StaticLinks,
 };
 pub use message::{Message, MessageKind};
 pub use metrics::{Metrics, TrialMetrics};

@@ -3,13 +3,15 @@
 use std::fmt;
 use std::sync::Arc;
 
-use dradio_graphs::{DualGraph, Edge};
+use dradio_graphs::{DualGraph, Edge, NodeId};
 use rand::RngCore;
+use rand_chacha::ChaCha8Rng;
 
 use crate::action::Action;
 use crate::history::History;
 use crate::process::{Assignment, ProcessFactory};
 use crate::round::Round;
+use crate::sampling::bernoulli_threshold;
 
 /// The three classic adversary capability classes of randomized analysis,
 /// in increasing order of power.
@@ -56,7 +58,7 @@ impl LinkDecision {
     /// Activate every dynamic edge of `dual`: the round topology is `G'`.
     pub fn all_dynamic(dual: &DualGraph) -> Self {
         LinkDecision {
-            edges: dual.dynamic_edges(),
+            edges: dual.dynamic_index().edges().to_vec(),
         }
     }
 
@@ -90,7 +92,9 @@ impl LinkDecision {
 pub struct AdversarySetup<'a> {
     /// The dual graph being simulated, behind the engine's shared handle:
     /// adversaries that keep the network around across rounds should store
-    /// `setup.dual.clone()` (an [`Arc`] bump), never a deep graph copy.
+    /// `setup.dual.clone()` (an [`Arc`] bump), never a deep graph copy, and
+    /// read the dynamic edges from its shared
+    /// [`dynamic_index`](DualGraph::dynamic_index) rather than copying them.
     pub dual: &'a Arc<DualGraph>,
     /// The algorithm under attack (so the adversary can pre-simulate it).
     pub factory: &'a ProcessFactory,
@@ -203,18 +207,167 @@ pub trait LinkProcess: Send {
     fn name(&self) -> &'static str {
         "link-process"
     }
+
+    /// Whether the engine may evaluate this process's decisions itself. The
+    /// default, [`LinkProfile::Opaque`], is always correct: the engine calls
+    /// [`LinkProcess::decide`] every round.
+    ///
+    /// Under the collision rule a listener's round depends only on the
+    /// dynamic edges between it and a transmitter. So when the class is
+    /// oblivious, no history is recorded and the profile is
+    /// [`LinkProfile::Iid`], the executors never call `decide`: each round
+    /// they read the coins of the dynamic edges joining a transmitter to a
+    /// listener, straight from the adversary stream, and activate only
+    /// those. Under [`RecordMode::Full`](crate::RecordMode::Full) the
+    /// history lists every active edge, so `decide` runs as usual; that
+    /// path is the reference the profile path is tested against.
+    ///
+    /// # Contract for `Iid { p }`
+    ///
+    /// Let `m` be the number of dynamic edges, edge `k` the `k`-th of
+    /// [`DualGraph::dynamic_index`]`().edges()` (canonical order), and
+    /// `start` the adversary stream's word position when
+    /// [`LinkProcess::on_start`] returns.
+    ///
+    /// * The class is [`AdversaryClass::Oblivious`]. `on_start` may draw
+    ///   anything; the profile is read once per execution, after it.
+    /// * In round `r`, [`LinkProcess::decide`] activates exactly the edges
+    ///   `k` for which
+    ///   [`sampling::bernoulli(rng, p)`](crate::sampling::bernoulli) holds,
+    ///   drawing the coins in canonical order: one `next_u64` per edge for
+    ///   `0 < p < 1`, so edge `k`'s coin is the `next_u64` at word
+    ///   `start + 2·(r·m + k)`; none otherwise (every edge for `p ≥ 1`, no
+    ///   edge for `p ≤ 0`).
+    /// * `decide` draws nothing else, ignores its view, and proposes no
+    ///   edge outside `E' \ E`.
+    ///
+    /// Violating the contract silently desynchronizes the profile path from
+    /// `decide`; the root `integration_link_profile` suite pins the two
+    /// against each other.
+    fn link_profile(&self) -> LinkProfile {
+        LinkProfile::Opaque
+    }
 }
+
+/// Whether the engine may evaluate a link process's decisions itself (see
+/// [`LinkProcess::link_profile`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum LinkProfile {
+    /// No structure assumed: the engine calls [`LinkProcess::decide`] every
+    /// round.
+    #[default]
+    Opaque,
+    /// Each dynamic edge is present in each round independently with
+    /// probability `p`, drawn from the adversary stream as the
+    /// [`LinkProcess::link_profile`] contract lays out.
+    Iid {
+        /// Per-round presence probability (clamped semantics of
+        /// [`sampling::bernoulli`](crate::sampling::bernoulli)).
+        p: f64,
+    },
+}
+
+/// Which dynamic edges an `Iid` profile can switch on.
+#[derive(Debug, Clone, Copy)]
+enum CoinRule {
+    /// `p ≤ 0`: none, and no coin exists.
+    Never,
+    /// `p ≥ 1`: all, and no coin exists.
+    Always,
+    /// Edge present iff its coin `x` has `(x >> 11) < threshold`.
+    Below(u64),
+}
+
+/// One execution's plan for a [`LinkProfile::Iid`] adversary: the coin
+/// rule, where round 0's coins start in the adversary stream, and how many
+/// coins each round holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IidPlan {
+    rule: CoinRule,
+    start: u128,
+    coins_per_round: u128,
+}
+
+impl IidPlan {
+    /// The plan for presence probability `p`, with the adversary stream
+    /// `rng` standing where `on_start` left it. Builds the network's
+    /// dynamic-edge index unless `p ≤ 0`.
+    pub(crate) fn new(p: f64, rng: &ChaCha8Rng, dual: &DualGraph) -> IidPlan {
+        let rule = if p >= 1.0 {
+            CoinRule::Always
+        } else if p > 0.0 {
+            CoinRule::Below(bernoulli_threshold(p))
+        } else {
+            CoinRule::Never
+        };
+        let coins_per_round = match rule {
+            CoinRule::Below(_) => dual.dynamic_index().len() as u128,
+            CoinRule::Never | CoinRule::Always => 0,
+        };
+        IidPlan {
+            rule,
+            start: rng.get_word_pos(),
+            coins_per_round,
+        }
+    }
+}
+
+// lint: hot-path
+/// Pushes onto `active` the dynamic edges of `round` that reception can
+/// see: those joining one of `transmitters` to a node for which `transmits`
+/// is false, whose coin (read by seeking `rng` to exactly the word where
+/// [`LinkProcess::decide`] would draw it) switches them on. Edges between
+/// two listeners or two transmitters never change a reception, so their
+/// coins are never read; each pushed edge appears once.
+///
+/// Serves the scalar executor and every batch lane alike.
+pub(crate) fn activate_iid_edges(
+    plan: &IidPlan,
+    dual: &DualGraph,
+    round: Round,
+    transmitters: impl Iterator<Item = usize>,
+    transmits: impl Fn(usize) -> bool,
+    rng: &mut ChaCha8Rng,
+    active: &mut Vec<Edge>,
+) {
+    let threshold = match plan.rule {
+        CoinRule::Never => return,
+        CoinRule::Always => None,
+        CoinRule::Below(threshold) => Some(threshold),
+    };
+    let index = dual.dynamic_index();
+    let round_start = plan.start + 2 * plan.coins_per_round * round.index() as u128;
+    for t in transmitters {
+        for &(w, k) in index.incident(NodeId::new(t)) {
+            if transmits(w as usize) {
+                continue;
+            }
+            let present = match threshold {
+                Some(threshold) => {
+                    rng.set_word_pos(round_start + 2 * u128::from(k));
+                    (rng.next_u64() >> 11) < threshold
+                }
+                None => true,
+            };
+            if present {
+                active.push(index.edges()[k as usize]);
+            }
+        }
+    }
+}
+// lint: end-hot-path
 
 /// Built-in oblivious link process with fixed behaviour: activate either none
 /// or all of the dynamic edges in every round.
 ///
 /// `StaticLinks::none()` turns the dual graph model into the static protocol
 /// model over `G`; `StaticLinks::all()` turns it into the protocol model over
-/// `G'`. Both are useful baselines and test fixtures.
+/// `G'`. Both are useful baselines and test fixtures. They declare
+/// [`LinkProfile::Iid`] with `p = 0` and `p = 1`, which draw no coins.
 #[derive(Debug, Clone)]
 pub struct StaticLinks {
     include_all: bool,
-    cached: Vec<Edge>,
+    dual: Option<Arc<DualGraph>>,
 }
 
 impl StaticLinks {
@@ -222,7 +375,7 @@ impl StaticLinks {
     pub fn none() -> Self {
         StaticLinks {
             include_all: false,
-            cached: Vec::new(),
+            dual: None,
         }
     }
 
@@ -230,7 +383,7 @@ impl StaticLinks {
     pub fn all() -> Self {
         StaticLinks {
             include_all: true,
-            cached: Vec::new(),
+            dual: None,
         }
     }
 }
@@ -241,21 +394,18 @@ impl LinkProcess for StaticLinks {
     }
 
     fn on_start(&mut self, setup: &AdversarySetup<'_>, _rng: &mut dyn RngCore) {
-        if self.include_all {
-            self.cached = setup.dual.dynamic_edges();
-        }
+        self.dual = Some(Arc::clone(setup.dual));
     }
 
     fn decide(&mut self, _view: &AdversaryView<'_>, _rng: &mut dyn RngCore) -> LinkDecision {
-        if self.include_all {
-            LinkDecision::from_edges(self.cached.clone())
-        } else {
-            LinkDecision::none()
+        match &self.dual {
+            Some(dual) if self.include_all => LinkDecision::all_dynamic(dual),
+            _ => LinkDecision::none(),
         }
     }
 
     fn reset(&mut self) -> bool {
-        // `cached` is rewritten by `on_start` whenever it is read.
+        // `dual` is rewritten by `on_start` whenever it is read.
         true
     }
 
@@ -264,6 +414,12 @@ impl LinkProcess for StaticLinks {
             "static-all"
         } else {
             "static-none"
+        }
+    }
+
+    fn link_profile(&self) -> LinkProfile {
+        LinkProfile::Iid {
+            p: if self.include_all { 1.0 } else { 0.0 },
         }
     }
 }
@@ -350,5 +506,7 @@ mod tests {
         );
         assert_eq!(all.name(), "static-all");
         assert_eq!(all.class(), AdversaryClass::Oblivious);
+        assert_eq!(all.link_profile(), LinkProfile::Iid { p: 1.0 });
+        assert_eq!(none.link_profile(), LinkProfile::Iid { p: 0.0 });
     }
 }

@@ -32,6 +32,19 @@ pub fn bernoulli(rng: &mut dyn RngCore, p: f64) -> bool {
     uniform_f64(rng) < p
 }
 
+/// The integer threshold `T` with
+/// `uniform_f64(x) < p  ⟺  (x >> 11) < T` for `0 < p < 1`, so engine
+/// kernels can replay [`bernoulli`] on raw words without the float.
+///
+/// `uniform_f64` is `(x >> 11) as f64 * 2⁻⁵³`; the 53-bit integer converts
+/// exactly and the power-of-two scale is lossless, so the comparison is the
+/// real-number `k < p·2⁵³` — which holds iff `k < ceil(p·2⁵³)` whether or
+/// not `p·2⁵³` is an integer. `p·2⁵³` itself is an exact f64 product
+/// (power-of-two scaling of a finite f64 below 1).
+pub(crate) fn bernoulli_threshold(p: f64) -> u64 {
+    (p * 9_007_199_254_740_992.0).ceil() as u64
+}
+
 /// Draws a uniform floating point value in `[0, 1)` with 53 bits of
 /// precision.
 pub fn uniform_f64(rng: &mut dyn RngCore) -> f64 {

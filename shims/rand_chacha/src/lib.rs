@@ -76,6 +76,29 @@ impl ChaCha8Rng {
         self.index = 0;
         self.counter = self.counter.wrapping_add(1);
     }
+
+    /// The stream position of the next `next_u32` word, as in
+    /// `rand_chacha` 0.3 (a `next_u64` reads two words).
+    pub fn get_word_pos(&self) -> u128 {
+        // While `counter > 0` the buffer holds block `counter - 1`; a fresh
+        // generator (`counter == 0`, `index == 16`) stands at word 0.
+        u128::from(self.counter) * 16 + self.index as u128 - 16
+    }
+
+    // lint: hot-path
+    /// Moves the stream to word `word_offset`, as in `rand_chacha` 0.3:
+    /// the next `next_u32` returns that word. Seeking inside the buffered
+    /// block only moves the read index; any other target computes its one
+    /// block. Forward and backward seeks are equally cheap.
+    pub fn set_word_pos(&mut self, word_offset: u128) {
+        let block = (word_offset / 16) as u64;
+        if self.counter == 0 || self.counter - 1 != block {
+            self.counter = block;
+            self.refill();
+        }
+        self.index = (word_offset % 16) as usize;
+    }
+    // lint: end-hot-path
 }
 
 impl SeedableRng for ChaCha8Rng {
@@ -147,6 +170,83 @@ mod tests {
         }
         let mut b = a.clone();
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    /// The first `words` words of seed `seed`'s stream, read sequentially.
+    fn sequential(seed: u64, words: usize) -> Vec<u32> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..words).map(|_| rng.next_u32()).collect()
+    }
+
+    #[test]
+    fn word_pos_counts_words_read() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        assert_eq!(rng.get_word_pos(), 0);
+        rng.next_u32();
+        assert_eq!(rng.get_word_pos(), 1);
+        rng.next_u64();
+        assert_eq!(rng.get_word_pos(), 3);
+        for _ in 0..13 {
+            rng.next_u32();
+        }
+        assert_eq!(rng.get_word_pos(), 16, "end of the first block");
+        rng.next_u32();
+        assert_eq!(rng.get_word_pos(), 17);
+    }
+
+    #[test]
+    fn seeking_reproduces_the_sequential_stream() {
+        let stream = sequential(11, 200);
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        // Odd and even offsets, block boundaries from both sides, backwards
+        // jumps, and targets inside the buffered block.
+        for pos in [
+            0usize, 1, 2, 7, 15, 16, 17, 31, 32, 47, 100, 99, 64, 3, 16, 15, 150, 151, 152,
+        ] {
+            rng.set_word_pos(pos as u128);
+            assert_eq!(rng.get_word_pos(), pos as u128);
+            assert_eq!(rng.next_u32(), stream[pos], "word {pos}");
+            assert_eq!(rng.get_word_pos(), pos as u128 + 1);
+        }
+        // A u64 read straddling a block boundary after a seek.
+        rng.set_word_pos(15);
+        assert_eq!(
+            rng.next_u64(),
+            u64::from(stream[15]) | u64::from(stream[16]) << 32
+        );
+        // Sequential reading continues correctly after a seek.
+        rng.set_word_pos(40);
+        let tail: Vec<u32> = (0..50).map(|_| rng.next_u32()).collect();
+        assert_eq!(tail, stream[40..90]);
+    }
+
+    #[test]
+    fn seeking_within_the_buffered_block_keeps_the_block() {
+        let stream = sequential(5, 32);
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        rng.set_word_pos(20);
+        let counter = rng.counter;
+        for pos in [31usize, 16, 24, 17] {
+            rng.set_word_pos(pos as u128);
+            assert_eq!(rng.counter, counter, "no block recomputed for {pos}");
+            assert_eq!(rng.next_u32(), stream[pos]);
+        }
+    }
+
+    #[test]
+    fn set_of_get_word_pos_is_the_identity() {
+        for reads in [0usize, 1, 2, 15, 16, 17, 33] {
+            let mut rng = ChaCha8Rng::seed_from_u64(8);
+            for _ in 0..reads {
+                rng.next_u32();
+            }
+            let mut seeked = rng.clone();
+            seeked.set_word_pos(seeked.get_word_pos());
+            assert_eq!(seeked.get_word_pos(), rng.get_word_pos());
+            let a: Vec<u64> = (0..20).map(|_| rng.next_u64()).collect();
+            let b: Vec<u64> = (0..20).map(|_| seeked.next_u64()).collect();
+            assert_eq!(a, b, "after {reads} reads");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use dradio::core::kinds;
 use dradio::prelude::*;
-use dradio::scenario::TrialOutcome;
+use dradio::scenario::{ScenarioBuilder, TrialOutcome};
 use dradio::sim::{sampling, BatchProfile};
 
 /// A fixed-rate beacon field: nodes holding a problem role (the global
@@ -123,6 +123,22 @@ pub fn families() -> Vec<(TopologySpec, ProblemSpec)> {
     ]
 }
 
+/// The beacon field on `topology` solving `problem`, with the adversary
+/// still to choose.
+pub fn beacon_builder(
+    topology: &TopologySpec,
+    problem: &ProblemSpec,
+    backend: BackendChoice,
+    seed: u64,
+) -> ScenarioBuilder {
+    Scenario::on(topology.clone())
+        .custom_algorithm("beacon", beacon_factory())
+        .problem(problem.clone())
+        .seed(seed)
+        .max_rounds(200)
+        .backend(backend)
+}
+
 /// The beacon field on `topology` under `adversary`, solving `problem`.
 pub fn beacon_scenario(
     topology: &TopologySpec,
@@ -131,13 +147,8 @@ pub fn beacon_scenario(
     backend: BackendChoice,
     seed: u64,
 ) -> Scenario {
-    Scenario::on(topology.clone())
-        .custom_algorithm("beacon", beacon_factory())
+    beacon_builder(topology, problem, backend, seed)
         .adversary(adversary.clone())
-        .problem(problem.clone())
-        .seed(seed)
-        .max_rounds(200)
-        .backend(backend)
         .build()
         .expect("beacon scenarios build")
 }
