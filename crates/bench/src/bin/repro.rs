@@ -27,7 +27,7 @@
 //!                         cell: duplicate cells, degenerate or unreachable
 //!                         adaptive stop targets, and a per-group worst-case
 //!                         budget estimate — rounds and peak topology memory
-//!                         under the dense/CSR backend heuristic (exits
+//!                         in the layout the dual graph will pick (exits
 //!                         non-zero on warnings)
 //!     campaign run        execute every cell missing from the store
 //!                         (creates the store; resumes it if it exists)
@@ -58,9 +58,8 @@
 //!     --mem-budget <SZ>   check/fleet: per-cell topology memory ceiling —
 //!                         plain bytes or a binary-suffixed size ("512MiB",
 //!                         "4GiB"); any cell whose estimated topology
-//!                         footprint exceeds it draws a warning, with a
-//!                         pointer at the csr backend when forcing it on the
-//!                         group would fit
+//!                         footprint, in its automatic layout, exceeds it
+//!                         draws a warning
 //!     --workers <N>       fleet: worker processes to spawn (default 2)
 //!     --hang-timeout <S>  fleet: declare a silent worker dead after S seconds
 //!     --lease-timeout <S> fleet: re-queue an assigned cell not acknowledged
@@ -97,12 +96,12 @@
 //!                         engine workloads (clique / grid / random-geo at
 //!                         three sizes); --json also writes BENCH_batch.json
 //!     repro bench --scale [--scale-n <N>]
-//!                         million-node broadcast on the streaming CSR
-//!                         backend: a grid and a random-geometric network at
-//!                         ~N nodes (default 1,000,000), built row-by-row
-//!                         without the dense bitmatrix, with build/run
-//!                         timings, dense-vs-CSR memory estimates, and peak
-//!                         RSS; writes BENCH_sparse.json
+//!                         million-node broadcast on CSR rows: a grid and a
+//!                         random-geometric network at ~N nodes (default
+//!                         1,000,000), built in O(n + m) with no bit matrix
+//!                         attached, with build/run timings, dense-vs-CSR
+//!                         memory estimates, and peak RSS; writes
+//!                         BENCH_sparse.json
 //! ```
 
 use std::env;
@@ -976,14 +975,14 @@ fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// `repro bench --scale [--scale-n N]`: broadcast at ~N nodes (default one
-/// million) on a grid and a random-geometric network. Both topologies stream
-/// straight into the CSR backend above the density threshold — the dense
-/// bitmatrix those sizes would need (~116 GiB at 10⁶ nodes) is never
-/// allocated — and the report records build/run timings, the dense-vs-CSR
-/// memory estimates, and the process's peak RSS. Always writes
+/// million) on a grid and a random-geometric network. Both build their rows
+/// in O(n + m) and stay on CSR above the density threshold — the bit matrix
+/// those sizes would need (~116 GiB at 10⁶ nodes) is never allocated — and
+/// the report records build/run timings, the dense-vs-CSR memory estimates
+/// for both layers, and the process's peak RSS. Always writes
 /// `BENCH_sparse.json`.
 fn scale_bench_command(scale_n: usize) -> ExitCode {
-    use dradio_scenario::BackendChoice;
+    use dradio_scenario::{csr_bytes_estimate, dense_bytes_estimate};
 
     const ROUNDS: usize = 32;
     const TRIALS: usize = 2;
@@ -1017,12 +1016,10 @@ fn scale_bench_command(scale_n: usize) -> ExitCode {
 
     let mut rows = Vec::new();
     for (name, spec, adversary) in workloads {
-        let dense_bytes = spec
-            .memory_estimate(BackendChoice::Dense)
-            .map(|(_, bytes)| bytes);
-        let csr_bytes = spec
-            .memory_estimate(BackendChoice::Csr)
-            .map(|(_, bytes)| bytes);
+        // Both layers, in each layout.
+        let size = spec.node_count().zip(spec.expected_edges());
+        let dense_bytes = size.map(|(n, m)| 2 * dense_bytes_estimate(n, m));
+        let csr_bytes = size.map(|(n, m)| 2 * csr_bytes_estimate(n, m));
 
         let t_build = std::time::Instant::now();
         let built = match spec.build() {

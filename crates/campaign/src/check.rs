@@ -19,7 +19,7 @@
 
 use std::fmt;
 
-use dradio_scenario::{BackendChoice, Completion, GraphBackend};
+use dradio_scenario::{Completion, GraphBackend};
 
 use crate::error::Result;
 use crate::spec::{CampaignSpec, CellSpec, TrialPolicy};
@@ -39,8 +39,8 @@ pub struct GroupBudget {
     /// derivable from the spec (custom-sized topology under a default rule).
     pub max_rounds: Option<u64>,
     /// The largest estimated topology footprint among the group's cells:
-    /// the storage backend the group's [`BackendChoice`] resolves to for
-    /// that cell, and the estimated bytes for both network layers
+    /// the layout the automatic rule picks for that cell, and the estimated
+    /// bytes for both network layers
     /// ([`dradio_scenario::TopologySpec::memory_estimate`]). `None` when no
     /// cell's size is derivable from its spec.
     pub peak_topology: Option<(GraphBackend, u64)>,
@@ -88,9 +88,11 @@ pub fn check(spec: &CampaignSpec) -> Result<CheckReport> {
 }
 
 /// [`check`] with a per-cell topology memory budget in bytes: any cell whose
-/// estimated topology footprint (under the backend its group forces, or the
-/// auto heuristic) exceeds `mem_budget` draws a warning — with a pointer at
-/// the CSR backend when switching would bring the cell back under budget.
+/// estimated topology footprint
+/// ([`dradio_scenario::TopologySpec::memory_estimate`], in the layout the
+/// dual graph will pick) exceeds `mem_budget` draws a warning. The layout is
+/// not a spec knob, so the warning names the topology to shrink and nothing
+/// to force.
 ///
 /// # Errors
 ///
@@ -172,8 +174,7 @@ pub fn check_with_budget(spec: &CampaignSpec, mem_budget: Option<u64>) -> Result
         let mut peak: Option<(GraphBackend, u64)> = None;
         let mut worst_over: Option<(&CellSpec, GraphBackend, u64)> = None;
         for cell in &cells {
-            let Some((backend, bytes)) = cell.scenario.topology.memory_estimate(cell.backend)
-            else {
+            let Some((backend, bytes)) = cell.scenario.topology.memory_estimate() else {
                 continue;
             };
             if peak.is_none_or(|(_, b)| bytes > b) {
@@ -186,27 +187,11 @@ pub fn check_with_budget(spec: &CampaignSpec, mem_budget: Option<u64>) -> Result
             }
         }
         if let (Some(budget), Some((cell, backend, bytes))) = (mem_budget, worst_over) {
-            let csr_fit = if backend == GraphBackend::Dense {
-                cell.scenario
-                    .topology
-                    .memory_estimate(BackendChoice::Csr)
-                    .map(|(_, b)| b)
-                    .filter(|b| *b <= budget)
-            } else {
-                None
-            };
-            let hint = match csr_fit {
-                Some(csr_bytes) => format!(
-                    "; forcing the csr backend on the group brings it to ~{}",
-                    format_bytes(csr_bytes)
-                ),
-                None => String::new(),
-            };
             warnings.push(CheckWarning {
                 group: Some(index),
                 message: format!(
                     "group {index}: topology {} needs ~{} as {backend} — over the {} \
-                     memory budget{hint}",
+                     memory budget",
                     cell.scenario.topology.label(),
                     format_bytes(bytes),
                     format_bytes(budget),
@@ -464,49 +449,54 @@ mod tests {
 
     #[test]
     fn memory_budgets_warn_on_oversized_dense_cells() {
-        // A million-node grid under the auto heuristic resolves to CSR and
-        // fits comfortably in a 1 GiB budget: report stays clean, and the
-        // peak-topology estimate names the backend it resolved.
         let mut spec = CampaignSpec::named("mem-budget");
         spec.trials = TrialPolicy::Fixed(1);
-        let big = SweepGroup::cell(
-            TopologySpec::Grid {
-                cols: 1000,
-                rows: 1000,
-            },
-            AlgorithmSpec::Global(dradio_core::GlobalAlgorithm::Bgi),
-            AdversarySpec::StaticNone,
-            ProblemSpec::GlobalFrom(0),
-        )
-        .rounds(crate::spec::RoundsRule::Fixed(10));
-        spec.groups.push(big.clone());
+        let cell = |topology| {
+            SweepGroup::cell(
+                topology,
+                AlgorithmSpec::Global(dradio_core::GlobalAlgorithm::Bgi),
+                AdversarySpec::StaticNone,
+                ProblemSpec::GlobalFrom(0),
+            )
+            .rounds(crate::spec::RoundsRule::Fixed(10))
+        };
+        // A million-node grid is priced in the CSR layout the dual graph
+        // will pick for it, which fits.
+        let grid = TopologySpec::Grid {
+            cols: 1000,
+            rows: 1000,
+        };
+        spec.groups.push(cell(grid.clone()));
         let budget = 1u64 << 30;
         let report = check_with_budget(&spec, Some(budget)).unwrap();
         assert!(report.is_clean(), "{report}");
         let (backend, bytes) = report.groups[0].peak_topology.unwrap();
+        assert_eq!((backend, bytes), grid.memory_estimate().unwrap());
         assert_eq!(backend, GraphBackend::Csr);
         assert!(bytes < budget, "CSR grid estimate must fit: {bytes}");
         assert!(report.to_string().contains("peak topology"), "{report}");
+        assert!(report.to_string().contains("(csr)"), "{report}");
 
-        // Forcing the dense backend on the same group blows the budget
-        // (~116 GiB of bitmatrix per layer) and the warning points back at
-        // the CSR backend that would fit.
-        spec.groups = vec![big.backend(BackendChoice::Dense)];
+        // A 10 000-node dual clique is dense under the automatic rule, and
+        // its rows alone blow the budget: the warning prices the dense
+        // layout and suggests forcing nothing.
+        let clique = TopologySpec::DualClique { n: 10_000 };
+        spec.groups = vec![cell(grid), cell(clique.clone())];
         let report = check_with_budget(&spec, Some(budget)).unwrap();
-        let (backend, bytes) = report.groups[0].peak_topology.unwrap();
+        let (backend, bytes) = report.groups[1].peak_topology.unwrap();
+        assert_eq!((backend, bytes), clique.memory_estimate().unwrap());
         assert_eq!(backend, GraphBackend::Dense);
-        assert!(bytes > 100u64 << 30, "dense estimate is huge: {bytes}");
-        let warning = report
-            .warnings
-            .iter()
-            .find(|w| w.message.contains("memory budget"))
-            .expect("over-budget dense cell must be warned");
-        assert!(warning.message.contains("dense"), "{}", warning.message);
+        assert!(bytes > budget, "dense estimate is over budget: {bytes}");
+        assert_eq!(report.warnings.len(), 1, "{report}");
+        let warning = &report.warnings[0];
+        assert_eq!(warning.group, Some(1));
         assert!(
-            warning.message.contains("forcing the csr backend"),
+            warning.message.contains("memory budget"),
             "{}",
             warning.message
         );
+        assert!(warning.message.contains("as dense"), "{}", warning.message);
+        assert!(!warning.message.contains("forcing"), "{}", warning.message);
 
         // Without a budget the same spec checks clean — estimates are
         // informational unless the caller sets a ceiling.

@@ -484,12 +484,7 @@ fn run_cell(
         source,
     };
     let mut builder = ScenarioBuilder::from_spec(cell.scenario.clone());
-    if cell.backend != dradio_scenario::BackendChoice::Auto {
-        // A forced backend skips the shared cache: the cache holds networks
-        // built under the auto heuristic, and converting a cached network
-        // per-cell would defeat the sharing anyway.
-        builder = builder.backend(cell.backend);
-    } else if let Some(topology) = topologies.get(&cell.scenario.topology) {
+    if let Some(topology) = topologies.get(&cell.scenario.topology) {
         builder = builder.with_topology(topology);
     }
     let scenario: Scenario = builder.build().map_err(at_cell)?;
@@ -1058,7 +1053,6 @@ mod tests {
             trials: TrialPolicy::Fixed(1),
             record_mode: RecordMode::None,
             curve: false,
-            backend: dradio_scenario::BackendChoice::Auto,
         };
         let cache = TopologyCache::for_pending(std::slice::from_ref(&cell));
         assert!(cache.get(&bad).is_none(), "failed builds are not cached");

@@ -11,8 +11,7 @@
 use std::fmt;
 
 use dradio_scenario::{
-    AdversarySpec, AlgorithmSpec, BackendChoice, ProblemSpec, RecordMode, ScenarioSpec,
-    TopologySpec,
+    AdversarySpec, AlgorithmSpec, ProblemSpec, RecordMode, ScenarioSpec, TopologySpec,
 };
 use serde::{Deserialize, Serialize, Value};
 
@@ -282,13 +281,6 @@ pub struct SweepGroup {
     /// Like the record mode, this is **not** part of a cell's identity: the
     /// scalar statistics are identical with and without the curve.
     pub curve: bool,
-    /// Which graph storage backend this group's cells build their topologies
-    /// with (default [`BackendChoice::Auto`]: dense for small networks, CSR
-    /// once the dense bitmatrix would dwarf the edge list). A pure memory/
-    /// layout decision — every backend yields structurally identical networks
-    /// and bit-identical measurements — so, like the record mode, this is
-    /// **not** part of a cell's identity.
-    pub backend: BackendChoice,
 }
 
 impl SweepGroup {
@@ -310,7 +302,6 @@ impl SweepGroup {
             collision_detection: false,
             record_mode: RecordMode::None,
             curve: false,
-            backend: BackendChoice::Auto,
         }
     }
 
@@ -367,14 +358,6 @@ impl SweepGroup {
         self
     }
 
-    /// Forces a graph storage backend for this group's cells (default
-    /// [`BackendChoice::Auto`]; structurally and measurement-wise a no-op —
-    /// purely a memory/layout knob for very large topologies).
-    pub fn backend(mut self, backend: BackendChoice) -> Self {
-        self.backend = backend;
-        self
-    }
-
     fn validate(&self, index: usize) -> Result<()> {
         let check_axis = |name: &str, len: usize| {
             if len == 0 {
@@ -425,7 +408,7 @@ impl SweepGroup {
 
 impl Serialize for SweepGroup {
     fn to_value(&self) -> Value {
-        let mut fields = vec![
+        Value::Map(vec![
             ("topologies".into(), self.topologies.to_value()),
             ("algorithms".into(), self.algorithms.to_value()),
             ("adversaries".into(), self.adversaries.to_value()),
@@ -439,12 +422,7 @@ impl Serialize for SweepGroup {
             ),
             ("record_mode".into(), self.record_mode.to_value()),
             ("curve".into(), self.curve.to_value()),
-        ];
-        // Only-when-forced, so pre-backend spec files keep their exact bytes.
-        if self.backend != BackendChoice::Auto {
-            fields.push(("backend".into(), self.backend.to_value()));
-        }
-        Value::Map(fields)
+        ])
     }
 }
 
@@ -484,12 +462,9 @@ impl Deserialize for SweepGroup {
                 Some(v) => bool::from_value(v)?,
                 None => false,
             },
-            // A legacy `"batch"` key, from specs written while batching was
-            // a knob, is ignored: the runner decides on its own.
-            backend: match value.get("backend") {
-                Some(v) => BackendChoice::from_value(v)?,
-                None => BackendChoice::Auto,
-            },
+            // Legacy `"batch"` and `"backend"` keys, from specs written
+            // while batching and the graph layout were knobs, are ignored
+            // whatever their value: the runner and the dual graph decide.
         })
     }
 }
@@ -601,7 +576,6 @@ impl CampaignSpec {
                                 trials,
                                 record_mode,
                                 curve: group.curve,
-                                backend: group.backend,
                             };
                             if seen.insert(cell.key()) {
                                 cells.push(cell);
@@ -682,12 +656,6 @@ pub struct CellSpec {
     /// statistics are unchanged), and omitted from the serialized form when
     /// off so pre-curve stores keep their exact bytes.
     pub curve: bool,
-    /// Which graph storage backend the cell builds its topology with. A pure
-    /// memory/layout decision — every backend yields structurally identical
-    /// networks and bit-identical measurements — so also **not part of the
-    /// cell's identity**, and omitted from the serialized form when
-    /// [`BackendChoice::Auto`] so pre-backend stores keep their exact bytes.
-    pub backend: BackendChoice,
 }
 
 impl CellSpec {
@@ -737,9 +705,6 @@ impl Serialize for CellSpec {
         if self.curve {
             fields.push(("curve".into(), self.curve.to_value()));
         }
-        if self.backend != BackendChoice::Auto {
-            fields.push(("backend".into(), self.backend.to_value()));
-        }
         Value::Map(fields)
     }
 }
@@ -751,8 +716,9 @@ impl Deserialize for CellSpec {
                 .get(name)
                 .ok_or_else(|| serde::Error::new(format!("CellSpec is missing {name:?}")))
         };
-        // A legacy `"batch"` key, from stores written while batching was a
-        // knob, is ignored, so those lines load as-is.
+        // Legacy `"batch"` and `"backend"` keys, from stores written while
+        // batching and the graph layout were knobs, are ignored whatever
+        // their value, so those lines load as-is.
         Ok(CellSpec {
             scenario: ScenarioSpec::from_value(field("scenario")?)?,
             trials: TrialPolicy::from_value(field("trials")?)?,
@@ -765,11 +731,6 @@ impl Deserialize for CellSpec {
             curve: match value.get("curve") {
                 Some(v) => bool::from_value(v)?,
                 None => false,
-            },
-            // Absent in stores written before storage backends existed.
-            backend: match value.get("backend") {
-                Some(v) => BackendChoice::from_value(v)?,
-                None => BackendChoice::Auto,
             },
         })
     }
@@ -1131,40 +1092,49 @@ mod tests {
 
     #[test]
     fn backend_knob_stays_off_the_wire_and_out_of_keys_when_auto() {
-        let mut campaign = sample_campaign();
-        campaign.groups[0] = campaign.groups[0].clone().backend(BackendChoice::Csr);
-        let forced_cells = campaign.expand().unwrap();
-        let plain_cells = sample_campaign().expand().unwrap();
-        for (a, b) in plain_cells.iter().zip(&forced_cells) {
-            assert_eq!(a.backend, BackendChoice::Auto);
-            assert_eq!(b.backend, BackendChoice::Csr);
-            // A pure memory/layout decision: the backend must not change
-            // what the cell measures, so it must not change the key either.
-            assert_eq!(a.key(), b.key(), "backend must not change the key");
+        // The layout is the dual graph's decision: a legacy `"backend"` key,
+        // whatever its value, parses with the value ignored and is never
+        // written back.
+        let plain = sample_campaign();
+        let plain_json = serde_json::to_string(&plain).unwrap();
+        assert!(!plain_json.contains("backend"), "{plain_json}");
+        let plain_cells = plain.expand().unwrap();
+        let cell_json = serde_json::to_string(&plain_cells[0]).unwrap();
+        assert!(!cell_json.contains("backend"), "{cell_json}");
+        for value in [
+            r#""Auto""#,
+            r#""Dense""#,
+            r#""Csr""#,
+            r#""Turbo""#,
+            "7",
+            "null",
+            r#"{"Csr":[1]}"#,
+        ] {
+            let legacy_json = plain_json.replace(
+                "\"curve\":false",
+                &format!("\"curve\":false,\"backend\":{value}"),
+            );
+            assert!(legacy_json.contains("\"backend\""));
+            let legacy: CampaignSpec = serde_json::from_str(&legacy_json).unwrap();
+            assert_eq!(legacy, plain, "{value}");
+            assert_eq!(serde_json::to_string(&legacy).unwrap(), plain_json);
+            // Same cells, same keys as the plain group.
+            let cells = legacy.expand().unwrap();
+            assert_eq!(cells, plain_cells);
+            for (a, b) in cells.iter().zip(&plain_cells) {
+                assert_eq!(a.key(), b.key());
+            }
+            // A stored cell line carrying the key loads as the plain cell.
+            let legacy_cell = cell_json.replace(
+                "\"record_mode\":\"None\"",
+                &format!("\"record_mode\":\"None\",\"backend\":{value}"),
+            );
+            assert!(legacy_cell.contains("\"backend\""));
+            let back: CellSpec = serde_json::from_str(&legacy_cell).unwrap();
+            assert_eq!(back, plain_cells[0]);
+            assert_eq!(back.key(), plain_cells[0].key());
+            assert_eq!(serde_json::to_string(&back).unwrap(), cell_json);
         }
-        // Forced cells round-trip the knob...
-        let json = serde_json::to_string(&forced_cells[0]).unwrap();
-        assert!(json.contains("\"backend\":\"Csr\""));
-        let back: CellSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.backend, BackendChoice::Csr);
-        // ...while auto cells keep the exact pre-backend store bytes, so
-        // backend-forced re-runs of old campaigns compare byte-for-byte.
-        let plain_json = serde_json::to_string(&plain_cells[0]).unwrap();
-        assert!(
-            !plain_json.contains("backend"),
-            "auto cells keep the pre-backend bytes: {plain_json}"
-        );
-        let back: CellSpec = serde_json::from_str(&plain_json).unwrap();
-        assert_eq!(back.backend, BackendChoice::Auto);
-        // Groups serialize the knob only when forced, too.
-        let group_json = serde_json::to_string(&sample_campaign().groups[0]).unwrap();
-        assert!(!group_json.contains("backend"));
-        let back: SweepGroup = serde_json::from_str(&group_json).unwrap();
-        assert_eq!(back.backend, BackendChoice::Auto);
-        let forced_group_json = serde_json::to_string(&campaign.groups[0]).unwrap();
-        assert!(forced_group_json.contains("\"backend\":\"Csr\""));
-        let back: SweepGroup = serde_json::from_str(&forced_group_json).unwrap();
-        assert_eq!(back.backend, BackendChoice::Csr);
     }
 
     #[test]

@@ -655,7 +655,6 @@ mod tests {
             trials: TrialPolicy::Fixed(2),
             record_mode: dradio_scenario::RecordMode::None,
             curve: false,
-            backend: dradio_scenario::BackendChoice::Auto,
         };
         CellRecord {
             key: cell.key(),

@@ -127,4 +127,54 @@ proptest! {
         let cells = doubled.expand().expect("valid");
         prop_assert_eq!(&cells, &base);
     }
+
+    /// The graph layout is no longer a spec knob. A legacy `"backend"` key
+    /// on every group, holding any JSON value, is ignored: the spec expands
+    /// to the plain spec's cells, keys and bytes. Any text at all in value
+    /// position parses or fails with an error, never a panic.
+    #[test]
+    fn legacy_backend_keys_are_ignored_or_rejected(
+        campaign in campaign_strategy(),
+        value in backend_value_strategy(),
+        garbage in proptest::collection::vec(32u32..127, 0..10),
+    ) {
+        let plain = serde_json::to_string(&campaign).expect("specs serialize");
+        let with_backend = |value: &str| {
+            plain.replace("\"curve\":false", &format!("\"curve\":false,\"backend\":{value}"))
+        };
+        let legacy = with_backend(&value);
+        prop_assert!(legacy.contains("\"backend\":"));
+        let reloaded: CampaignSpec = serde_json::from_str(&legacy).expect("legacy specs load");
+        prop_assert_eq!(&reloaded, &campaign);
+        prop_assert_eq!(serde_json::to_string(&reloaded).expect("specs serialize"), plain.clone());
+        let cells = reloaded.expand().expect("valid");
+        let base = campaign.expand().expect("valid");
+        prop_assert_eq!(&cells, &base);
+        for (a, b) in cells.iter().zip(&base) {
+            prop_assert_eq!(a.key(), b.key());
+        }
+        let text: String = garbage.iter().filter_map(|&c| char::from_u32(c)).collect();
+        let _ = serde_json::from_str::<CampaignSpec>(&with_backend(&text));
+    }
+}
+
+/// JSON values a legacy `"backend"` key may hold: the three old choices,
+/// other strings, and values of every other shape.
+fn backend_value_strategy() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("\"Auto\"".to_string()),
+        Just("\"Dense\"".to_string()),
+        Just("\"Csr\"".to_string()),
+        proptest::collection::vec(97u32..123, 0..8).prop_map(|cs| format!(
+            "\"{}\"",
+            cs.iter()
+                .filter_map(|&c| char::from_u32(c))
+                .collect::<String>()
+        )),
+        (0u64..1000).prop_map(|n| n.to_string()),
+        Just("null".to_string()),
+        Just("true".to_string()),
+        Just("[\"Csr\",1]".to_string()),
+        Just("{\"Dense\":{}}".to_string()),
+    ]
 }

@@ -19,11 +19,17 @@
 //! the same way, with the last binary in which batching was a per-group
 //! spec knob, from a spec that turned it on. The link-profile fixtures were
 //! captured with the last binary in which every oblivious `Iid`/static link
-//! round ran `decide` over all dynamic edges. If any of these tests fails,
-//! the store format has drifted — bump a format version rather than editing
-//! the fixtures.
+//! round ran `decide` over all dynamic edges, and the legacy-backend
+//! fixture with the last binary in which the graph layout was a per-group
+//! spec knob. If any of these tests fails, the store format has drifted —
+//! bump a format version rather than editing the fixtures.
 
-use dradio_campaign::{CampaignRunner, CampaignSpec, ResultStore, StopRule, TrialPolicy};
+use std::sync::Arc;
+
+use dradio_campaign::{
+    CampaignRunner, CampaignSpec, CellRecord, ResultStore, StopRule, TrialPolicy,
+};
+use dradio_scenario::{BuiltTopology, GraphBackend, Measurement, ScenarioBuilder, ScenarioRunner};
 
 /// `--example-campaign` of the pre-refactor binary (adaptive trial policy,
 /// serialized without a `stop` field).
@@ -127,6 +133,27 @@ const LINK_PROFILE_CSR_STORE: &str = concat!(
     r#"{"key":"8869e3d38a782009","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":"StaticAll","problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":37.333333333333336,"std_dev":18.0092568789868,"min":19.0,"max":55.0,"median":38.0,"p95":55.0},"completion_rate":1.0,"mean_collisions":7.666666666666667}}"#,
     "\n",
     r#"{"key":"d72953c27456d3f2","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":"StaticNone","problem":{"LocalRandom":{"count":4,"seed":6}},"seed":4,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":123.66666666666667,"std_dev":59.676907873425655,"min":55.0,"max":163.0,"median":153.0,"p95":163.0},"completion_rate":1.0,"mean_collisions":2.0}}"#,
+    "\n",
+);
+
+/// A spec from when the graph layout was a per-group knob: one group
+/// forced dense, the other forced CSR.
+const LEGACY_BACKEND_CAMPAIGN: &str = r#"{"name":"legacy-backend","seed":6,"trials":{"Fixed":3},"groups":[{"topologies":[{"RandomGeometric":{"n":30,"side":2.0,"r":1.5,"seed":8}},{"Grid":{"cols":5,"rows":4}}],"algorithms":[{"Global":"Permuted"}],"adversaries":[{"Iid":{"p":0.5}},"GreedyCollision"],"problems":[{"GlobalFrom":0}],"seed":null,"trials":null,"rounds":{"Fixed":300},"collision_detection":false,"record_mode":"None","curve":false,"backend":"Dense"},{"topologies":[{"Bracelet":{"k":3}}],"algorithms":[{"Local":"StaticDecay"}],"adversaries":[{"Iid":{"p":0.5}},"BraceletAttack"],"problems":["LocalHeadsA"],"seed":null,"trials":null,"rounds":{"Fixed":300},"collision_detection":false,"record_mode":"None","curve":false,"backend":"Csr"}]}"#;
+
+/// The store that binary wrote for [`LEGACY_BACKEND_CAMPAIGN`], byte for
+/// byte: every cell carries the `"backend"` its group forced.
+const LEGACY_BACKEND_STORE: &str = concat!(
+    r#"{"key":"f93acc402609c9bc","cell":{"scenario":{"topology":{"RandomGeometric":{"n":30,"side":2.0,"r":1.5,"seed":8}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":6,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Dense"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":27.0,"std_dev":9.848857801796104,"min":16.0,"max":35.0,"median":30.0,"p95":35.0},"completion_rate":1.0,"mean_collisions":311.0}}"#,
+    "\n",
+    r#"{"key":"34c6e155b32f0363","cell":{"scenario":{"topology":{"RandomGeometric":{"n":30,"side":2.0,"r":1.5,"seed":8}},"algorithm":{"Global":"Permuted"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":6,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Dense"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":15.666666666666666,"std_dev":5.507570547286102,"min":12.0,"max":22.0,"median":13.0,"p95":22.0},"completion_rate":1.0,"mean_collisions":131.33333333333334}}"#,
+    "\n",
+    r#"{"key":"73fbbcea5117e0d2","cell":{"scenario":{"topology":{"Grid":{"cols":5,"rows":4}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":6,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Dense"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":28.0,"std_dev":8.888194417315589,"min":18.0,"max":35.0,"median":31.0,"p95":35.0},"completion_rate":1.0,"mean_collisions":16.666666666666668}}"#,
+    "\n",
+    r#"{"key":"669f45a9d239ec81","cell":{"scenario":{"topology":{"Grid":{"cols":5,"rows":4}},"algorithm":{"Global":"Permuted"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":6,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Dense"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":28.0,"std_dev":8.888194417315589,"min":18.0,"max":35.0,"median":31.0,"p95":35.0},"completion_rate":1.0,"mean_collisions":16.666666666666668}}"#,
+    "\n",
+    r#"{"key":"0966b77120aab557","cell":{"scenario":{"topology":{"Bracelet":{"k":3}},"algorithm":{"Local":"StaticDecay"},"adversary":{"Iid":{"p":0.5}},"problem":"LocalHeadsA","seed":6,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":12.333333333333334,"std_dev":6.350852961085883,"min":5.0,"max":16.0,"median":16.0,"p95":16.0},"completion_rate":1.0,"mean_collisions":0.6666666666666666}}"#,
+    "\n",
+    r#"{"key":"b084829c1b3b9508","cell":{"scenario":{"topology":{"Bracelet":{"k":3}},"algorithm":{"Local":"StaticDecay"},"adversary":"BraceletAttack","problem":"LocalHeadsA","seed":6,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":12.333333333333334,"std_dev":6.350852961085883,"min":5.0,"max":16.0,"median":16.0,"p95":16.0},"completion_rate":1.0,"mean_collisions":2.0}}"#,
     "\n",
 );
 
@@ -363,11 +390,116 @@ fn link_profile_cells_reproduce_the_stores_decide_wrote() {
         let mut store = ResultStore::open(&path).unwrap();
         CampaignRunner::new(&spec).run(&mut store).unwrap();
         drop(store);
+        // The CSR fixture's cells carry the layout knob that binary wrote;
+        // the layout is no longer a knob, so a fresh run omits it.
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
-            golden,
+            golden.replace(r#","backend":"Csr""#, ""),
             "{tag}: the profile path drifted from the decide path's store"
         );
         let _ = std::fs::remove_file(&path);
     }
+    // The CSR fixture was measured on CSR rows; they still measure it.
+    assert_lines_remeasure_on_their_layouts(LINK_PROFILE_CSR_STORE);
+}
+
+/// Re-measures every stored line's cell on the layout its `"backend"` names
+/// — the network built by its spec, converted with `with_graph_backend` —
+/// and compares the measurement bytes with the stored ones.
+fn assert_lines_remeasure_on_their_layouts(golden: &str) {
+    for line in golden.lines() {
+        let record: CellRecord = serde_json::from_str(line).unwrap();
+        let layout = if line.contains(r#""backend":"Dense""#) {
+            GraphBackend::Dense
+        } else {
+            assert!(line.contains(r#""backend":"Csr""#), "{line}");
+            GraphBackend::Csr
+        };
+        let built = record.cell.scenario.topology.build().unwrap();
+        let converted = BuiltTopology {
+            dual: Arc::new(built.dual.with_graph_backend(layout)),
+            ..built
+        };
+        assert_eq!(converted.dual.graph_backend(), layout);
+        let scenario = ScenarioBuilder::from_spec(record.cell.scenario.clone())
+            .with_topology(converted)
+            .build()
+            .unwrap();
+        let TrialPolicy::Fixed(trials) = record.cell.trials else {
+            panic!("the layout fixtures use fixed trial counts");
+        };
+        let runner = ScenarioRunner::new(&scenario)
+            .sequential()
+            .record_mode(record.cell.record_mode);
+        let measurement =
+            Measurement::from_trials(&runner.collect_trials(trials).unwrap()).unwrap();
+        assert_eq!(
+            serde_json::to_string(&measurement).unwrap(),
+            serde_json::to_string(&record.measurement).unwrap(),
+            "{layout} layout: {}",
+            record.cell.label()
+        );
+    }
+}
+
+#[test]
+fn legacy_backend_store_lines_load_check_compact_and_resume() {
+    // The layout is now the dual graph's decision; a stored `"backend"` is
+    // read past, never rewritten, and changes nothing about the cell.
+    let path = temp_path("legacy-backend");
+    std::fs::write(&path, LEGACY_BACKEND_STORE).unwrap();
+    let store = ResultStore::open(&path).unwrap();
+    assert_eq!(store.len(), 6, "the legacy records load");
+    for record in store.records() {
+        assert_eq!(record.cell.key(), record.key, "the knob was never identity");
+    }
+    drop(store);
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        LEGACY_BACKEND_STORE
+    );
+
+    let fsck = ResultStore::fsck(&path).unwrap();
+    assert!(fsck.is_clean(), "{fsck}");
+
+    let spec: CampaignSpec = serde_json::from_str(LEGACY_BACKEND_CAMPAIGN).unwrap();
+    let report = ResultStore::compact(&spec, &path).unwrap();
+    assert_eq!((report.kept, report.dropped, report.missing), (6, 0, 0));
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        LEGACY_BACKEND_STORE,
+        "compaction keeps the legacy lines' bytes"
+    );
+
+    let mut store = ResultStore::open(&path).unwrap();
+    let report = CampaignRunner::new(&spec).run(&mut store).unwrap();
+    assert_eq!((report.skipped, report.executed), (6, 0));
+    drop(store);
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        LEGACY_BACKEND_STORE
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn legacy_backend_campaigns_rerun_to_the_same_lines_without_the_field() {
+    // A fresh run of the legacy spec measures exactly what the old binary
+    // measured under each forced layout; only the knob, which is no longer
+    // written, drops out.
+    let path = temp_path("legacy-backend-fresh");
+    let spec: CampaignSpec = serde_json::from_str(LEGACY_BACKEND_CAMPAIGN).unwrap();
+    let mut store = ResultStore::open(&path).unwrap();
+    CampaignRunner::new(&spec).run(&mut store).unwrap();
+    drop(store);
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        LEGACY_BACKEND_STORE
+            .replace(r#","backend":"Dense""#, "")
+            .replace(r#","backend":"Csr""#, "")
+    );
+    let _ = std::fs::remove_file(&path);
+    // And each layout the old binary was forced onto still measures its
+    // lines today.
+    assert_lines_remeasure_on_their_layouts(LEGACY_BACKEND_STORE);
 }

@@ -141,7 +141,6 @@ mod tests {
             trials: TrialPolicy::Fixed(1),
             record_mode: RecordMode::None,
             curve: false,
-            backend: dradio_scenario::BackendChoice::Auto,
         }
     }
 

@@ -5,7 +5,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::error::GraphError;
 use crate::geometry::Embedding;
-use crate::graph::{Edge, Graph, GraphBackend};
+use crate::graph::{auto_backend, row_difference, Edge, Graph, GraphBackend};
 use crate::node::NodeId;
 use crate::Result;
 
@@ -18,6 +18,11 @@ use crate::Result;
 ///
 /// When `G = G'` the model degenerates to the classic static protocol model,
 /// which is how the static baselines of Figure 1 (row 4) are simulated.
+///
+/// The dual graph decides the layout of both layers: its constructors apply
+/// [`auto_backend`] to `n` and `|E'|` and attach the bit matrix to `G` and
+/// `G'` when it says dense, so every network of a given shape is stored the
+/// same way whichever generator built it.
 ///
 /// An optional Euclidean [`Embedding`] records node positions for networks
 /// that satisfy the paper's *geographic constraint* (Section 2): nodes at
@@ -33,7 +38,7 @@ use crate::Result;
 /// let dual = DualGraph::new(g, g_prime)?;
 /// assert_eq!(dual.len(), 3);
 /// assert_eq!(dual.dynamic_edges().len(), 1); // only (0, 2) is dynamic
-/// assert_eq!(dual.dynamic_index().edges(), dual.dynamic_edges().as_slice());
+/// assert_eq!(dual.dynamic_index().edges(), dual.dynamic_edges());
 /// # Ok::<(), dradio_graphs::GraphError>(())
 /// ```
 #[derive(Clone)]
@@ -91,37 +96,27 @@ pub struct DynamicEdgeIndex {
 }
 
 impl DynamicEdgeIndex {
-    /// Builds and validates the index of `g_prime \ g`.
+    /// Builds the index of `g_prime \ g`, walking each node's two sorted
+    /// rows together, so the edges come out in canonical order.
     ///
     /// # Panics
     ///
     /// Panics if the network or its dynamic-edge count does not fit in
-    /// `u32`, or if a layer answers inconsistently (an edge out of order,
-    /// missing from `G'`, or present in `G`).
+    /// `u32`.
     fn build(g: &Graph, g_prime: &Graph) -> Self {
         let n = g_prime.len();
         let mut edges = Vec::new();
         let mut degree = vec![0usize; n];
         for u in g_prime.nodes() {
-            for &v in g_prime.neighbors(u) {
-                if u < v && !g.has_edge(u, v) {
-                    edges.push(Edge::new(u, v));
-                    degree[u.index()] += 1;
-                    degree[v.index()] += 1;
-                }
+            for v in row_difference(g_prime.neighbors(u), g.neighbors(u)).filter(|&v| u < v) {
+                edges.push(Edge::new(u, v));
+                degree[u.index()] += 1;
+                degree[v.index()] += 1;
             }
         }
         assert!(
             n <= u32::MAX as usize && edges.len() <= u32::MAX as usize,
             "the dynamic-edge index addresses nodes and edges with u32"
-        );
-        assert!(
-            edges.windows(2).all(|pair| pair[0] < pair[1])
-                && edges.iter().all(|e| {
-                    let (u, v) = e.endpoints();
-                    g_prime.has_edge(u, v) && !g.has_edge(u, v)
-                }),
-            "dynamic edges must be strictly ascending, in G' and not in G"
         );
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
@@ -171,7 +166,7 @@ impl DynamicEdgeIndex {
 
 impl DualGraph {
     /// Creates a dual graph from a reliable layer `g` and an unreliable layer
-    /// `g_prime`.
+    /// `g_prime`, both in the layout [`auto_backend`] picks for `g_prime`.
     ///
     /// # Errors
     ///
@@ -189,23 +184,28 @@ impl DualGraph {
         if let Some(missing) = g.first_missing_in(&g_prime) {
             return Err(GraphError::NotContained { missing });
         }
-        Ok(DualGraph {
-            g,
-            g_prime,
-            embedding: None,
-            name: String::from("dual"),
-            dynamic: OnceLock::new(),
-        })
+        let layout = auto_backend(g_prime.len(), g_prime.edge_count() as u64);
+        Ok(DualGraph::from_layers(
+            g.with_backend(layout),
+            g_prime.with_backend(layout),
+            "dual",
+        ))
     }
 
     /// Creates a *static* dual graph with `G = G'`, i.e. the classic protocol
-    /// model over `g`.
+    /// model over `g`, in the layout [`auto_backend`] picks for `g`.
     pub fn static_model(g: Graph) -> Self {
+        let layout = auto_backend(g.len(), g.edge_count() as u64);
+        let g = g.with_backend(layout);
+        DualGraph::from_layers(g.clone(), g, "static")
+    }
+
+    fn from_layers(g: Graph, g_prime: Graph, name: &str) -> Self {
         DualGraph {
-            g_prime: g.clone(),
             g,
+            g_prime,
             embedding: None,
-            name: String::from("static"),
+            name: String::from(name),
             dynamic: OnceLock::new(),
         }
     }
@@ -274,21 +274,21 @@ impl DualGraph {
         self.g.edge_count() == self.g_prime.edge_count()
     }
 
-    /// The storage backend of the reliable layer (generators keep both
-    /// layers on the same backend).
+    /// The layout of both layers.
     pub fn graph_backend(&self) -> GraphBackend {
         self.g.backend()
     }
 
-    /// Returns this network with both layers converted to `backend` (cheap
-    /// clones where a layer already matches); name, embedding and a built
-    /// dynamic-edge index carry over. Simulation outcomes are
-    /// backend-independent — only memory footprint and row-scan strategy
-    /// change.
+    /// Returns this network with both layers in the `backend` layout instead
+    /// of the automatic one — the bit matrix attached or dropped, the rows
+    /// unchanged; name, embedding and a built dynamic-edge index carry over.
+    /// Simulation outcomes are layout-independent — only memory footprint
+    /// and row-scan strategy change — which is what the equivalence suites
+    /// that call this check.
     pub fn with_graph_backend(&self, backend: GraphBackend) -> DualGraph {
         DualGraph {
-            g: self.g.with_backend(backend),
-            g_prime: self.g_prime.with_backend(backend),
+            g: self.g.clone().with_backend(backend),
+            g_prime: self.g_prime.clone().with_backend(backend),
             embedding: self.embedding.clone(),
             name: self.name.clone(),
             dynamic: self.dynamic.clone(),
@@ -303,18 +303,10 @@ impl DualGraph {
             .get_or_init(|| Arc::new(DynamicEdgeIndex::build(&self.g, &self.g_prime)))
     }
 
-    /// Returns the dynamic edges `E' \ E` in canonical order, recomputed
-    /// into a fresh vector. Callers that run per trial should borrow
-    /// [`dynamic_index`](DualGraph::dynamic_index)`.edges()` instead.
-    pub fn dynamic_edges(&self) -> Vec<Edge> {
-        self.g_prime
-            .edges()
-            .into_iter()
-            .filter(|e| {
-                let (u, v) = e.endpoints();
-                !self.g.has_edge(u, v)
-            })
-            .collect()
+    /// The dynamic edges `E' \ E` in canonical order:
+    /// [`dynamic_index`](DualGraph::dynamic_index)`.edges()`.
+    pub fn dynamic_edges(&self) -> &[Edge] {
+        self.dynamic_index().edges()
     }
 
     /// Returns `true` if the containment invariant `E ⊆ E'` holds.
@@ -452,7 +444,7 @@ mod tests {
             },
         ] {
             let index = dual.dynamic_index();
-            assert_eq!(index.edges(), dual.dynamic_edges().as_slice());
+            assert_eq!(index.edges(), dual.dynamic_edges());
             assert_eq!(index.len(), dual.dynamic_edges().len());
             let mut seen = vec![0usize; index.len()];
             for u in dual.g().nodes() {
@@ -490,6 +482,43 @@ mod tests {
         assert_eq!(format!("{dual:?}"), format!("{untouched:?}"));
         let empty = DualGraph::static_model(Graph::complete(4));
         assert!(empty.dynamic_index().is_empty());
+    }
+
+    #[test]
+    fn constructors_apply_the_automatic_layout_to_both_layers() {
+        use crate::topology;
+        // Small networks are dense whichever generator built them.
+        let (g, gp) = triangle_line();
+        assert_eq!(
+            g.backend(),
+            GraphBackend::Csr,
+            "bare layers hold rows alone"
+        );
+        for dual in [
+            DualGraph::new(g, gp).unwrap(),
+            DualGraph::static_model(Graph::complete(4)),
+            topology::line(9).unwrap(),
+        ] {
+            assert_eq!(dual.graph_backend(), GraphBackend::Dense);
+            assert_eq!(dual.g_prime().backend(), GraphBackend::Dense);
+        }
+        // Past the floor, a sparse network keeps its rows alone ...
+        let line = topology::line(3000).unwrap();
+        assert_eq!(line.graph_backend(), GraphBackend::Csr);
+        assert_eq!(line.g_prime().backend(), GraphBackend::Csr);
+        // ... and layers handed in with a matrix lose it, while a forced
+        // layout converts both layers without changing the network.
+        let rebuilt = DualGraph::new(
+            line.with_graph_backend(GraphBackend::Dense).g().clone(),
+            line.g_prime().clone(),
+        )
+        .unwrap();
+        assert_eq!(rebuilt.graph_backend(), GraphBackend::Csr);
+        assert_eq!(rebuilt.g(), line.g());
+        let forced = line.with_graph_backend(GraphBackend::Dense);
+        assert_eq!(forced.graph_backend(), GraphBackend::Dense);
+        assert_eq!(forced.g_prime().backend(), GraphBackend::Dense);
+        assert_eq!(forced, line);
     }
 
     #[test]

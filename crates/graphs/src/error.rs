@@ -44,12 +44,6 @@ pub enum GraphError {
     /// An operation requiring a Euclidean embedding was called on a graph
     /// without one.
     MissingEmbedding,
-    /// An edge mutation was attempted on a backend whose rows are packed
-    /// (CSR graphs are immutable once built; convert to dense to mutate).
-    ImmutableBackend {
-        /// The mutating operation that was refused.
-        op: &'static str,
-    },
 }
 
 impl fmt::Display for GraphError {
@@ -76,12 +70,6 @@ impl fmt::Display for GraphError {
                 write!(
                     f,
                     "operation requires a Euclidean embedding but none is attached"
-                )
-            }
-            GraphError::ImmutableBackend { op } => {
-                write!(
-                    f,
-                    "{op} is not supported on the CSR backend (packed rows are immutable; convert to dense to mutate)"
                 )
             }
         }
@@ -113,7 +101,6 @@ mod tests {
             },
             GraphError::Disconnected,
             GraphError::MissingEmbedding,
-            GraphError::ImmutableBackend { op: "add_edge" },
         ];
         for e in cases {
             let msg = e.to_string();

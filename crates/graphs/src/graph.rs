@@ -1,7 +1,6 @@
-//! Simple undirected graphs with O(1) edge queries and a pluggable
-//! dense/CSR storage backend.
+//! Simple immutable undirected graphs: sorted compressed sparse rows for
+//! every graph, with an optional packed bit matrix for dense networks.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::error::GraphError;
@@ -68,16 +67,16 @@ impl fmt::Display for Edge {
     }
 }
 
-/// The physical representation backing a [`Graph`].
+/// The row format a [`Graph`] exposes to the reception loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphBackend {
-    /// Row-aligned adjacency bit matrix plus sorted adjacency lists: O(n²)
-    /// bits of memory, O(1) edge queries, and word-parallel row scans. The
-    /// right choice for the paper's small dense networks.
+    /// Sorted rows plus an attached row-aligned adjacency bit matrix: O(n²)
+    /// extra bits, O(1) edge queries, and word-parallel row scans. The right
+    /// choice for the paper's small dense networks.
     Dense,
-    /// Compressed sparse rows (offsets + sorted targets): O(n + m) memory,
-    /// O(log deg) edge queries, cache-friendly sorted row iteration. The
-    /// only representation that fits million-node sparse topologies.
+    /// Sorted rows alone (compressed sparse rows: offsets + targets): O(n + m)
+    /// memory, O(log deg) edge queries. The only layout that fits
+    /// million-node sparse topologies.
     Csr,
 }
 
@@ -94,14 +93,15 @@ impl fmt::Display for GraphBackend {
 /// [`GraphBackend::Dense`]. Below this floor the whole bit matrix is at most
 /// half a megabyte, every registered campaign store was produced dense, and
 /// the word-parallel reception scans are fastest — so small networks never
-/// change representation out from under existing byte-stability pins.
+/// change layout out from under existing byte-stability pins.
 pub const DENSE_AUTO_MAX_NODES: usize = 2048;
 
-/// Picks the storage backend for an `n`-vertex graph expected to carry
-/// `expected_edges` undirected edges: dense below the
+/// Picks the layout for an `n`-vertex network whose unreliable layer
+/// carries `expected_edges` undirected edges: dense below the
 /// [`DENSE_AUTO_MAX_NODES`] floor (bit-exact compatibility with existing
 /// stores, fastest at that scale), dense above it only when rows are full
 /// enough that word scans beat list walks (m ≥ n²/16), CSR otherwise.
+/// [`DualGraph`](crate::DualGraph)'s constructors apply it to every network.
 pub fn auto_backend(n: usize, expected_edges: u64) -> GraphBackend {
     if n <= DENSE_AUTO_MAX_NODES {
         return GraphBackend::Dense;
@@ -114,161 +114,128 @@ pub fn auto_backend(n: usize, expected_edges: u64) -> GraphBackend {
     }
 }
 
-/// Estimated resident bytes of the dense backend for an `n`-vertex graph:
-/// the row-aligned bit matrix (which dominates) plus the adjacency lists.
+/// Estimated resident bytes of the dense layout for an `n`-vertex graph:
+/// the CSR rows plus the row-aligned bit matrix (which dominates).
 pub fn dense_bytes_estimate(n: usize, expected_edges: u64) -> u64 {
-    let n = n as u64;
-    let matrix = n * n.div_ceil(64) * 8;
-    let lists = 2 * expected_edges * 8 + n * 24;
-    matrix + lists
+    let n64 = n as u64;
+    csr_bytes_estimate(n, expected_edges) + n64 * n64.div_ceil(64) * 8
 }
 
-/// Estimated resident bytes of the CSR backend for an `n`-vertex graph with
+/// Estimated resident bytes of the CSR layout for an `n`-vertex graph with
 /// `expected_edges` undirected edges: one offset per vertex plus two stored
 /// targets per edge.
 pub fn csr_bytes_estimate(n: usize, expected_edges: u64) -> u64 {
     (n as u64 + 1) * 8 + 2 * expected_edges * 8
 }
 
-/// One adjacency row, in whatever shape the backend stores it.
+/// One adjacency row, in the shape the graph's layout scans fastest.
 ///
 /// Hot-path consumers (the scalar reception strategies and the batch
 /// executor's word algebra) match on this once per listener and run the
-/// backend-appropriate scan: word intersection against a packed transmitter
+/// layout-appropriate scan: word intersection against a packed transmitter
 /// bitset for [`NeighborRow::Dense`], a sorted neighbor walk for
 /// [`NeighborRow::Sparse`]. Both enumerate the same neighbor set in the same
 /// ascending order.
 #[derive(Debug, Clone, Copy)]
 pub enum NeighborRow<'a> {
-    /// A packed bitset row (dense backend): bit `v` (word `v / 64`, bit
+    /// A packed bitset row (dense layout): bit `v` (word `v / 64`, bit
     /// `v % 64`) is set iff the edge `(u, v)` is present.
     Dense(&'a [u64]),
-    /// The sorted neighbor ids of the row (CSR backend).
+    /// The sorted neighbor ids of the row (CSR layout).
     Sparse(&'a [NodeId]),
 }
 
-/// The backend-specific edge storage. `Dense` is field-for-field the
-/// pre-CSR representation, so every dense graph behaves (and hashes, and
-/// serializes through its consumers) exactly as before.
-#[derive(Debug, Clone)]
-enum GraphStorage {
-    Dense {
-        /// Words per adjacency row (`⌈n / 64⌉`).
-        words_per_row: usize,
-        adjacency: Vec<Vec<NodeId>>,
-        /// Row-aligned bit matrix: bit `v` of row `u` (word `u·words_per_row
-        /// + v/64`) is set iff the edge `(u, v)` is present.
-        bits: Vec<u64>,
-    },
-    Csr {
-        /// `offsets[u]..offsets[u + 1]` delimits row `u` in `targets`.
-        offsets: Vec<usize>,
-        /// Concatenated sorted neighbor lists.
-        targets: Vec<NodeId>,
-    },
-}
-
-/// A simple undirected graph over the vertex set `{0, ..., n-1}`.
+/// A simple, immutable undirected graph over the vertex set `{0, ..., n-1}`.
 ///
-/// Two storage backends live behind one accessor surface (see
-/// [`GraphBackend`]):
-///
-/// * **Dense** (the default) keeps a sorted adjacency list per node plus a
-///   packed bit matrix, so a whole adjacency row is available as a word
-///   slice. The simulator intersects these rows with its packed transmitter
-///   bitset to resolve reception 64 candidates at a time.
-/// * **Csr** keeps compressed sparse rows only — O(n + m) memory — built by
-///   the streaming topology generators for networks far too large for an
-///   n×n matrix. CSR graphs are immutable once built.
-///
-/// [`Graph::neighbor_row`] exposes the row in its native shape; `neighbors`,
-/// `has_edge`, `degree`, `edges` and the rest behave identically on both.
+/// Every graph stores its adjacency as sorted compressed sparse rows — one
+/// offset per vertex into one flat target array — so `neighbors`, `degree`,
+/// `edges` and equality have a single body. A [`DualGraph`](crate::DualGraph)
+/// additionally attaches a packed bit matrix to both of its layers when
+/// [`auto_backend`] says dense: [`Graph::neighbor_row`] then hands out whole
+/// rows as word slices, which the simulator intersects with its packed
+/// transmitter bitset to resolve reception 64 candidates at a time, and
+/// [`Graph::has_edge`] answers in O(1). [`Graph::backend`] reports which of
+/// the two shapes is in use.
 ///
 /// # Example
 ///
 /// ```
 /// use dradio_graphs::{Graph, NodeId};
-/// let mut g = Graph::empty(4);
-/// g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
-/// g.add_edge(NodeId::new(1), NodeId::new(2)).unwrap();
+/// let g = Graph::from_edges(4, [(0, 1), (1, 2)])?;
 /// assert!(g.has_edge(NodeId::new(0), NodeId::new(1)));
 /// assert_eq!(g.degree(NodeId::new(1)), 2);
 /// assert_eq!(g.edge_count(), 2);
-/// // Row 1 has bits 0 and 2 set.
-/// assert_eq!(g.neighbor_bits(NodeId::new(1)), &[0b101]);
-/// // The same graph in CSR form is equal and answers identically.
-/// let sparse = g.to_csr();
-/// assert_eq!(sparse, g);
-/// assert!(sparse.has_edge(NodeId::new(2), NodeId::new(1)));
+/// assert_eq!(g.neighbors(NodeId::new(1)), &[NodeId::new(0), NodeId::new(2)]);
+/// # Ok::<(), dradio_graphs::GraphError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Graph {
-    n: usize,
-    storage: GraphStorage,
-    edge_count: usize,
+    /// `offsets[u]..offsets[u + 1]` delimits row `u` in `targets`; there are
+    /// `n + 1` offsets.
+    offsets: Vec<usize>,
+    /// Concatenated sorted neighbor rows.
+    targets: Vec<NodeId>,
+    /// Row-aligned bit matrix, present exactly under the dense layout: bit
+    /// `v` of row `u` (word `u·row_words + v/64`) is set iff the edge
+    /// `(u, v)` is present.
+    bits: Option<Vec<u64>>,
 }
 
 impl PartialEq for Graph {
-    /// Structural equality: same vertex set and same edge set, regardless of
-    /// backend — a CSR graph equals its dense counterpart.
+    /// Structural equality: same vertex set and same edge set, whichever
+    /// layout each side uses.
     fn eq(&self, other: &Self) -> bool {
-        if self.n != other.n || self.edge_count != other.edge_count {
-            return false;
-        }
-        (0..self.n).all(|u| self.neighbors(NodeId::new(u)) == other.neighbors(NodeId::new(u)))
+        self.offsets == other.offsets && self.targets == other.targets
     }
 }
 
 impl Eq for Graph {}
 
 impl Graph {
-    /// Creates a dense graph with `n` vertices and no edges.
+    /// Creates a graph with `n` vertices and no edges.
     pub fn empty(n: usize) -> Self {
-        let words_per_row = n.div_ceil(64);
         Graph {
-            n,
-            storage: GraphStorage::Dense {
-                words_per_row,
-                adjacency: vec![Vec::new(); n],
-                bits: vec![0u64; n.saturating_mul(words_per_row)],
-            },
-            edge_count: 0,
+            offsets: vec![0; n + 1],
+            targets: Vec::new(),
+            bits: None,
         }
     }
 
     /// Creates a complete graph (clique) on `n` vertices.
     pub fn complete(n: usize) -> Self {
-        let mut g = Graph::empty(n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                g.add_edge(NodeId::new(i), NodeId::new(j))
-                    // lint: allow(D4) -- i < j < n by the loop bounds
-                    .expect("indices are in range and distinct");
-            }
+        let mut rows = CsrBuilder::with_edge_capacity(n, n * n.saturating_sub(1) / 2);
+        for u in 0..n {
+            rows.row((0..n).filter(|&v| v != u).map(NodeId::new));
         }
-        g
+        rows.build()
+            // lint: allow(D4) -- row u is 0..n without u: sorted, in range, symmetric
+            .expect("complete rows are valid")
     }
 
-    /// Builds a CSR graph from an undirected edge list. Duplicate pairs (in
+    /// Builds a graph from an undirected edge list. Duplicate pairs (in
     /// either orientation) collapse to one edge; rows come out sorted. The
-    /// whole construction is O(n + m) — no n×n matrix is ever touched.
+    /// list is walked twice — once to count degrees, once to scatter each
+    /// pair into both of its rows — and every row is then sorted and
+    /// deduplicated in place, so construction is O(n + m) and holds no
+    /// buffer beyond the rows themselves.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`] if
     /// any pair is invalid.
-    pub fn csr_from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Graph> {
-        let mut degree = vec![0usize; n];
-        for &(u, v) in edges {
-            if u >= n {
+    pub fn from_edges<I>(n: usize, edges: I) -> Result<Graph>
+    where
+        I: IntoIterator<Item = (usize, usize)>,
+        I::IntoIter: Clone,
+    {
+        let edges = edges.into_iter();
+        // Count each degree one slot to the right, then prefix-sum: offsets[u]
+        // becomes the start of row u.
+        let mut offsets = vec![0usize; n + 1];
+        for (u, v) in edges.clone() {
+            if let Some(node) = [u, v].into_iter().find(|&w| w >= n) {
                 return Err(GraphError::NodeOutOfRange {
-                    node: NodeId::new(u),
-                    n,
-                });
-            }
-            if v >= n {
-                return Err(GraphError::NodeOutOfRange {
-                    node: NodeId::new(v),
+                    node: NodeId::new(node),
                     n,
                 });
             }
@@ -277,446 +244,220 @@ impl Graph {
                     node: NodeId::new(u),
                 });
             }
-            degree[u] += 1;
-            degree[v] += 1;
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut scratch = vec![NodeId::new(0); acc];
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
-        for &(u, v) in edges {
-            scratch[cursor[u]] = NodeId::new(v);
-            cursor[u] += 1;
-            scratch[cursor[v]] = NodeId::new(u);
-            cursor[v] += 1;
-        }
-        // Sort each row and drop duplicate entries (a pair listed twice).
-        let mut targets = Vec::with_capacity(acc);
-        let mut deduped = Vec::with_capacity(n + 1);
-        deduped.push(0usize);
         for u in 0..n {
-            let row = &mut scratch[offsets[u]..offsets[u + 1]];
-            row.sort_unstable();
-            let mut prev: Option<NodeId> = None;
-            for &v in row.iter() {
-                if Some(v) != prev {
-                    targets.push(v);
-                    prev = Some(v);
+            offsets[u + 1] += offsets[u];
+        }
+        // Scatter with offsets[u] as row u's cursor; afterwards it holds the
+        // end of row u.
+        let mut targets = vec![NodeId::new(0); offsets[n]];
+        for (u, v) in edges {
+            targets[offsets[u]] = NodeId::new(v);
+            offsets[u] += 1;
+            targets[offsets[v]] = NodeId::new(u);
+            offsets[v] += 1;
+        }
+        // Sort each row, then compact it leftwards without its duplicates
+        // (a pair listed twice), restoring offsets[u] to the row's new start.
+        let (mut start, mut len) = (0, 0);
+        for offset in &mut offsets[..n] {
+            let end = *offset;
+            targets[start..end].sort_unstable();
+            *offset = len;
+            for i in start..end {
+                if i == start || targets[i] != targets[i - 1] {
+                    targets[len] = targets[i];
+                    len += 1;
                 }
             }
-            deduped.push(targets.len());
+            start = end;
         }
-        let edge_count = targets.len() / 2;
+        offsets[n] = len;
+        targets.truncate(len);
         Ok(Graph {
-            n,
-            storage: GraphStorage::Csr {
-                offsets: deduped,
-                targets,
-            },
-            edge_count,
+            offsets,
+            targets,
+            bits: None,
         })
     }
 
     /// Number of vertices.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.n
+        self.offsets.len() - 1
     }
 
     /// Returns `true` if the graph has no vertices.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
     }
 
     /// Number of (undirected) edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.targets.len() / 2
     }
 
-    /// Which physical representation backs this graph.
+    /// Which layout this graph uses: [`GraphBackend::Dense`] when a bit
+    /// matrix is attached, [`GraphBackend::Csr`] when it holds rows alone.
     pub fn backend(&self) -> GraphBackend {
-        match &self.storage {
-            GraphStorage::Dense { .. } => GraphBackend::Dense,
-            GraphStorage::Csr { .. } => GraphBackend::Csr,
+        if self.bits.is_some() {
+            GraphBackend::Dense
+        } else {
+            GraphBackend::Csr
         }
     }
 
     /// Number of `u64` words in each adjacency-row bitset (`⌈n / 64⌉`).
     ///
-    /// Defined for both backends — simulator bitsets (transmitter sets,
-    /// lane masks) are sized from it regardless of how adjacency is stored.
+    /// Defined for both layouts — simulator bitsets (transmitter sets, lane
+    /// masks) are sized from it regardless of how adjacency is stored.
+    #[inline]
     pub fn row_words(&self) -> usize {
-        match &self.storage {
-            GraphStorage::Dense { words_per_row, .. } => *words_per_row,
-            GraphStorage::Csr { .. } => self.n.div_ceil(64),
-        }
+        self.len().div_ceil(64)
     }
 
-    // CSR row access: the scalar and batch reception loops call these once
-    // per listener per round; no allocation permitted.
+    // Row access: the scalar and batch reception loops and the adaptive
+    // adversaries call these once per listener (or candidate edge) per
+    // round; no allocation permitted, and each is `#[inline]` so it inlines
+    // across crates into those loops.
     // lint: hot-path
 
-    /// The packed adjacency row of `u`: bit `v` (word `v / 64`, bit `v % 64`)
-    /// is set iff the edge `(u, v)` is present. Out-of-range nodes have an
-    /// empty row.
-    ///
-    /// Dense backend only — CSR graphs store no bit matrix and report an
-    /// empty row. Backend-agnostic consumers use
-    /// [`neighbor_row`](Graph::neighbor_row) instead.
-    pub fn neighbor_bits(&self, u: NodeId) -> &[u64] {
-        match &self.storage {
-            GraphStorage::Dense {
-                words_per_row,
-                bits,
-                ..
-            } => {
-                if u.index() >= self.n {
-                    return &[];
-                }
-                let start = u.index() * words_per_row;
-                &bits[start..start + words_per_row]
-            }
-            GraphStorage::Csr { .. } => &[],
-        }
-    }
-
-    /// The adjacency row of `u` in the backend's native shape — the packed
-    /// bitset for dense graphs, the sorted neighbor slice for CSR graphs.
+    /// The adjacency row of `u` in the layout's native shape — the packed
+    /// bitset under the dense layout, the sorted neighbor slice under CSR.
     /// Out-of-range nodes have an empty sparse row.
+    #[inline]
     pub fn neighbor_row(&self, u: NodeId) -> NeighborRow<'_> {
-        match &self.storage {
-            GraphStorage::Dense {
-                words_per_row,
-                bits,
-                ..
-            } => {
-                if u.index() >= self.n {
-                    return NeighborRow::Sparse(&[]);
-                }
-                let start = u.index() * words_per_row;
-                NeighborRow::Dense(&bits[start..start + words_per_row])
+        match &self.bits {
+            Some(bits) if u.index() < self.len() => {
+                let words = self.row_words();
+                let start = u.index() * words;
+                NeighborRow::Dense(&bits[start..start + words])
             }
-            GraphStorage::Csr { offsets, targets } => {
-                if u.index() >= self.n {
-                    return NeighborRow::Sparse(&[]);
-                }
-                NeighborRow::Sparse(&targets[offsets[u.index()]..offsets[u.index() + 1]])
-            }
+            _ => NeighborRow::Sparse(self.neighbors(u)),
         }
     }
 
     /// Returns `true` if the undirected edge `(u, v)` is present.
     ///
-    /// O(1) on the dense backend, O(log deg(u)) on CSR. Out-of-range
+    /// O(1) under the dense layout, O(log deg(u)) under CSR. Out-of-range
     /// endpoints simply report `false`.
+    #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if u.index() >= self.n || v.index() >= self.n || u == v {
+        if u.index() >= self.len() || v.index() >= self.len() || u == v {
             return false;
         }
-        match &self.storage {
-            GraphStorage::Dense {
-                words_per_row,
-                bits,
-                ..
-            } => {
-                let idx = u.index() * words_per_row * 64 + v.index();
+        match &self.bits {
+            Some(bits) => {
+                let idx = u.index() * self.row_words() * 64 + v.index();
                 bits[idx / 64] >> (idx % 64) & 1 == 1
             }
-            GraphStorage::Csr { offsets, targets } => targets
-                [offsets[u.index()]..offsets[u.index() + 1]]
-                .binary_search(&v)
-                .is_ok(),
+            None => self.neighbors(u).binary_search(&v).is_ok(),
         }
     }
 
     /// Returns the neighbors of `u` in ascending order.
     ///
     /// Out-of-range nodes have no neighbors.
+    #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        if u.index() >= self.n {
+        if u.index() >= self.len() {
             return &[];
         }
-        match &self.storage {
-            GraphStorage::Dense { adjacency, .. } => &adjacency[u.index()],
-            GraphStorage::Csr { offsets, targets } => {
-                &targets[offsets[u.index()]..offsets[u.index() + 1]]
-            }
-        }
+        &self.targets[self.offsets[u.index()]..self.offsets[u.index() + 1]]
     }
 
     /// Degree of `u` (0 for out-of-range nodes).
+    #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
         self.neighbors(u).len()
     }
 
     // lint: end-hot-path
 
-    fn check_node(&self, node: NodeId) -> Result<()> {
-        if node.index() >= self.n {
-            Err(GraphError::NodeOutOfRange { node, n: self.n })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Adds the undirected edge `(u, v)`.
-    ///
-    /// Adding an edge twice is a no-op and reports `Ok(false)`; a newly added
-    /// edge reports `Ok(true)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfRange`] if either endpoint is not a
-    /// vertex, [`GraphError::SelfLoop`] if `u == v`, and
-    /// [`GraphError::ImmutableBackend`] on a CSR graph (CSR rows are packed;
-    /// convert with [`to_dense`](Graph::to_dense) to mutate).
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<bool> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        if u == v {
-            return Err(GraphError::SelfLoop { node: u });
-        }
-        if self.has_edge(u, v) {
-            return Ok(false);
-        }
-        match &mut self.storage {
-            GraphStorage::Dense {
-                words_per_row,
-                adjacency,
-                bits,
-            } => {
-                let a = u.index() * *words_per_row * 64 + v.index();
-                let b = v.index() * *words_per_row * 64 + u.index();
-                bits[a / 64] |= 1u64 << (a % 64);
-                bits[b / 64] |= 1u64 << (b % 64);
-                adjacency[u.index()].push(v);
-                adjacency[v.index()].push(u);
-                // Keep adjacency sorted so iteration order is deterministic.
-                adjacency[u.index()].sort_unstable();
-                adjacency[v.index()].sort_unstable();
-                self.edge_count += 1;
-                Ok(true)
-            }
-            GraphStorage::Csr { .. } => Err(GraphError::ImmutableBackend { op: "add_edge" }),
-        }
-    }
-
-    /// Removes the undirected edge `(u, v)` if present, reporting whether an
-    /// edge was removed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfRange`] if either endpoint is invalid
-    /// and [`GraphError::ImmutableBackend`] on a CSR graph.
-    pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<bool> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        if u == v || !self.has_edge(u, v) {
-            return Ok(false);
-        }
-        match &mut self.storage {
-            GraphStorage::Dense {
-                words_per_row,
-                adjacency,
-                bits,
-            } => {
-                let a = u.index() * *words_per_row * 64 + v.index();
-                let b = v.index() * *words_per_row * 64 + u.index();
-                bits[a / 64] &= !(1u64 << (a % 64));
-                bits[b / 64] &= !(1u64 << (b % 64));
-                adjacency[u.index()].retain(|&w| w != v);
-                adjacency[v.index()].retain(|&w| w != u);
-                self.edge_count -= 1;
-                Ok(true)
-            }
-            GraphStorage::Csr { .. } => Err(GraphError::ImmutableBackend { op: "remove_edge" }),
-        }
-    }
-
     /// Maximum degree over all vertices (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        match &self.storage {
-            GraphStorage::Dense { adjacency, .. } => {
-                adjacency.iter().map(Vec::len).max().unwrap_or(0)
-            }
-            GraphStorage::Csr { offsets, .. } => {
-                offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
-            }
-        }
+        self.offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
     }
 
     /// Iterates over all vertices.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + Clone {
-        NodeId::all(self.n)
+        NodeId::all(self.len())
     }
 
     /// Iterates over all edges in canonical order.
     pub fn edges(&self) -> Vec<Edge> {
-        let mut out = Vec::with_capacity(self.edge_count);
-        for u in 0..self.n {
-            for &v in self.neighbors(NodeId::new(u)) {
-                if u < v.index() {
-                    out.push(Edge::new(NodeId::new(u), v));
+        let mut out = Vec::with_capacity(self.edge_count());
+        for u in self.nodes() {
+            for &v in self.neighbors(u) {
+                if u < v {
+                    out.push(Edge::new(u, v));
                 }
             }
         }
         out
     }
 
-    /// Returns this graph re-packed as CSR (a cheap clone if it already is).
-    pub fn to_csr(&self) -> Graph {
-        if let GraphStorage::Csr { .. } = &self.storage {
-            return self.clone();
-        }
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        offsets.push(0usize);
-        let mut targets = Vec::with_capacity(2 * self.edge_count);
-        for u in 0..self.n {
-            targets.extend_from_slice(self.neighbors(NodeId::new(u)));
-            offsets.push(targets.len());
-        }
-        Graph {
-            n: self.n,
-            storage: GraphStorage::Csr { offsets, targets },
-            edge_count: self.edge_count,
-        }
-    }
-
-    /// Returns this graph re-packed densely (a cheap clone if it already
-    /// is). The result is bit-for-bit what incremental dense construction
-    /// would have produced — rows are sorted and the bit matrix exact.
-    pub fn to_dense(&self) -> Graph {
-        if let GraphStorage::Dense { .. } = &self.storage {
-            return self.clone();
-        }
-        let words_per_row = self.n.div_ceil(64);
-        let mut adjacency = Vec::with_capacity(self.n);
-        let mut bits = vec![0u64; self.n.saturating_mul(words_per_row)];
-        for u in 0..self.n {
-            let row = self.neighbors(NodeId::new(u));
-            adjacency.push(row.to_vec());
-            for &v in row {
-                bits[u * words_per_row + v.index() / 64] |= 1u64 << (v.index() % 64);
-            }
-        }
-        Graph {
-            n: self.n,
-            storage: GraphStorage::Dense {
-                words_per_row,
-                adjacency,
-                bits,
-            },
-            edge_count: self.edge_count,
-        }
-    }
-
-    /// Returns this graph converted to the requested backend (a cheap clone
-    /// when it is already there).
-    pub fn with_backend(&self, backend: GraphBackend) -> Graph {
+    /// Returns this graph in the `backend` layout: the bit matrix is built
+    /// from the rows (dense) or dropped (CSR); the rows never change.
+    pub(crate) fn with_backend(mut self, backend: GraphBackend) -> Graph {
         match backend {
-            GraphBackend::Dense => self.to_dense(),
-            GraphBackend::Csr => self.to_csr(),
+            GraphBackend::Dense if self.bits.is_none() => self.bits = Some(self.bit_matrix()),
+            GraphBackend::Dense => {}
+            GraphBackend::Csr => self.bits = None,
         }
+        self
     }
 
-    /// Returns the union of this graph with `other` (same vertex count
-    /// required). The result keeps `self`'s backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::LayerSizeMismatch`] if the vertex counts differ.
-    pub fn union(&self, other: &Graph) -> Result<Graph> {
-        if self.n != other.n {
-            return Err(GraphError::LayerSizeMismatch {
-                g: self.n,
-                g_prime: other.n,
-            });
-        }
-        match &self.storage {
-            GraphStorage::Dense { .. } => {
-                let mut g = self.clone();
-                for e in other.edges() {
-                    let (u, v) = e.endpoints();
-                    g.add_edge(u, v)?;
-                }
-                Ok(g)
-            }
-            GraphStorage::Csr { .. } => {
-                // Merge the two sorted rows of every vertex.
-                let mut offsets = Vec::with_capacity(self.n + 1);
-                offsets.push(0usize);
-                let mut targets = Vec::with_capacity(2 * (self.edge_count + other.edge_count));
-                for u in 0..self.n {
-                    let (a, b) = (
-                        self.neighbors(NodeId::new(u)),
-                        other.neighbors(NodeId::new(u)),
-                    );
-                    let (mut i, mut j) = (0usize, 0usize);
-                    while i < a.len() || j < b.len() {
-                        let next = match (a.get(i), b.get(j)) {
-                            (Some(&x), Some(&y)) if x == y => {
-                                i += 1;
-                                j += 1;
-                                x
-                            }
-                            (Some(&x), Some(&y)) if x < y => {
-                                i += 1;
-                                x
-                            }
-                            (Some(_), Some(&y)) => {
-                                j += 1;
-                                y
-                            }
-                            (Some(&x), None) => {
-                                i += 1;
-                                x
-                            }
-                            (None, Some(&y)) => {
-                                j += 1;
-                                y
-                            }
-                            (None, None) => break,
-                        };
-                        targets.push(next);
-                    }
-                    offsets.push(targets.len());
-                }
-                let edge_count = targets.len() / 2;
-                Ok(Graph {
-                    n: self.n,
-                    storage: GraphStorage::Csr { offsets, targets },
-                    edge_count,
-                })
+    fn bit_matrix(&self) -> Vec<u64> {
+        let words = self.row_words();
+        let mut bits = vec![0u64; self.len().saturating_mul(words)];
+        for u in self.nodes() {
+            for &v in self.neighbors(u) {
+                bits[u.index() * words + v.index() / 64] |= 1u64 << (v.index() % 64);
             }
         }
+        bits
     }
 
     /// Returns `true` if every edge of `self` is also an edge of `other`.
     pub fn is_subgraph_of(&self, other: &Graph) -> bool {
-        if self.n != other.n {
-            return false;
-        }
-        self.edges().iter().all(|e| {
-            let (u, v) = e.endpoints();
-            other.has_edge(u, v)
-        })
+        self.len() == other.len() && self.first_missing_in(other).is_none()
     }
 
-    /// Returns the first edge of `self` that is missing from `other`, if any.
+    /// Returns the first edge of `self`, in canonical order, that is missing
+    /// from `other`, if any. Walks each node's two sorted rows together.
     pub fn first_missing_in(&self, other: &Graph) -> Option<(NodeId, NodeId)> {
-        self.edges()
-            .into_iter()
-            .map(Edge::endpoints)
-            .find(|&(u, v)| !other.has_edge(u, v))
+        self.nodes().find_map(|u| {
+            row_difference(self.neighbors(u), other.neighbors(u))
+                .find(|&v| u < v)
+                .map(|v| (u, v))
+        })
     }
 }
 
-/// Streaming row-by-row construction of a CSR [`Graph`] — the path the
-/// large-scale topology generators use to never materialize an n×n matrix.
+/// The entries of the sorted row `a` missing from the sorted row `b`, in
+/// ascending order: one merged walk over both rows.
+pub(crate) fn row_difference<'a>(
+    a: &'a [NodeId],
+    b: &'a [NodeId],
+) -> impl Iterator<Item = NodeId> + 'a {
+    let mut j = 0;
+    a.iter().copied().filter(move |&v| {
+        while b.get(j).is_some_and(|&w| w < v) {
+            j += 1;
+        }
+        b.get(j) != Some(&v)
+    })
+}
+
+/// Streaming row-by-row construction of a [`Graph`] — the path the topology
+/// generators with closed-form rows use, so no edge is ever inserted twice.
 ///
 /// Rows must be pushed for every vertex in index order, each sorted
 /// ascending; [`CsrBuilder::build`] validates shape, range, self-loops and
@@ -743,7 +484,7 @@ pub struct CsrBuilder {
 }
 
 impl CsrBuilder {
-    /// Starts a builder for a CSR graph with `n` vertices.
+    /// Starts a builder for a graph with `n` vertices.
     pub fn new(n: usize) -> Self {
         CsrBuilder::with_edge_capacity(n, 0)
     }
@@ -819,20 +560,19 @@ impl CsrBuilder {
                 }
             }
         }
-        let edge_count = targets.len() / 2;
         Ok(Graph {
-            n,
-            storage: GraphStorage::Csr { offsets, targets },
-            edge_count,
+            offsets,
+            targets,
+            bits: None,
         })
     }
 }
 
 /// Incremental builder for [`Graph`].
 ///
-/// The builder accepts raw `usize` indices, deduplicates edges, and validates
-/// everything once at [`GraphBuilder::build`] time, which keeps topology
-/// generator code short.
+/// The builder accepts raw `usize` indices in either orientation, and
+/// [`GraphBuilder::build`] deduplicates and validates them once through
+/// [`Graph::from_edges`], which keeps hand-built test networks short.
 ///
 /// # Example
 ///
@@ -844,7 +584,7 @@ impl CsrBuilder {
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     n: usize,
-    edges: BTreeSet<(usize, usize)>,
+    edges: Vec<(usize, usize)>,
 }
 
 impl GraphBuilder {
@@ -852,22 +592,19 @@ impl GraphBuilder {
     pub fn new(n: usize) -> Self {
         GraphBuilder {
             n,
-            edges: BTreeSet::new(),
+            edges: Vec::new(),
         }
     }
 
     /// Adds an undirected edge by raw index; duplicates are ignored.
     pub fn edge(mut self, u: usize, v: usize) -> Self {
-        let (a, b) = if u <= v { (u, v) } else { (v, u) };
-        self.edges.insert((a, b));
+        self.edges.push((u, v));
         self
     }
 
     /// Adds every edge from an iterator of index pairs.
     pub fn edges<I: IntoIterator<Item = (usize, usize)>>(mut self, iter: I) -> Self {
-        for (u, v) in iter {
-            self = self.edge(u, v);
-        }
+        self.edges.extend(iter);
         self
     }
 
@@ -878,17 +615,18 @@ impl GraphBuilder {
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`] if
     /// any recorded edge is invalid.
     pub fn build(self) -> Result<Graph> {
-        let mut g = Graph::empty(self.n);
-        for (u, v) in self.edges {
-            g.add_edge(NodeId::new(u), NodeId::new(v))?;
-        }
-        Ok(g)
+        Graph::from_edges(self.n, self.edges)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `g` with its bit matrix attached.
+    fn dense(g: Graph) -> Graph {
+        g.with_backend(GraphBackend::Dense)
+    }
 
     #[test]
     fn edge_normalizes_order() {
@@ -917,7 +655,9 @@ mod tests {
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.max_degree(), 0);
         assert!(!g.has_edge(NodeId::new(0), NodeId::new(1)));
-        assert_eq!(g.backend(), GraphBackend::Dense);
+        // Rows alone until a dual graph attaches the matrix.
+        assert_eq!(g.backend(), GraphBackend::Csr);
+        assert_eq!(dense(g).backend(), GraphBackend::Dense);
     }
 
     #[test]
@@ -925,29 +665,35 @@ mod tests {
         let g = Graph::empty(0);
         assert!(g.is_empty());
         assert_eq!(g.edges().len(), 0);
+        assert!(dense(g).is_empty());
     }
 
     #[test]
-    fn add_edge_is_symmetric_and_idempotent() {
-        let mut g = Graph::empty(4);
-        assert!(g.add_edge(NodeId::new(0), NodeId::new(2)).unwrap());
-        assert!(!g.add_edge(NodeId::new(2), NodeId::new(0)).unwrap());
+    fn edge_list_is_symmetric_and_idempotent() {
+        // The same pair in both orientations, twice, is one edge.
+        let g = Graph::from_edges(4, [(0, 2), (2, 0), (0, 2)]).unwrap();
         assert!(g.has_edge(NodeId::new(0), NodeId::new(2)));
         assert!(g.has_edge(NodeId::new(2), NodeId::new(0)));
         assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.neighbors(NodeId::new(0)), &[NodeId::new(2)]);
+        assert_eq!(g.neighbors(NodeId::new(2)), &[NodeId::new(0)]);
     }
 
     #[test]
-    fn add_edge_rejects_out_of_range() {
-        let mut g = Graph::empty(3);
-        let err = g.add_edge(NodeId::new(0), NodeId::new(7)).unwrap_err();
-        assert!(matches!(err, GraphError::NodeOutOfRange { .. }));
+    fn edge_list_rejects_out_of_range() {
+        let err = Graph::from_edges(3, [(0, 1), (0, 7)]).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::NodeOutOfRange {
+                node: NodeId::new(7),
+                n: 3
+            }
+        );
     }
 
     #[test]
-    fn add_edge_rejects_self_loop() {
-        let mut g = Graph::empty(3);
-        let err = g.add_edge(NodeId::new(1), NodeId::new(1)).unwrap_err();
+    fn edge_list_rejects_self_loop() {
+        let err = Graph::from_edges(3, [(1, 1)]).unwrap_err();
         assert_eq!(
             err,
             GraphError::SelfLoop {
@@ -957,21 +703,8 @@ mod tests {
     }
 
     #[test]
-    fn remove_edge_round_trip() {
-        let mut g = Graph::empty(3);
-        g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert!(g.remove_edge(NodeId::new(1), NodeId::new(0)).unwrap());
-        assert!(!g.has_edge(NodeId::new(0), NodeId::new(1)));
-        assert_eq!(g.edge_count(), 0);
-        assert!(!g.remove_edge(NodeId::new(1), NodeId::new(0)).unwrap());
-    }
-
-    #[test]
     fn neighbors_are_sorted() {
-        let mut g = Graph::empty(5);
-        g.add_edge(NodeId::new(2), NodeId::new(4)).unwrap();
-        g.add_edge(NodeId::new(2), NodeId::new(0)).unwrap();
-        g.add_edge(NodeId::new(2), NodeId::new(3)).unwrap();
+        let g = Graph::from_edges(5, [(2, 4), (2, 0), (2, 3)]).unwrap();
         let nbrs: Vec<usize> = g
             .neighbors(NodeId::new(2))
             .iter()
@@ -998,22 +731,14 @@ mod tests {
 
     #[test]
     fn union_combines_edges() {
-        let a = GraphBuilder::new(4).edge(0, 1).build().unwrap();
-        let b = GraphBuilder::new(4).edge(2, 3).build().unwrap();
-        let u = a.union(&b).unwrap();
+        // The edge-list constructor is how layers are unioned: G' is built
+        // from G's pairs chained with the extra ones.
+        let a = [(0, 1)];
+        let b = [(2, 3)];
+        let u = Graph::from_edges(4, a.iter().chain(&b).copied()).unwrap();
         assert!(u.has_edge(NodeId::new(0), NodeId::new(1)));
         assert!(u.has_edge(NodeId::new(2), NodeId::new(3)));
         assert_eq!(u.edge_count(), 2);
-    }
-
-    #[test]
-    fn union_rejects_size_mismatch() {
-        let a = Graph::empty(3);
-        let b = Graph::empty(4);
-        assert!(matches!(
-            a.union(&b),
-            Err(GraphError::LayerSizeMismatch { .. })
-        ));
     }
 
     #[test]
@@ -1027,6 +752,17 @@ mod tests {
             Some((NodeId::new(1), NodeId::new(2)))
         );
         assert_eq!(small.first_missing_in(&big), None);
+        // The row walk reports the first missing edge in canonical order.
+        let g = Graph::from_edges(5, [(3, 4), (0, 4), (1, 2), (0, 1)]).unwrap();
+        let h = Graph::from_edges(5, [(0, 1), (3, 4)]).unwrap();
+        assert_eq!(
+            g.first_missing_in(&h),
+            Some((NodeId::new(0), NodeId::new(4)))
+        );
+        assert!(
+            !g.is_subgraph_of(&Graph::complete(4)),
+            "vertex counts differ"
+        );
     }
 
     #[test]
@@ -1042,54 +778,41 @@ mod tests {
     #[test]
     fn neighbor_bits_mirror_the_adjacency_lists() {
         // 70 nodes forces two words per row.
-        let mut g = Graph::empty(70);
+        let g = dense(Graph::from_edges(70, [(3, 65), (3, 0)]).unwrap());
         assert_eq!(g.row_words(), 2);
-        g.add_edge(NodeId::new(3), NodeId::new(65)).unwrap();
-        g.add_edge(NodeId::new(3), NodeId::new(0)).unwrap();
-        let row = g.neighbor_bits(NodeId::new(3));
-        assert_eq!(row.len(), 2);
-        assert_eq!(row[0], 1u64); // bit 0
-        assert_eq!(row[1], 1u64 << 1); // bit 65 = word 1, bit 1
-                                       // Every row agrees with the adjacency list, for every node.
+        let NeighborRow::Dense(row) = g.neighbor_row(NodeId::new(3)) else {
+            panic!("the dense layout exposes bit rows");
+        };
+        assert_eq!(row, &[1u64, 1u64 << 1]); // bit 0; bit 65 = word 1, bit 1
+                                             // Every row agrees with the adjacency list, for every node.
         for u in g.nodes() {
-            let row = g.neighbor_bits(u);
+            let NeighborRow::Dense(row) = g.neighbor_row(u) else {
+                panic!("every in-range row is a bit row");
+            };
             for v in g.nodes() {
                 let from_bits = row[v.index() / 64] >> (v.index() % 64) & 1 == 1;
                 assert_eq!(from_bits, g.neighbors(u).contains(&v), "({u}, {v})");
+                assert_eq!(from_bits, g.has_edge(u, v), "({u}, {v})");
             }
         }
-        // Out-of-range rows are empty.
-        assert!(g.neighbor_bits(NodeId::new(99)).is_empty());
-    }
-
-    #[test]
-    fn neighbor_bits_clear_on_removal() {
-        let mut g = Graph::complete(5);
-        g.remove_edge(NodeId::new(1), NodeId::new(2)).unwrap();
-        let row = g.neighbor_bits(NodeId::new(1));
-        assert_eq!(row[0] >> 2 & 1, 0);
-        assert_eq!(g.neighbor_bits(NodeId::new(2))[0] >> 1 & 1, 0);
     }
 
     #[test]
     fn has_edge_is_false_for_out_of_range() {
-        let g = Graph::complete(3);
-        assert!(!g.has_edge(NodeId::new(0), NodeId::new(10)));
-        assert!(!g.has_edge(NodeId::new(10), NodeId::new(0)));
-        assert!(!g.has_edge(NodeId::new(1), NodeId::new(1)));
+        for g in [Graph::complete(3), dense(Graph::complete(3))] {
+            assert!(!g.has_edge(NodeId::new(0), NodeId::new(10)));
+            assert!(!g.has_edge(NodeId::new(10), NodeId::new(0)));
+            assert!(!g.has_edge(NodeId::new(1), NodeId::new(1)));
+        }
     }
-
-    // ---- CSR backend ----
 
     #[test]
     fn csr_round_trips_and_equals_its_dense_source() {
-        let mut dense = Graph::empty(70);
-        dense.add_edge(NodeId::new(3), NodeId::new(65)).unwrap();
-        dense.add_edge(NodeId::new(3), NodeId::new(0)).unwrap();
-        dense.add_edge(NodeId::new(64), NodeId::new(65)).unwrap();
-        let csr = dense.to_csr();
+        let csr = Graph::from_edges(70, [(3, 65), (3, 0), (64, 65)]).unwrap();
+        let dense = dense(csr.clone());
         assert_eq!(csr.backend(), GraphBackend::Csr);
-        assert_eq!(csr, dense, "cross-backend structural equality");
+        assert_eq!(dense.backend(), GraphBackend::Dense);
+        assert_eq!(csr, dense, "cross-layout structural equality");
         assert_eq!(csr.edge_count(), dense.edge_count());
         assert_eq!(csr.row_words(), dense.row_words());
         assert_eq!(csr.max_degree(), dense.max_degree());
@@ -1101,63 +824,32 @@ mod tests {
                 assert_eq!(csr.has_edge(u, v), dense.has_edge(u, v), "({u}, {v})");
             }
         }
-        // And back: dense reconstruction is bit-for-bit the original.
-        let back = csr.to_dense();
-        assert_eq!(back.backend(), GraphBackend::Dense);
-        assert_eq!(back, dense);
-        for u in dense.nodes() {
-            assert_eq!(back.neighbor_bits(u), dense.neighbor_bits(u));
-        }
-        // with_backend is the same conversions under one name.
-        assert_eq!(dense.with_backend(GraphBackend::Csr), csr);
-        assert_eq!(csr.with_backend(GraphBackend::Dense), dense);
-        assert_eq!(
-            csr.with_backend(GraphBackend::Csr).backend(),
-            GraphBackend::Csr
-        );
+        // And back: dropping the matrix leaves exactly the rows.
+        let back = dense.clone().with_backend(GraphBackend::Csr);
+        assert_eq!(back.backend(), GraphBackend::Csr);
+        assert_eq!(back, csr);
+        // Converting to the layout a graph already has keeps it.
+        assert_eq!(dense.clone().with_backend(GraphBackend::Dense), dense);
     }
 
     #[test]
     fn neighbor_row_exposes_the_native_shape() {
-        let mut dense = Graph::empty(5);
-        dense.add_edge(NodeId::new(1), NodeId::new(3)).unwrap();
-        match dense.neighbor_row(NodeId::new(1)) {
+        let csr = Graph::from_edges(5, [(1, 3)]).unwrap();
+        match dense(csr.clone()).neighbor_row(NodeId::new(1)) {
             NeighborRow::Dense(words) => assert_eq!(words, &[0b1000]),
             NeighborRow::Sparse(_) => panic!("dense graphs expose bit rows"),
         }
-        let csr = dense.to_csr();
         match csr.neighbor_row(NodeId::new(1)) {
             NeighborRow::Sparse(row) => assert_eq!(row, &[NodeId::new(3)]),
             NeighborRow::Dense(_) => panic!("CSR graphs expose sorted rows"),
         }
-        // Out-of-range rows are empty on both backends.
-        match csr.neighbor_row(NodeId::new(42)) {
-            NeighborRow::Sparse(row) => assert!(row.is_empty()),
-            NeighborRow::Dense(_) => panic!("out-of-range rows are sparse-empty"),
+        // Out-of-range rows are empty sparse rows under both layouts.
+        for g in [csr.clone(), dense(csr)] {
+            match g.neighbor_row(NodeId::new(42)) {
+                NeighborRow::Sparse(row) => assert!(row.is_empty()),
+                NeighborRow::Dense(_) => panic!("out-of-range rows are sparse-empty"),
+            }
         }
-        // CSR graphs report empty legacy bit rows rather than lying.
-        assert!(csr.neighbor_bits(NodeId::new(1)).is_empty());
-    }
-
-    #[test]
-    fn csr_graphs_reject_mutation() {
-        let mut csr = GraphBuilder::new(4).edge(0, 1).build().unwrap().to_csr();
-        // Adding an edge that is *not* already present fails ...
-        let err = csr.add_edge(NodeId::new(1), NodeId::new(2)).unwrap_err();
-        assert!(matches!(
-            err,
-            GraphError::ImmutableBackend { op: "add_edge" }
-        ));
-        // ... but re-adding a present edge is still the no-op Ok(false), so
-        // idempotent callers (dual construction) keep working unchanged.
-        assert!(!csr.add_edge(NodeId::new(0), NodeId::new(1)).unwrap());
-        let err = csr.remove_edge(NodeId::new(0), NodeId::new(1)).unwrap_err();
-        assert!(matches!(
-            err,
-            GraphError::ImmutableBackend { op: "remove_edge" }
-        ));
-        // Removing an absent edge stays the no-op Ok(false).
-        assert!(!csr.remove_edge(NodeId::new(1), NodeId::new(3)).unwrap());
     }
 
     #[test]
@@ -1171,11 +863,11 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(g.backend(), GraphBackend::Csr);
         assert_eq!(g.edge_count(), 4);
-        let dense = GraphBuilder::new(4)
+        let listed = GraphBuilder::new(4)
             .edges([(0, 1), (0, 2), (1, 3), (2, 3)])
             .build()
             .unwrap();
-        assert_eq!(g, dense);
+        assert_eq!(g, listed);
     }
 
     #[test]
@@ -1218,7 +910,7 @@ mod tests {
 
     #[test]
     fn csr_from_edges_sorts_and_deduplicates() {
-        let g = Graph::csr_from_edges(5, &[(4, 2), (0, 2), (2, 3), (2, 0)]).unwrap();
+        let g = Graph::from_edges(5, [(4, 2), (0, 2), (2, 3), (2, 0)]).unwrap();
         assert_eq!(g.edge_count(), 3);
         let nbrs: Vec<usize> = g
             .neighbors(NodeId::new(2))
@@ -1226,20 +918,37 @@ mod tests {
             .map(|v| v.index())
             .collect();
         assert_eq!(nbrs, vec![0, 3, 4]);
-        assert!(Graph::csr_from_edges(3, &[(0, 3)]).is_err());
-        assert!(Graph::csr_from_edges(3, &[(1, 1)]).is_err());
+        // Rows before and after a deduplicated one keep their own entries.
+        assert_eq!(g.neighbors(NodeId::new(0)), &[NodeId::new(2)]);
+        assert_eq!(g.neighbors(NodeId::new(3)), &[NodeId::new(2)]);
+        assert_eq!(g.neighbors(NodeId::new(4)), &[NodeId::new(2)]);
+        assert!(g.neighbors(NodeId::new(1)).is_empty());
+        assert!(Graph::from_edges(3, [(0, 3)]).is_err());
+        assert!(Graph::from_edges(3, [(1, 1)]).is_err());
+        assert_eq!(Graph::from_edges(4, []).unwrap(), Graph::empty(4));
     }
 
     #[test]
     fn csr_union_merges_sorted_rows() {
-        let a = GraphBuilder::new(4).edge(0, 1).edge(1, 2).build().unwrap();
-        let b = GraphBuilder::new(4).edge(2, 3).edge(1, 2).build().unwrap();
-        let dense_union = a.union(&b).unwrap();
-        let csr_union = a.to_csr().union(&b.to_csr()).unwrap();
-        assert_eq!(csr_union.backend(), GraphBackend::Csr);
-        assert_eq!(csr_union, dense_union);
-        // Mixed operands work too.
-        assert_eq!(a.to_csr().union(&b).unwrap(), dense_union);
+        // Overlapping lists chained into one constructor merge into sorted
+        // rows holding each shared edge once.
+        let a = [(0, 1), (1, 2)];
+        let b = [(2, 3), (1, 2)];
+        let merged = Graph::from_edges(4, a.iter().chain(&b).copied()).unwrap();
+        assert_eq!(merged.edge_count(), 3);
+        assert_eq!(
+            merged.neighbors(NodeId::new(1)),
+            &[NodeId::new(0), NodeId::new(2)]
+        );
+        assert_eq!(
+            merged.neighbors(NodeId::new(2)),
+            &[NodeId::new(1), NodeId::new(3)]
+        );
+        // Chain order does not matter.
+        assert_eq!(
+            Graph::from_edges(4, b.iter().chain(&a).copied()).unwrap(),
+            merged
+        );
     }
 
     #[test]
@@ -1263,6 +972,11 @@ mod tests {
         let m = 2_000_000u64;
         assert!(dense_bytes_estimate(n, m) > 110u64 * (1 << 30));
         assert!(csr_bytes_estimate(n, m) < 1u64 << 30);
+        // The dense layout is the CSR rows plus the matrix.
+        assert_eq!(
+            dense_bytes_estimate(n, m) - csr_bytes_estimate(n, m),
+            1_000_000 * 15_625 * 8
+        );
         // Tiny clique: both estimates are tiny and of the same order.
         assert!(dense_bytes_estimate(64, 2016) < 64 * 1024);
     }

@@ -3,11 +3,14 @@
 //! This crate provides the *structural* substrate of the dual graph radio
 //! network model of Ghaffari, Lynch and Newport (PODC 2013):
 //!
-//! * [`Graph`] — a simple undirected graph over [`NodeId`]s with O(1) edge
-//!   queries and cache-friendly adjacency iteration.
+//! * [`Graph`] — a simple, immutable undirected graph over [`NodeId`]s:
+//!   sorted compressed rows for every graph, plus a packed bit matrix for
+//!   O(1) edge queries and word-parallel row scans when the network is
+//!   dense.
 //! * [`DualGraph`] — a pair `(G, G')` of graphs over the same vertex set with
 //!   `E ⊆ E'`. Edges of `G` are *reliable*; edges of `G' \ E` are *dynamic*
-//!   and controlled by an adversarial link process at simulation time.
+//!   and controlled by an adversarial link process at simulation time. The
+//!   dual graph decides the layout of both layers ([`auto_backend`]).
 //! * [`topology`] — generators for every network used in the paper (dual
 //!   clique, bracelet, geographic/unit-disk graphs with a grey zone) plus
 //!   standard families (lines, rings, grids, trees, stars, Erdős–Rényi).

@@ -133,8 +133,8 @@ pub fn bracelet_with_clasp(k: usize, t: usize) -> Result<Bracelet> {
         });
     }
     let n = 2 * k * k;
-    let mut g = Graph::empty(n);
-    let mut g_prime = Graph::empty(n);
+    // The reliable layer's pairs; `G'` adds the head pairs to them.
+    let mut reliable: Vec<(usize, usize)> = Vec::new();
 
     // Node layout: side A occupies indices [0, k^2), side B occupies
     // [k^2, 2k^2). Band i on a side occupies k consecutive indices starting
@@ -151,7 +151,7 @@ pub fn bracelet_with_clasp(k: usize, t: usize) -> Result<Bracelet> {
                 .map(|pos| band_node(side_offset, band, pos))
                 .collect();
             for pair in nodes.windows(2) {
-                g.add_edge(pair[0], pair[1])?;
+                reliable.push((pair[0].index(), pair[1].index()));
             }
             bands.push(nodes);
         }
@@ -166,24 +166,22 @@ pub fn bracelet_with_clasp(k: usize, t: usize) -> Result<Bracelet> {
         .collect();
     for i in 0..tails.len() {
         for j in (i + 1)..tails.len() {
-            g.add_edge(tails[i], tails[j])?;
+            reliable.push((tails[i].index(), tails[j].index()));
         }
     }
 
     // Clasp: a single G edge between the chosen head pair.
     let clasp = (bands_a[t][0], bands_b[t][0]);
-    g.add_edge(clasp.0, clasp.1)?;
+    reliable.push((clasp.0.index(), clasp.1.index()));
 
-    // G' = G plus every cross pair of heads (a_i, b_j).
-    for e in g.edges() {
-        let (u, v) = e.endpoints();
-        g_prime.add_edge(u, v)?;
-    }
-    for band_a in &bands_a {
-        for band_b in &bands_b {
-            g_prime.add_edge(band_a[0], band_b[0])?;
-        }
-    }
+    // G' = G plus every cross pair of heads (a_i, b_j); the clasp is listed
+    // twice and collapses to one edge.
+    let heads: Vec<(usize, usize)> = bands_a
+        .iter()
+        .flat_map(|a| bands_b.iter().map(move |b| (a[0].index(), b[0].index())))
+        .collect();
+    let g = Graph::from_edges(n, reliable.iter().copied())?;
+    let g_prime = Graph::from_edges(n, reliable.iter().chain(&heads).copied())?;
 
     let dual = DualGraph::new(g, g_prime)?.with_name(format!("bracelet(k={k}, n={n}, clasp={t})"));
     Ok(Bracelet {

@@ -2,7 +2,7 @@
 
 use crate::dual::DualGraph;
 use crate::error::GraphError;
-use crate::graph::Graph;
+use crate::graph::{CsrBuilder, Graph};
 use crate::node::NodeId;
 use crate::Result;
 
@@ -125,18 +125,28 @@ pub fn dual_clique_with_bridge(n: usize, t_a: usize, t_b: usize) -> Result<DualC
             ),
         });
     }
-    let mut g = Graph::empty(n);
-    for i in 0..half {
-        for j in (i + 1)..half {
-            g.add_edge(NodeId::new(i), NodeId::new(j))?;
-        }
+    // Each node's row is its own half without itself; the bridge partner
+    // sits on the other side, so it goes first on side B and last on side A.
+    let mut rows = CsrBuilder::with_edge_capacity(n, half * (half - 1) + 1);
+    for u in 0..n {
+        let side = if u < half { 0..half } else { half..n };
+        let partner = if u == t_a {
+            Some(t_b)
+        } else if u == t_b {
+            Some(t_a)
+        } else {
+            None
+        };
+        rows.row(
+            partner
+                .filter(|&w| w < u)
+                .into_iter()
+                .chain(side.filter(|&w| w != u))
+                .chain(partner.filter(|&w| w > u))
+                .map(NodeId::new),
+        );
     }
-    for i in half..n {
-        for j in (i + 1)..n {
-            g.add_edge(NodeId::new(i), NodeId::new(j))?;
-        }
-    }
-    g.add_edge(NodeId::new(t_a), NodeId::new(t_b))?;
+    let g = rows.build()?;
     let g_prime = Graph::complete(n);
     let dual =
         DualGraph::new(g, g_prime)?.with_name(format!("dual-clique(n={n}, bridge=({t_a},{t_b}))"));

@@ -12,8 +12,7 @@ use rand::Rng;
 use crate::dual::DualGraph;
 use crate::error::GraphError;
 use crate::geometry::{Embedding, Point};
-use crate::graph::{auto_backend, Graph, GraphBackend};
-use crate::node::NodeId;
+use crate::graph::Graph;
 use crate::properties;
 use crate::Result;
 
@@ -81,9 +80,8 @@ impl GeometricConfig {
 ///
 /// A `BTreeMap` keys the buckets so iteration order is deterministic
 /// (hash-map iteration would vary run to run). Pairs are emitted in bucket
-/// order, not lexicographic order; both [`Graph`] backends canonicalize
-/// edge order internally, so the resulting graphs are identical to the
-/// old scan's.
+/// order, not lexicographic order; [`Graph::from_edges`] sorts every row,
+/// so the resulting graphs are identical to the old scan's.
 type PairList = Vec<(usize, usize)>;
 
 fn classify_pairs(points: &[Point], r: f64) -> (PairList, PairList) {
@@ -125,9 +123,10 @@ fn classify_pairs(points: &[Point], r: f64) -> (PairList, PairList) {
 /// constraint with parameter `r`.
 ///
 /// Pair discovery runs through a spatial hash (expected `O(n + m)` instead
-/// of the former all-pairs `O(n²)` scan), and the storage backend follows
-/// [`auto_backend`], so million-point deployments build without ever
-/// materializing an adjacency matrix.
+/// of the former all-pairs `O(n²)` scan), both layers are built from the
+/// two pair lists in place, and the dual graph attaches a bit matrix only
+/// when [`auto_backend`](crate::auto_backend) says dense, so million-point
+/// deployments build without ever materializing an adjacency matrix.
 pub fn dual_from_points(points: Vec<Point>, r: f64, name: impl Into<String>) -> Result<DualGraph> {
     if r < 1.0 {
         return Err(GraphError::InvalidParameter {
@@ -135,28 +134,13 @@ pub fn dual_from_points(points: Vec<Point>, r: f64, name: impl Into<String>) -> 
         });
     }
     let n = points.len();
-    let (reliable, grey) = classify_pairs(&points, r);
-    let backend = auto_backend(n, (reliable.len() + grey.len()) as u64);
-    let (g, g_prime) = match backend {
-        GraphBackend::Dense => {
-            let mut g = Graph::empty(n);
-            let mut g_prime = Graph::empty(n);
-            for &(i, j) in &reliable {
-                let (u, v) = (NodeId::new(i), NodeId::new(j));
-                g.add_edge(u, v)?;
-                g_prime.add_edge(u, v)?;
-            }
-            for &(i, j) in &grey {
-                g_prime.add_edge(NodeId::new(i), NodeId::new(j))?;
-            }
-            (g, g_prime)
-        }
-        GraphBackend::Csr => {
-            let g = Graph::csr_from_edges(n, &reliable)?;
-            let mut all = reliable;
-            all.extend_from_slice(&grey);
-            (g, Graph::csr_from_edges(n, &all)?)
-        }
+    // The pair lists are dropped before the dual graph is assembled.
+    let (g, g_prime) = {
+        let (reliable, grey) = classify_pairs(&points, r);
+        (
+            Graph::from_edges(n, reliable.iter().copied())?,
+            Graph::from_edges(n, reliable.iter().chain(&grey).copied())?,
+        )
     };
     DualGraph::new(g, g_prime)?
         .with_embedding(Embedding::new(points))
@@ -252,6 +236,7 @@ pub fn grid_geometric(cols: usize, rows: usize, spacing: f64, r: f64) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeId;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -329,25 +314,28 @@ mod tests {
         assert!(narrow.is_static());
     }
 
-    /// The pre-spatial-hash all-pairs scan, kept verbatim as the reference
+    /// The pre-spatial-hash all-pairs scan, kept as the reference
     /// implementation the hash-based generator is pinned against.
     fn quadratic_reference(points: Vec<Point>, r: f64) -> DualGraph {
         let n = points.len();
-        let mut g = Graph::empty(n);
-        let mut g_prime = Graph::empty(n);
+        let mut reliable = Vec::new();
+        let mut all = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
                 let d = points[i].distance(points[j]);
-                let (u, v) = (NodeId::new(i), NodeId::new(j));
                 if d <= 1.0 {
-                    g.add_edge(u, v).unwrap();
-                    g_prime.add_edge(u, v).unwrap();
-                } else if d <= r {
-                    g_prime.add_edge(u, v).unwrap();
+                    reliable.push((i, j));
+                }
+                if d <= r {
+                    all.push((i, j));
                 }
             }
         }
-        DualGraph::new(g, g_prime).unwrap()
+        DualGraph::new(
+            Graph::from_edges(n, reliable).unwrap(),
+            Graph::from_edges(n, all).unwrap(),
+        )
+        .unwrap()
     }
 
     #[test]

@@ -2,17 +2,17 @@
 
 use crate::dual::DualGraph;
 use crate::error::GraphError;
-use crate::graph::{auto_backend, CsrBuilder, Graph, GraphBackend};
+use crate::graph::CsrBuilder;
 use crate::node::NodeId;
 use crate::Result;
 
 /// A static 4-neighbor grid of `cols × rows` nodes.
 ///
-/// Node `(c, r)` has index `r * cols + c`. The storage backend follows
-/// [`auto_backend`]: small grids stay dense (bit-exact with every earlier
-/// release), large ones stream straight into CSR rows without ever
-/// materializing the n×n bit matrix — a 1000×1000 grid builds in ~50 MB
-/// instead of the ~116 GiB its dense matrix would need.
+/// Node `(c, r)` has index `r * cols + c`. Each node's (already sorted)
+/// neighbor row streams straight into the graph, so construction is
+/// O(n + m) at every size; the dual graph attaches the bit matrix only when
+/// [`auto_backend`](crate::auto_backend) says dense — a 1000×1000 grid
+/// builds in ~50 MB instead of the ~116 GiB its matrix would need.
 ///
 /// # Errors
 ///
@@ -33,63 +33,25 @@ pub fn grid(cols: usize, rows: usize) -> Result<DualGraph> {
             reason: "grid requires both dimensions >= 1".into(),
         });
     }
-    let edges = ((cols - 1) * rows + cols * (rows - 1)) as u64;
-    grid_with_backend(cols, rows, auto_backend(cols * rows, edges))
-}
-
-/// [`grid`] with the storage backend pinned instead of chosen by the
-/// density heuristic. Both backends produce structurally equal graphs; the
-/// CSR path streams each node's (already sorted) neighbor row directly.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if either dimension is zero.
-pub fn grid_with_backend(cols: usize, rows: usize, backend: GraphBackend) -> Result<DualGraph> {
-    if cols == 0 || rows == 0 {
-        return Err(GraphError::InvalidParameter {
-            reason: "grid requires both dimensions >= 1".into(),
-        });
+    let edges = (cols - 1) * rows + cols * (rows - 1);
+    let mut b = CsrBuilder::with_edge_capacity(cols * rows, edges);
+    for r in 0..rows {
+        for c in 0..cols {
+            let idx = r * cols + c;
+            // Ascending: up (idx - cols), left, right, down.
+            b.row(
+                [
+                    (r > 0).then(|| NodeId::new(idx - cols)),
+                    (c > 0).then(|| NodeId::new(idx - 1)),
+                    (c + 1 < cols).then(|| NodeId::new(idx + 1)),
+                    (r + 1 < rows).then(|| NodeId::new(idx + cols)),
+                ]
+                .into_iter()
+                .flatten(),
+            );
+        }
     }
-    let g = match backend {
-        GraphBackend::Dense => {
-            let mut g = Graph::empty(cols * rows);
-            let idx = |c: usize, r: usize| NodeId::new(r * cols + c);
-            for r in 0..rows {
-                for c in 0..cols {
-                    if c + 1 < cols {
-                        g.add_edge(idx(c, r), idx(c + 1, r))?;
-                    }
-                    if r + 1 < rows {
-                        g.add_edge(idx(c, r), idx(c, r + 1))?;
-                    }
-                }
-            }
-            g
-        }
-        GraphBackend::Csr => {
-            let n = cols * rows;
-            let edges = (cols - 1) * rows + cols * (rows - 1);
-            let mut b = CsrBuilder::with_edge_capacity(n, edges);
-            for r in 0..rows {
-                for c in 0..cols {
-                    let idx = r * cols + c;
-                    // Ascending: up (idx - cols), left, right, down.
-                    b.row(
-                        [
-                            (r > 0).then(|| NodeId::new(idx - cols)),
-                            (c > 0).then(|| NodeId::new(idx - 1)),
-                            (c + 1 < cols).then(|| NodeId::new(idx + 1)),
-                            (r + 1 < rows).then(|| NodeId::new(idx + cols)),
-                        ]
-                        .into_iter()
-                        .flatten(),
-                    );
-                }
-            }
-            b.build()?
-        }
-    };
-    Ok(DualGraph::static_model(g).with_name(format!("grid({cols}x{rows})")))
+    Ok(DualGraph::static_model(b.build()?).with_name(format!("grid({cols}x{rows})")))
 }
 
 /// A static 4-neighbor torus (grid with wraparound) of `cols × rows` nodes.
@@ -104,15 +66,21 @@ pub fn torus(cols: usize, rows: usize) -> Result<DualGraph> {
             reason: "torus requires both dimensions >= 3".into(),
         });
     }
-    let mut g = Graph::empty(cols * rows);
-    let idx = |c: usize, r: usize| NodeId::new(r * cols + c);
+    let mut b = CsrBuilder::with_edge_capacity(cols * rows, 2 * cols * rows);
     for r in 0..rows {
         for c in 0..cols {
-            g.add_edge(idx(c, r), idx((c + 1) % cols, r))?;
-            g.add_edge(idx(c, r), idx(c, (r + 1) % rows))?;
+            // With both dimensions >= 3 the four wrapped neighbors differ.
+            let mut row = [
+                r * cols + (c + cols - 1) % cols,
+                r * cols + (c + 1) % cols,
+                (r + rows - 1) % rows * cols + c,
+                (r + 1) % rows * cols + c,
+            ];
+            row.sort_unstable();
+            b.row(row.map(NodeId::new));
         }
     }
-    Ok(DualGraph::static_model(g).with_name(format!("torus({cols}x{rows})")))
+    Ok(DualGraph::static_model(b.build()?).with_name(format!("torus({cols}x{rows})")))
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::dual::DualGraph;
 use crate::error::GraphError;
-use crate::graph::Graph;
+use crate::graph::CsrBuilder;
 use crate::node::NodeId;
 use crate::Result;
 
@@ -26,11 +26,16 @@ pub fn line(n: usize) -> Result<DualGraph> {
             reason: "line requires n >= 1".into(),
         });
     }
-    let mut g = Graph::empty(n);
-    for i in 1..n {
-        g.add_edge(NodeId::new(i - 1), NodeId::new(i))?;
+    let mut b = CsrBuilder::with_edge_capacity(n, n - 1);
+    for i in 0..n {
+        b.row(
+            [i.checked_sub(1), (i + 1 < n).then_some(i + 1)]
+                .into_iter()
+                .flatten()
+                .map(NodeId::new),
+        );
     }
-    Ok(DualGraph::static_model(g).with_name(format!("line(n={n})")))
+    Ok(DualGraph::static_model(b.build()?).with_name(format!("line(n={n})")))
 }
 
 /// A static cycle (ring) on `n ≥ 3` nodes: diameter `⌊n/2⌋`, degree 2.
@@ -44,11 +49,14 @@ pub fn ring(n: usize) -> Result<DualGraph> {
             reason: "ring requires n >= 3".into(),
         });
     }
-    let mut g = Graph::empty(n);
+    let mut b = CsrBuilder::with_edge_capacity(n, n);
     for i in 0..n {
-        g.add_edge(NodeId::new(i), NodeId::new((i + 1) % n))?;
+        // With n >= 3 the two neighbors differ.
+        let mut row = [(i + n - 1) % n, (i + 1) % n];
+        row.sort_unstable();
+        b.row(row.map(NodeId::new));
     }
-    Ok(DualGraph::static_model(g).with_name(format!("ring(n={n})")))
+    Ok(DualGraph::static_model(b.build()?).with_name(format!("ring(n={n})")))
 }
 
 /// A static star on `n ≥ 2` nodes: node 0 is the hub, diameter 2 (1 for
@@ -66,11 +74,12 @@ pub fn star(n: usize) -> Result<DualGraph> {
             reason: "star requires n >= 2".into(),
         });
     }
-    let mut g = Graph::empty(n);
-    for i in 1..n {
-        g.add_edge(NodeId::new(0), NodeId::new(i))?;
+    let mut b = CsrBuilder::with_edge_capacity(n, n - 1);
+    b.row((1..n).map(NodeId::new));
+    for _ in 1..n {
+        b.row([NodeId::new(0)]);
     }
-    Ok(DualGraph::static_model(g).with_name(format!("star(n={n})")))
+    Ok(DualGraph::static_model(b.build()?).with_name(format!("star(n={n})")))
 }
 
 /// A static "line of cliques": `cliques` cliques of `clique_size` nodes each,
@@ -100,24 +109,26 @@ pub fn line_of_cliques(cliques: usize, clique_size: usize) -> Result<DualGraph> 
         });
     }
     let n = cliques * clique_size;
-    let mut g = Graph::empty(n);
-    for c in 0..cliques {
-        let base = c * clique_size;
-        for i in 0..clique_size {
-            for j in (i + 1)..clique_size {
-                g.add_edge(NodeId::new(base + i), NodeId::new(base + j))?;
-            }
-        }
-        if c + 1 < cliques {
-            // Bridge from the last node of this clique to the first node of
-            // the next clique.
-            g.add_edge(
-                NodeId::new(base + clique_size - 1),
-                NodeId::new(base + clique_size),
-            )?;
-        }
+    let mut b = CsrBuilder::with_edge_capacity(
+        n,
+        cliques * clique_size * (clique_size - 1) / 2 + cliques - 1,
+    );
+    for u in 0..n {
+        let base = u - u % clique_size;
+        let end = base + clique_size;
+        // Bridges join the last node of each clique to the first node of
+        // the next: before the row on a clique's first node, after it on
+        // its last.
+        let prev = (u == base && base > 0).then(|| base - 1);
+        let next = (u + 1 == end && end < n).then_some(end);
+        b.row(
+            prev.into_iter()
+                .chain((base..end).filter(|&v| v != u))
+                .chain(next)
+                .map(NodeId::new),
+        );
     }
-    Ok(DualGraph::static_model(g)
+    Ok(DualGraph::static_model(b.build()?)
         .with_name(format!("line-of-cliques(c={cliques}, s={clique_size})")))
 }
 

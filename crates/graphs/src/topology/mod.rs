@@ -25,7 +25,7 @@ mod tree;
 pub use bracelet::{bracelet, bracelet_with_clasp, Bracelet};
 pub use clique::{clique, dual_clique, dual_clique_with_bridge, DualClique};
 pub use geometric::{dual_from_points, grid_geometric, random_geometric, GeometricConfig};
-pub use grid::{grid, grid_with_backend, torus};
+pub use grid::{grid, torus};
 pub use line::{line, line_of_cliques, ring, star};
 pub use random::{erdos_renyi_dual, gnp, sparse_erdos_renyi_dual, sparse_gnp};
 pub use tree::balanced_tree;

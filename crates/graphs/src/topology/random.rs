@@ -4,7 +4,7 @@ use rand::Rng;
 
 use crate::dual::DualGraph;
 use crate::error::GraphError;
-use crate::graph::{auto_backend, Graph, GraphBackend};
+use crate::graph::Graph;
 use crate::node::NodeId;
 use crate::properties;
 use crate::Result;
@@ -32,15 +32,15 @@ pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Graph> {
             reason: format!("edge probability must be in [0, 1], got {p}"),
         });
     }
-    let mut g = Graph::empty(n);
+    let mut edges = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
             if rng.gen_bool(p) {
-                g.add_edge(NodeId::new(i), NodeId::new(j))?;
+                edges.push((i, j));
             }
         }
     }
-    Ok(g)
+    Graph::from_edges(n, edges)
 }
 
 /// Samples a random dual graph: the reliable layer is `G(n, p_reliable)`
@@ -81,15 +81,21 @@ pub fn erdos_renyi_dual<R: Rng + ?Sized>(
         }
     }
     let g = g.ok_or(GraphError::Disconnected)?;
-    let mut g_prime = g.clone();
+    // G' is G plus each absent pair with probability p_dynamic: one coin
+    // per absent pair, in canonical pair order.
+    let mut dynamic = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
-            let (u, v) = (NodeId::new(i), NodeId::new(j));
-            if !g_prime.has_edge(u, v) && rng.gen_bool(p_dynamic) {
-                g_prime.add_edge(u, v)?;
+            if !g.has_edge(NodeId::new(i), NodeId::new(j)) && rng.gen_bool(p_dynamic) {
+                dynamic.push((i, j));
             }
         }
     }
+    let reliable = g.edges().into_iter().map(|e| {
+        let (u, v) = e.endpoints();
+        (u.index(), v.index())
+    });
+    let g_prime = Graph::from_edges(n, reliable.chain(dynamic))?;
     DualGraph::new(g, g_prime).map(|d| {
         d.with_name(format!(
             "erdos-renyi(n={n}, p={p_reliable:.2}, q={p_dynamic:.2})"
@@ -104,9 +110,9 @@ pub fn erdos_renyi_dual<R: Rng + ?Sized>(
 ///
 /// This draws a *different RNG stream* than [`gnp`] (one `f64` per edge
 /// rather than one Bernoulli per pair), so for a fixed seed the two
-/// samplers produce different — equally distributed — graphs. Storage
-/// follows [`auto_backend`] on the expected edge count, so sparse
-/// million-node samples build straight into CSR rows.
+/// samplers produce different — equally distributed — graphs. The sampled
+/// pairs build the rows directly, so sparse million-node samples never
+/// touch an n×n matrix.
 ///
 /// # Errors
 ///
@@ -117,12 +123,10 @@ pub fn sparse_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Grap
             reason: format!("edge probability must be in [0, 1], got {p}"),
         });
     }
-    let expected = (p * (n.saturating_mul(n.saturating_sub(1)) / 2) as f64) as u64;
-    let backend = auto_backend(n, expected);
     // p = 0 must short-circuit: ln(1-u)/ln(1) is -inf/0 = NaN, and a NaN
     // cast to usize saturates to 0, which would emit *every* pair.
     if n < 2 || p <= 0.0 {
-        return empty_with_backend(n, backend);
+        return Ok(Graph::empty(n));
     }
     let ln_q = (1.0 - p).ln(); // -inf when p = 1, making every skip 0.
     let mut edges: Vec<(usize, usize)> = Vec::new();
@@ -156,23 +160,7 @@ pub fn sparse_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Grap
         }
         edges.push((i, j));
     }
-    match backend {
-        GraphBackend::Csr => Graph::csr_from_edges(n, &edges),
-        GraphBackend::Dense => {
-            let mut g = Graph::empty(n);
-            for &(a, b) in &edges {
-                g.add_edge(NodeId::new(a), NodeId::new(b))?;
-            }
-            Ok(g)
-        }
-    }
-}
-
-fn empty_with_backend(n: usize, backend: GraphBackend) -> Result<Graph> {
-    match backend {
-        GraphBackend::Dense => Ok(Graph::empty(n)),
-        GraphBackend::Csr => Graph::csr_from_edges(n, &[]),
-    }
+    Graph::from_edges(n, edges)
 }
 
 /// Samples a *static* dual graph (`G = G'`) over [`sparse_gnp`].
@@ -284,11 +272,13 @@ mod tests {
         // E[m] = 0.002 * 5000*4999/2 ≈ 25_000; a 3x window is
         // astronomically safe.
         assert!(a.edge_count() > 8_000 && a.edge_count() < 75_000);
-        // Past DENSE_AUTO_MAX_NODES, sparse samples come back on CSR.
-        assert_eq!(a.backend(), GraphBackend::Csr);
-        // Small or dense parameters keep the dense backend.
-        let small = sparse_gnp(50, 0.5, &mut ChaCha8Rng::seed_from_u64(1)).unwrap();
-        assert_eq!(small.backend(), GraphBackend::Dense);
+        // Past DENSE_AUTO_MAX_NODES, the dual graph keeps sparse samples on
+        // CSR rows; small or dense parameters get the bit matrix.
+        let dual = sparse_erdos_renyi_dual(5000, 0.002, &mut ChaCha8Rng::seed_from_u64(7)).unwrap();
+        assert_eq!(dual.g(), &a);
+        assert_eq!(dual.graph_backend(), crate::GraphBackend::Csr);
+        let small = sparse_erdos_renyi_dual(50, 0.5, &mut ChaCha8Rng::seed_from_u64(1)).unwrap();
+        assert_eq!(small.graph_backend(), crate::GraphBackend::Dense);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::dual::DualGraph;
 use crate::error::GraphError;
-use crate::graph::Graph;
+use crate::graph::CsrBuilder;
 use crate::node::NodeId;
 use crate::Result;
 
@@ -50,14 +50,18 @@ pub fn balanced_tree(branching: usize, depth: usize) -> Result<DualGraph> {
             });
         }
     }
-    let mut g = Graph::empty(n);
-    // Parent of node i (i >= 1) in a complete branching-ary tree laid out in
-    // BFS order is (i - 1) / branching.
-    for i in 1..n {
-        let parent = (i - 1) / branching;
-        g.add_edge(NodeId::new(parent), NodeId::new(i))?;
+    // In a complete branching-ary tree laid out in BFS order, node i >= 1
+    // has parent (i - 1) / branching and node i has children
+    // i·branching + 1 ..= i·branching + branching: parent first, then
+    // children, is already ascending.
+    let mut b = CsrBuilder::with_edge_capacity(n, n - 1);
+    for i in 0..n {
+        let parent = i.checked_sub(1).map(|p| p / branching);
+        let first_child = i.saturating_mul(branching).saturating_add(1).min(n);
+        let children = first_child..first_child.saturating_add(branching).min(n);
+        b.row(parent.into_iter().chain(children).map(NodeId::new));
     }
-    Ok(DualGraph::static_model(g).with_name(format!("tree(b={branching}, d={depth})")))
+    Ok(DualGraph::static_model(b.build()?).with_name(format!("tree(b={branching}, d={depth})")))
 }
 
 #[cfg(test)]

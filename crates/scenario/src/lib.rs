@@ -63,11 +63,11 @@ pub use problem::{AlgorithmSpec, ProblemSpec, ResolvedProblem};
 pub use runner::{Measurement, ScenarioRunner, TrialAccumulator, TrialOutcome, TRIAL_STREAM_BASE};
 pub use scenario::{LinkBuilder, Scenario, ScenarioBuilder, ScenarioSpec};
 pub use stats::{Completion, ContentionCurve, Moments, Summary};
-pub use topology::{BackendChoice, BuiltTopology, TopologySpec};
+pub use topology::{BuiltTopology, TopologySpec};
 
-// Re-exported so campaign checks and bench banners can reason about
-// storage backends and their memory footprints without depending on
-// `dradio-graphs` directly.
+// Re-exported so campaign checks and bench banners can reason about graph
+// layouts and their memory footprints without depending on `dradio-graphs`
+// directly.
 pub use dradio_graphs::{csr_bytes_estimate, dense_bytes_estimate, GraphBackend};
 
 // Re-exported so scenario and campaign callers can select a record mode,

@@ -14,7 +14,7 @@ use crate::adversary::AdversarySpec;
 use crate::error::{Result, ScenarioError};
 use crate::problem::{AlgorithmSpec, ProblemSpec, ResolvedProblem};
 use crate::runner::{Measurement, ScenarioRunner};
-use crate::topology::{BackendChoice, BuiltTopology, TopologySpec};
+use crate::topology::{BuiltTopology, TopologySpec};
 
 /// Builds one fresh link process per trial. Adversaries are stateful, so the
 /// scenario stores this recipe rather than an instance. This is the engine's
@@ -150,7 +150,6 @@ pub struct ScenarioBuilder {
     max_rounds: Option<usize>,
     collision_detection: bool,
     record_mode: RecordMode,
-    backend: BackendChoice,
 }
 
 impl ScenarioBuilder {
@@ -167,7 +166,6 @@ impl ScenarioBuilder {
             max_rounds: None,
             collision_detection: false,
             record_mode: RecordMode::Full,
-            backend: BackendChoice::Auto,
         }
     }
 
@@ -253,16 +251,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets how the network's adjacency storage backend is chosen (default
-    /// [`BackendChoice::Auto`]: the generator's density heuristic). Purely a
-    /// memory/layout knob — executions are identical under every choice —
-    /// so, like the record mode, it is not part of the serialized spec.
-    /// Applies to attached topologies too (they are converted at build).
-    pub fn backend(mut self, backend: BackendChoice) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Replaces the topology with a directly supplied network (also
     /// reachable via [`Scenario::on_dual`]).
     pub fn custom_dual(mut self, dual: DualGraph) -> Self {
@@ -279,9 +267,11 @@ impl ScenarioBuilder {
     /// differ only in algorithm or adversary.
     ///
     /// The caller guarantees `built` is what the spec's
-    /// [`build`](TopologySpec::build) would produce — the spec itself is
-    /// recorded unchanged, so a serialized spec still rebuilds the same
-    /// network.
+    /// [`build`](TopologySpec::build) would produce, in any layout — the
+    /// spec itself is recorded unchanged, so a serialized spec still
+    /// rebuilds the same network. A network converted with
+    /// [`DualGraph::with_graph_backend`] runs identically; that is how the
+    /// equivalence suites compare layouts.
     pub fn with_topology(mut self, built: BuiltTopology) -> Self {
         self.attached_topology = Some(built);
         self
@@ -301,8 +291,8 @@ impl ScenarioBuilder {
     ///   parameters.
     pub fn build(self) -> Result<Scenario> {
         let topology = match self.attached_topology {
-            Some(t) => t.with_backend(self.backend),
-            None => self.topology.build_with_backend(self.backend)?,
+            Some(t) => t,
+            None => self.topology.build()?,
         };
         let algorithm = self
             .algorithm

@@ -5,7 +5,6 @@
 //! generators carry their own seed so that the spec alone pins the network
 //! down exactly: the same spec always builds the same [`DualGraph`].
 
-use std::fmt;
 use std::sync::Arc;
 
 use dradio_graphs::topology::{self, Bracelet, DualClique, GeometricConfig};
@@ -16,50 +15,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::error::{Result, ScenarioError};
-
-/// How a scenario picks the adjacency storage backend for its network.
-///
-/// Purely an execution/memory knob: both backends enumerate neighbors in
-/// the same order, so simulation outcomes — measurements, store bytes, cell
-/// keys — are identical under every choice (pinned by the sparse
-/// equivalence suite). The default [`BackendChoice::Auto`] lets each
-/// generator apply [`auto_backend`]'s density heuristic; the explicit
-/// choices exist for tests and memory-bound sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendChoice {
-    /// Let the generator's density heuristic decide (the default).
-    #[default]
-    Auto,
-    /// Force the dense bitset-plus-adjacency backend.
-    Dense,
-    /// Force the compressed-sparse-row backend.
-    Csr,
-}
-
-serde::serde_enum!(BackendChoice { Auto, Dense, Csr });
-
-impl BackendChoice {
-    /// Resolves the choice against a network of `n` nodes and
-    /// `expected_edges` edges ([`BackendChoice::Auto`] applies the
-    /// [`auto_backend`] heuristic).
-    pub fn resolve(self, n: usize, expected_edges: u64) -> GraphBackend {
-        match self {
-            BackendChoice::Auto => auto_backend(n, expected_edges),
-            BackendChoice::Dense => GraphBackend::Dense,
-            BackendChoice::Csr => GraphBackend::Csr,
-        }
-    }
-}
-
-impl fmt::Display for BackendChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            BackendChoice::Auto => "auto",
-            BackendChoice::Dense => "dense",
-            BackendChoice::Csr => "csr",
-        })
-    }
-}
 
 /// Every topology generator of [`dradio_graphs::topology`], as a pure,
 /// serializable value.
@@ -323,8 +278,8 @@ impl TopologySpec {
     /// without building the network. Exact for the deterministic families,
     /// an expectation for the randomized ones, `None` for
     /// [`TopologySpec::Custom`]. Feeds [`TopologySpec::memory_estimate`]
-    /// and the [`auto_backend`] heuristic resolution — never the network
-    /// itself, so a loose estimate can never change a measurement.
+    /// — never the network itself, so a loose estimate can never change a
+    /// measurement.
     pub fn expected_edges(&self) -> Option<u64> {
         let pairs = |n: usize| (n.saturating_mul(n.saturating_sub(1)) / 2) as u64;
         match *self {
@@ -386,32 +341,22 @@ impl TopologySpec {
         }
     }
 
-    /// The storage backend `choice` resolves to for this spec, and the
-    /// estimated bytes the built network (both layers) occupies under it.
-    /// `None` when the spec's size is not derivable
-    /// ([`TopologySpec::Custom`]). Campaign checks and fleet banners use
-    /// this to surface memory budgets before anything is built.
-    pub fn memory_estimate(&self, choice: BackendChoice) -> Option<(GraphBackend, u64)> {
+    /// The layout the built network will use — [`auto_backend`] applied to
+    /// the spec's size and [`expected_edges`](TopologySpec::expected_edges),
+    /// the rule [`DualGraph`]'s constructors apply to the real edge count —
+    /// and the estimated bytes both layers occupy in it. `None` when the
+    /// spec's size is not derivable ([`TopologySpec::Custom`]). Campaign
+    /// checks and fleet banners use this to surface memory budgets before
+    /// anything is built.
+    pub fn memory_estimate(&self) -> Option<(GraphBackend, u64)> {
         let n = self.node_count()?;
         let m = self.expected_edges()?;
-        let backend = choice.resolve(n, m);
+        let backend = auto_backend(n, m);
         let per_layer = match backend {
             GraphBackend::Dense => dense_bytes_estimate(n, m),
             GraphBackend::Csr => csr_bytes_estimate(n, m),
         };
         Some((backend, per_layer.saturating_mul(2)))
-    }
-
-    /// [`TopologySpec::build`] with the storage backend forced by `choice`
-    /// ([`BackendChoice::Auto`] is exactly `build()`). Purely a memory/
-    /// layout decision — the returned network is structurally identical
-    /// under every choice.
-    ///
-    /// # Errors
-    ///
-    /// See [`TopologySpec::build`].
-    pub fn build_with_backend(&self, choice: BackendChoice) -> Result<BuiltTopology> {
-        Ok(self.build()?.with_backend(choice))
     }
 
     /// Builds the network this spec describes.
@@ -545,22 +490,6 @@ impl BuiltTopology {
     /// Maximum degree of the unreliable layer `G'`.
     pub fn max_degree(&self) -> usize {
         self.dual.max_degree()
-    }
-
-    /// Returns this topology with its network converted to the backend
-    /// `choice` resolves to ([`BackendChoice::Auto`] is a no-op; an already
-    /// matching backend is left untouched). Construction metadata carries
-    /// over unchanged — it is structural, not storage-dependent.
-    pub fn with_backend(mut self, choice: BackendChoice) -> Self {
-        let target = match choice {
-            BackendChoice::Auto => return self,
-            BackendChoice::Dense => GraphBackend::Dense,
-            BackendChoice::Csr => GraphBackend::Csr,
-        };
-        if self.dual.graph_backend() != target || self.dual.g_prime().backend() != target {
-            self.dual = Arc::new(self.dual.with_graph_backend(target));
-        }
-        self
     }
 }
 
@@ -714,75 +643,75 @@ mod tests {
     }
 
     #[test]
-    fn backend_choice_converts_networks_without_changing_them() {
+    fn forced_layouts_convert_networks_without_changing_them() {
         let spec = TopologySpec::Grid { cols: 6, rows: 5 };
         let auto = spec.build().unwrap();
         assert_eq!(auto.dual.graph_backend(), GraphBackend::Dense);
-        let forced = spec.build_with_backend(BackendChoice::Csr).unwrap();
-        assert_eq!(forced.dual.graph_backend(), GraphBackend::Csr);
+        let forced = auto.dual.with_graph_backend(GraphBackend::Csr);
+        assert_eq!(forced.graph_backend(), GraphBackend::Csr);
+        assert_eq!(forced.g_prime().backend(), GraphBackend::Csr);
         // Structurally the same network, differently stored.
-        assert_eq!(auto.dual.as_ref(), forced.dual.as_ref());
-        // Auto and a matching explicit choice are no-ops.
+        assert_eq!(auto.dual.as_ref(), &forced);
+        assert_eq!(forced.with_graph_backend(GraphBackend::Dense), forced);
+        // Construction metadata is structural, not storage-dependent.
+        let bracelet = TopologySpec::Bracelet { k: 3 }.build().unwrap();
+        let csr = BuiltTopology {
+            dual: Arc::new(bracelet.dual.with_graph_backend(GraphBackend::Csr)),
+            ..bracelet.clone()
+        };
+        assert_eq!(csr.dual, bracelet.dual);
         assert_eq!(
-            spec.build_with_backend(BackendChoice::Auto).unwrap().dual,
-            auto.dual
+            csr.bracelet.map(|b| b.heads_a()),
+            bracelet.bracelet.map(|b| b.heads_a())
         );
-        assert_eq!(
-            spec.build_with_backend(BackendChoice::Dense)
-                .unwrap()
-                .dual
-                .graph_backend(),
-            GraphBackend::Dense
-        );
-        // Metadata survives conversion.
-        let bracelet = TopologySpec::Bracelet { k: 3 }
-            .build_with_backend(BackendChoice::Csr)
-            .unwrap();
-        assert!(bracelet.bracelet.is_some());
-        assert_eq!(bracelet.dual.graph_backend(), GraphBackend::Csr);
-    }
-
-    #[test]
-    fn backend_choice_serde_and_display() {
-        for (choice, text) in [
-            (BackendChoice::Auto, "auto"),
-            (BackendChoice::Dense, "dense"),
-            (BackendChoice::Csr, "csr"),
-        ] {
-            assert_eq!(choice.to_string(), text);
-            let json = serde_json::to_string(&choice).unwrap();
-            let back: BackendChoice = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, choice);
-        }
-        assert_eq!(BackendChoice::default(), BackendChoice::Auto);
+        // Check reports and fleet banners print the layouts by these names.
+        assert_eq!(GraphBackend::Dense.to_string(), "dense");
+        assert_eq!(GraphBackend::Csr.to_string(), "csr");
     }
 
     #[test]
     fn memory_estimates_resolve_the_heuristic() {
-        // A small grid stays dense under Auto; a million-node grid resolves
-        // to CSR, and its dense estimate is astronomically larger.
+        // A small grid stays dense; a million-node grid resolves to CSR, and
+        // the same grid with the matrix attached would be astronomically
+        // larger.
         let small = TopologySpec::Grid { cols: 6, rows: 5 };
-        assert_eq!(
-            small.memory_estimate(BackendChoice::Auto).unwrap().0,
-            GraphBackend::Dense
-        );
+        assert_eq!(small.memory_estimate().unwrap().0, GraphBackend::Dense);
         let big = TopologySpec::Grid {
             cols: 1000,
             rows: 1000,
         };
-        let (backend, csr_bytes) = big.memory_estimate(BackendChoice::Auto).unwrap();
+        let (backend, csr_bytes) = big.memory_estimate().unwrap();
         assert_eq!(backend, GraphBackend::Csr);
-        let (_, dense_bytes) = big.memory_estimate(BackendChoice::Dense).unwrap();
+        let m = big.expected_edges().unwrap();
+        assert_eq!(csr_bytes, 2 * csr_bytes_estimate(1_000_000, m));
         assert!(csr_bytes < 1 << 30, "CSR grid fits in memory: {csr_bytes}");
         assert!(
-            dense_bytes > 100 * (1u64 << 30),
-            "dense million-node matrix is >100 GiB: {dense_bytes}"
+            2 * dense_bytes_estimate(1_000_000, m) > 100 * (1u64 << 30),
+            "a dense million-node matrix is >100 GiB"
         );
+        // The estimate predicts the layout the dual graph picks when it
+        // builds the network, on both sides of the dense floor.
+        for spec in [
+            small,
+            TopologySpec::Line { n: 3000 },
+            TopologySpec::Grid { cols: 50, rows: 50 },
+            TopologySpec::Bracelet { k: 33 },
+        ] {
+            assert_eq!(
+                spec.memory_estimate().unwrap().0,
+                spec.build().unwrap().dual.graph_backend(),
+                "{}",
+                spec.label()
+            );
+        }
         // Custom topologies have no derivable estimate.
         assert!(TopologySpec::Custom { name: "x".into() }
-            .memory_estimate(BackendChoice::Auto)
+            .memory_estimate()
             .is_none());
         // Expected edges are exact for deterministic families.
-        assert_eq!(small.expected_edges(), Some((5 * 5 + 6 * 4) as u64));
+        assert_eq!(
+            TopologySpec::Grid { cols: 6, rows: 5 }.expected_edges(),
+            Some((5 * 5 + 6 * 4) as u64)
+        );
     }
 }

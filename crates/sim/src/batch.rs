@@ -1221,7 +1221,7 @@ mod tests {
             AdversaryClass::Oblivious
         }
         fn on_start(&mut self, setup: &AdversarySetup<'_>, _rng: &mut dyn RngCore) {
-            self.dynamic = setup.dual.dynamic_edges();
+            self.dynamic = setup.dual.dynamic_edges().to_vec();
             self.bogus = NodeId::all(setup.dual.len()).find_map(|u| {
                 setup
                     .dual

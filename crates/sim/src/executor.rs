@@ -660,10 +660,11 @@ impl std::fmt::Debug for TrialExecutor {
 ///
 /// The transmitter set is kept both as a sorted `Vec<NodeId>` (for history
 /// records and transmitter probing) and as a packed `u64` bitset aligned
-/// with [`dradio_graphs::Graph::neighbor_bits`], so reception resolves 64
-/// candidate neighbors per word instead of chasing adjacency `Vec`s. Dynamic
-/// edges activated by the link process live in a [`DynamicAdjacency`];
-/// only what the round's active edges wrote is cleared afterwards.
+/// with the dense rows of [`dradio_graphs::Graph::neighbor_row`], so
+/// reception resolves 64 candidate neighbors per word instead of chasing
+/// adjacency rows. Dynamic edges activated by the link process live in a
+/// [`DynamicAdjacency`]; only what the round's active edges wrote is
+/// cleared afterwards.
 #[derive(Debug)]
 struct RoundScratch {
     /// Per-node actions of the current round.

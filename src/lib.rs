@@ -84,8 +84,8 @@ pub mod prelude {
     pub use dradio_core::problem::{GlobalBroadcastProblem, LocalBroadcastProblem};
     pub use dradio_graphs::{properties, topology, DualGraph, Graph, NodeId};
     pub use dradio_scenario::{
-        AdversarySpec, AlgorithmSpec, BackendChoice, GraphBackend, Measurement, ProblemSpec,
-        Scenario, ScenarioRunner, ScenarioSpec, TopologySpec,
+        AdversarySpec, AlgorithmSpec, GraphBackend, Measurement, ProblemSpec, Scenario,
+        ScenarioRunner, ScenarioSpec, TopologySpec,
     };
     pub use dradio_sim::{
         Action, AdversaryClass, Assignment, ExecutionOutcome, Feedback, LinkFactory, LinkProcess,

@@ -3,7 +3,7 @@
 //! exactly when the adversary is oblivious, no history is recorded, and
 //! every process declares a `FixedRate` profile. These suites pin that rule,
 //! pin that the kernel's outcomes equal a scalar `TrialExecutor` loop trial
-//! for trial on both graph backends, and pin that ragged lane groups (1–63
+//! for trial in both graph layouts, and pin that ragged lane groups (1–63
 //! live lanes) behave exactly like full words.
 
 mod support;
@@ -89,8 +89,14 @@ fn every_topology_family_takes_the_kernel_on_both_backends() {
         }
         for (name, adversary) in adversaries {
             let label = format!("{}/{name}", topology.label());
-            let dense = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Dense, 21);
-            let csr = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Csr, 21);
+            let dense = beacon_scenario(
+                &topology,
+                &adversary,
+                &problem,
+                Some(GraphBackend::Dense),
+                21,
+            );
+            let csr = beacon_scenario(&topology, &adversary, &problem, Some(GraphBackend::Csr), 21);
             assert_eq!(csr.dual().graph_backend(), GraphBackend::Csr);
             assert_kernel_matches_scalar(&format!("{label}/dense"), &dense, 9);
             assert_kernel_matches_scalar(&format!("{label}/csr"), &csr, 9);
@@ -128,7 +134,7 @@ fn every_batchable_global_combination_matches_scalar() {
                 .expect("valid scenario");
             assert_runs_scalar(&format!("{algorithm:?}/{name}/global"), &scenario, 9);
         }
-        let beacon = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Auto, 11);
+        let beacon = beacon_scenario(&topology, &adversary, &problem, None, 11);
         assert_kernel_matches_scalar(&format!("beacon/{name}/global"), &beacon, 9);
     }
 }
@@ -156,7 +162,7 @@ fn every_batchable_local_combination_matches_scalar() {
                 .expect("dense deployments connect");
             assert_runs_scalar(&format!("{algorithm:?}/{name}/local"), &scenario, 9);
         }
-        let beacon = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Auto, 12);
+        let beacon = beacon_scenario(&topology, &adversary, &problem, None, 12);
         assert_kernel_matches_scalar(&format!("beacon/{name}/local"), &beacon, 9);
     }
 }
@@ -166,7 +172,7 @@ fn bracelet_attack_batches_and_matches_scalar() {
     let topology = TopologySpec::Bracelet { k: 3 };
     let adversary = AdversarySpec::BraceletAttack;
     let problem = ProblemSpec::LocalHeadsA;
-    let beacon = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Auto, 13);
+    let beacon = beacon_scenario(&topology, &adversary, &problem, None, 13);
     assert_kernel_matches_scalar("beacon/bracelet-attack/local", &beacon, 9);
     let decay = Scenario::on(topology)
         .algorithm(LocalAlgorithm::StaticDecay)
@@ -185,7 +191,7 @@ fn batch_measurements_agree_with_and_without_curves() {
         &TopologySpec::DualClique { n: 16 },
         &AdversarySpec::Iid { p: 0.5 },
         &ProblemSpec::GlobalFrom(0),
-        BackendChoice::Auto,
+        None,
         14,
     );
     let runner = ScenarioRunner::new(&scenario);
@@ -216,7 +222,7 @@ fn adaptive_adversaries_and_full_recording_fall_back_to_scalar() {
         AdversarySpec::GreedyCollision,
         AdversarySpec::Omniscient,
     ] {
-        let adaptive = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Auto, 15);
+        let adaptive = beacon_scenario(&topology, &adversary, &problem, None, 15);
         assert_runs_scalar(&format!("beacon/{}", adversary.label()), &adaptive, 5);
     }
 
@@ -224,7 +230,7 @@ fn adaptive_adversaries_and_full_recording_fall_back_to_scalar() {
         &topology,
         &AdversarySpec::Iid { p: 0.5 },
         &problem,
-        BackendChoice::Auto,
+        None,
         16,
     );
     let full = ScenarioRunner::new(&oblivious).record_mode(RecordMode::Full);
@@ -248,7 +254,7 @@ proptest! {
             &TopologySpec::DualClique { n: 2 * (n / 2) },
             &AdversarySpec::Iid { p: 0.5 },
             &ProblemSpec::GlobalFrom(0),
-            BackendChoice::Auto,
+            None,
             seed,
         );
         let runner = ScenarioRunner::new(&scenario).sequential();

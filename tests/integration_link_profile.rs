@@ -20,7 +20,7 @@ use dradio::sim::{
 };
 use proptest::prelude::*;
 use rand::RngCore;
-use support::{beacon_builder, beacon_scenario, families, scalar_loop};
+use support::{beacon_builder, beacon_scenario, families, on_layout, scalar_loop};
 
 /// Forwards everything to the wrapped process except
 /// [`LinkProcess::link_profile`], which stays `Opaque`: the engine must call
@@ -96,15 +96,12 @@ fn assert_scalar_paths_agree(label: &str, profile: &Scenario, opaque: &Scenario,
     }
 }
 
-const BACKENDS: [BackendChoice; 2] = [BackendChoice::Dense, BackendChoice::Csr];
+const LAYOUTS: [GraphBackend; 2] = [GraphBackend::Dense, GraphBackend::Csr];
 
 #[test]
 fn registered_algorithms_match_the_reference_on_every_family() {
     for (topology, problem) in families() {
-        for backend in BACKENDS {
-            let built = topology
-                .build_with_backend(backend)
-                .expect("family topologies build");
+        for layout in LAYOUTS {
             let algorithms: Vec<AlgorithmSpec> = if problem.is_global() {
                 GlobalAlgorithm::all().into_iter().map(Into::into).collect()
             } else {
@@ -113,13 +110,11 @@ fn registered_algorithms_match_the_reference_on_every_family() {
             for algorithm in algorithms {
                 for adversary in profiled() {
                     let builder = || {
-                        Scenario::on(topology.clone())
-                            .with_topology(built.clone())
+                        on_layout(&topology, layout)
                             .algorithm(algorithm.clone())
                             .problem(problem.clone())
                             .seed(31)
                             .max_rounds(60)
-                            .backend(backend)
                     };
                     let profile = builder()
                         .adversary(adversary.clone())
@@ -127,7 +122,7 @@ fn registered_algorithms_match_the_reference_on_every_family() {
                         .expect("family scenarios build");
                     let opaque = reference(builder(), &adversary);
                     let label = format!(
-                        "{}/{}/{}/{backend:?}",
+                        "{}/{}/{}/{layout:?}",
                         topology.label(),
                         algorithm.name(),
                         adversary.label()
@@ -142,12 +137,11 @@ fn registered_algorithms_match_the_reference_on_every_family() {
 #[test]
 fn batch_lanes_match_the_reference_on_every_family() {
     for (family, (topology, problem)) in families().into_iter().enumerate() {
-        for backend in BACKENDS {
+        for layout in LAYOUTS.map(Some) {
             for adversary in profiled() {
-                let label = format!("{}/{}/{backend:?}", topology.label(), adversary.label());
-                let profile = beacon_scenario(&topology, &adversary, &problem, backend, 32);
-                let opaque =
-                    reference(beacon_builder(&topology, &problem, backend, 32), &adversary);
+                let label = format!("{}/{}/{layout:?}", topology.label(), adversary.label());
+                let profile = beacon_scenario(&topology, &adversary, &problem, layout, 32);
+                let opaque = reference(beacon_builder(&topology, &problem, layout, 32), &adversary);
                 assert_scalar_paths_agree(&label, &profile, &opaque, 3);
                 // One full lane group plus a ragged one on the first family;
                 // a partial group everywhere else.
@@ -173,11 +167,8 @@ fn full_recording_calls_decide_and_measures_the_same() {
     for (topology, problem) in families().into_iter().take(6) {
         for adversary in profiled() {
             let label = format!("{}/{}", topology.label(), adversary.label());
-            let profile = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Auto, 33);
-            let opaque = reference(
-                beacon_builder(&topology, &problem, BackendChoice::Auto, 33),
-                &adversary,
-            );
+            let profile = beacon_scenario(&topology, &adversary, &problem, None, 33);
+            let opaque = reference(beacon_builder(&topology, &problem, None, 33), &adversary);
             let mut fast = profile.executor();
             let mut slow = opaque.executor();
             for seed in 0..3 {
@@ -391,7 +382,7 @@ fn a_hub_beacon_over_dynamic_spokes_delivers_binomially() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any probability, seed, family and backend: the profile path equals
+    /// Any probability, seed, family and layout: the profile path equals
     /// the reference, on the scalar executor and on batch lanes.
     #[test]
     fn any_probability_matches_the_reference(
@@ -402,10 +393,10 @@ proptest! {
     ) {
         let mut all = families();
         let (topology, problem) = all.swap_remove(family % all.len());
-        let backend = if csr { BackendChoice::Csr } else { BackendChoice::Dense };
+        let layout = Some(if csr { GraphBackend::Csr } else { GraphBackend::Dense });
         let adversary = AdversarySpec::Iid { p };
-        let profile = beacon_scenario(&topology, &adversary, &problem, backend, seed);
-        let opaque = reference(beacon_builder(&topology, &problem, backend, seed), &adversary);
+        let profile = beacon_scenario(&topology, &adversary, &problem, layout, seed);
+        let opaque = reference(beacon_builder(&topology, &problem, layout, seed), &adversary);
         let mut fast = profile.executor();
         let mut slow = opaque.executor();
         for trial in 0..3 {

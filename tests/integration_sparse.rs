@@ -1,15 +1,17 @@
-//! Integration tests for the sparse CSR graph backend: forcing a backend is
-//! purely a memory/layout decision, so dense and CSR runs of the same
-//! scenario must produce identical trial outcomes and byte-identical
-//! serialized measurements — across every registered declarative topology
-//! family, on oblivious and adaptive adversaries, on the scalar and the
-//! bit-sliced batch paths, and through the campaign cell executor.
+//! Integration tests for the two graph layouts: CSR rows alone, and rows
+//! with the bit matrix the dual graph attaches to dense networks. The
+//! layout is purely a memory/row-scan decision, so the same network run in
+//! either layout (converted with `DualGraph::with_graph_backend`) must give
+//! identical trial outcomes and byte-identical serialized measurements —
+//! across every registered declarative topology family, on oblivious and
+//! adaptive adversaries, on the scalar and the bit-sliced batch paths, and
+//! against what the campaign cell executor stores.
 
 mod support;
 
 use dradio::prelude::*;
 use proptest::prelude::*;
-use support::{beacon_scenario, families, scalar_loop};
+use support::{beacon_scenario, families, on_layout, scalar_loop};
 
 /// The registered algorithm that fits `problem`'s kind.
 fn algorithm_for(problem: &ProblemSpec) -> AlgorithmSpec {
@@ -37,33 +39,22 @@ fn build(
     algorithm: &AlgorithmSpec,
     adversary: &AdversarySpec,
     problem: &ProblemSpec,
-    backend: BackendChoice,
+    layout: GraphBackend,
 ) -> Scenario {
-    Scenario::on(topology.clone())
+    on_layout(topology, layout)
         .algorithm(algorithm.clone())
         .adversary(adversary.clone())
         .problem(problem.clone())
         .seed(21)
         .max_rounds(300)
-        .backend(backend)
         .build()
-        .expect("registry scenarios build under every backend")
+        .expect("registry scenarios build in every layout")
 }
 
 #[test]
 fn every_registered_topology_and_adversary_agrees_across_backends() {
     for (topology, problem) in families() {
         let algorithm = algorithm_for(&problem);
-        // The backend knob really converts the storage.
-        let dense_built = topology
-            .build_with_backend(BackendChoice::Dense)
-            .expect("registry topologies build");
-        assert_eq!(dense_built.dual.graph_backend(), GraphBackend::Dense);
-        let csr_built = topology
-            .build_with_backend(BackendChoice::Csr)
-            .expect("registry topologies build");
-        assert_eq!(csr_built.dual.graph_backend(), GraphBackend::Csr);
-
         for (name, adversary) in adversaries() {
             let label = format!("{}/{name}", topology.label());
             let dense = build(
@@ -71,15 +62,19 @@ fn every_registered_topology_and_adversary_agrees_across_backends() {
                 &algorithm,
                 &adversary,
                 &problem,
-                BackendChoice::Dense,
+                GraphBackend::Dense,
             );
             let csr = build(
                 &topology,
                 &algorithm,
                 &adversary,
                 &problem,
-                BackendChoice::Csr,
+                GraphBackend::Csr,
             );
+            // The helper really converts the storage, and only the storage.
+            assert_eq!(dense.dual().graph_backend(), GraphBackend::Dense);
+            assert_eq!(csr.dual().g_prime().backend(), GraphBackend::Csr);
+            assert_eq!(dense.dual(), csr.dual());
 
             // Trial-for-trial outcome equality on the scalar path...
             let dense_runner = ScenarioRunner::new(&dense).sequential();
@@ -103,10 +98,15 @@ fn every_registered_topology_and_adversary_agrees_across_backends() {
             // ...and the batch kernel wherever the runner takes it: a
             // fixed-rate process under an oblivious adversary, CSR kernel
             // against the dense scalar loop.
-            let dense_beacon =
-                beacon_scenario(&topology, &adversary, &problem, BackendChoice::Dense, 21);
+            let dense_beacon = beacon_scenario(
+                &topology,
+                &adversary,
+                &problem,
+                Some(GraphBackend::Dense),
+                21,
+            );
             let csr_beacon =
-                beacon_scenario(&topology, &adversary, &problem, BackendChoice::Csr, 21);
+                beacon_scenario(&topology, &adversary, &problem, Some(GraphBackend::Csr), 21);
             let csr_kernel = ScenarioRunner::new(&csr_beacon).sequential();
             assert_eq!(
                 csr_kernel.uses_batch(),
@@ -134,14 +134,14 @@ fn bracelet_attack_agrees_across_backends() {
         &algorithm,
         &adversary,
         &problem,
-        BackendChoice::Dense,
+        GraphBackend::Dense,
     );
     let csr = build(
         &topology,
         &algorithm,
         &adversary,
         &problem,
-        BackendChoice::Csr,
+        GraphBackend::Csr,
     );
     assert_eq!(
         ScenarioRunner::new(&dense)
@@ -168,26 +168,34 @@ fn campaign_cells_store_identical_bytes_under_every_backend() {
         max_rounds: Some(400),
         collision_detection: false,
     };
-    let cell = |backend| CellSpec {
+    let cell = CellSpec {
         scenario: scenario.clone(),
         trials: TrialPolicy::Fixed(3),
         record_mode: RecordMode::None,
         curve: false,
-        backend,
     };
+    let stored = execute_cell(&cell, false).unwrap();
+    assert_eq!(stored.key, cell.key());
 
-    let auto = execute_cell(&cell(BackendChoice::Auto), false).unwrap();
-    let dense = execute_cell(&cell(BackendChoice::Dense), false).unwrap();
-    let csr = execute_cell(&cell(BackendChoice::Csr), false).unwrap();
-
-    // Same measurement (and measurement bytes), same identity key: a forced
-    // backend resumes, merges, and dedups against auto-built stores.
-    for record in [&dense, &csr] {
-        assert_eq!(record.key, auto.key);
-        assert_eq!(record.measurement, auto.measurement);
+    // The cell executor measures the automatic (dense) layout; the same
+    // cell measured on each forced layout gives the same bytes.
+    for layout in [GraphBackend::Dense, GraphBackend::Csr] {
+        let forced = on_layout(&scenario.topology, layout)
+            .algorithm(scenario.algorithm.clone())
+            .adversary(scenario.adversary.clone())
+            .problem(scenario.problem.clone())
+            .seed(scenario.seed)
+            .max_rounds(400)
+            .build()
+            .unwrap();
+        assert_eq!(forced.spec(), &scenario, "{layout}: the spec is unchanged");
+        let runner = ScenarioRunner::new(&forced).sequential();
+        let measurement = Measurement::from_trials(&runner.collect_trials(3).unwrap()).unwrap();
+        assert_eq!(measurement, stored.measurement, "{layout}");
         assert_eq!(
-            serde_json::to_string(&record.measurement).unwrap(),
-            serde_json::to_string(&auto.measurement).unwrap(),
+            serde_json::to_string(&measurement).unwrap(),
+            serde_json::to_string(&stored.measurement).unwrap(),
+            "{layout}: measurement bytes"
         );
     }
 }
@@ -211,15 +219,17 @@ proptest! {
         let algorithm: AlgorithmSpec = GlobalAlgorithm::Permuted.into();
         let adversary = AdversarySpec::Iid { p: 0.5 };
         let problem = ProblemSpec::GlobalFrom(0);
-        let dense = build(&topology, &algorithm, &adversary, &problem, BackendChoice::Dense);
-        let csr = build(&topology, &algorithm, &adversary, &problem, BackendChoice::Csr);
+        let dense = build(&topology, &algorithm, &adversary, &problem, GraphBackend::Dense);
+        let csr = build(&topology, &algorithm, &adversary, &problem, GraphBackend::Csr);
         let dense_runner = ScenarioRunner::new(&dense).sequential();
         let csr_runner = ScenarioRunner::new(&csr).sequential();
         let expected = dense_runner.collect_trials(trials).unwrap();
         prop_assert_eq!(&expected, &csr_runner.collect_trials(trials).unwrap());
         // Ragged trial counts over ragged rows on the batch kernel too.
-        let dense_beacon = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Dense, 21);
-        let csr_beacon = beacon_scenario(&topology, &adversary, &problem, BackendChoice::Csr, 21);
+        let dense_beacon =
+            beacon_scenario(&topology, &adversary, &problem, Some(GraphBackend::Dense), 21);
+        let csr_beacon =
+            beacon_scenario(&topology, &adversary, &problem, Some(GraphBackend::Csr), 21);
         let kernel = ScenarioRunner::new(&csr_beacon).sequential();
         prop_assert!(kernel.uses_batch());
         prop_assert_eq!(
@@ -229,7 +239,7 @@ proptest! {
     }
 
     /// Star graphs are the extreme ragged shape — one hub of degree n-1,
-    /// n-1 leaves of degree 1 — and grids exercise the streamed CSR builder.
+    /// n-1 leaves of degree 1 — and grids exercise the streamed row builder.
     #[test]
     fn extreme_degree_skew_agrees_across_backends(
         n in 4usize..32,
@@ -242,22 +252,20 @@ proptest! {
             let algorithm: AlgorithmSpec = GlobalAlgorithm::Permuted.into();
             let adversary = AdversarySpec::Iid { p: 0.5 };
             let problem = ProblemSpec::GlobalFrom(0);
-            let dense = Scenario::on(topology.clone())
+            let dense = on_layout(&topology, GraphBackend::Dense)
                 .algorithm(algorithm.clone())
                 .adversary(adversary.clone())
                 .problem(problem.clone())
                 .seed(seed)
                 .max_rounds(200)
-                .backend(BackendChoice::Dense)
                 .build()
                 .unwrap();
-            let csr = Scenario::on(topology)
+            let csr = on_layout(&topology, GraphBackend::Csr)
                 .algorithm(algorithm)
                 .adversary(adversary)
                 .problem(problem)
                 .seed(seed)
                 .max_rounds(200)
-                .backend(BackendChoice::Csr)
                 .build()
                 .unwrap();
             prop_assert_eq!(

@@ -1,12 +1,13 @@
 //! Shared fixtures for the root integration suites: one topology per
-//! registered family, a fixed-rate process that the batch kernel can drive,
-//! and the scalar reference loop the kernel is checked against.
+//! registered family, the one way to run a topology in a forced graph
+//! layout, a fixed-rate process that the batch kernel can drive, and the
+//! scalar reference loop the kernel is checked against.
 
 use std::sync::Arc;
 
 use dradio::core::kinds;
 use dradio::prelude::*;
-use dradio::scenario::{ScenarioBuilder, TrialOutcome};
+use dradio::scenario::{BuiltTopology, ScenarioBuilder, TrialOutcome};
 use dradio::sim::{sampling, BatchProfile};
 
 /// A fixed-rate beacon field: nodes holding a problem role (the global
@@ -123,20 +124,34 @@ pub fn families() -> Vec<(TopologySpec, ProblemSpec)> {
     ]
 }
 
+/// A builder for `topology` whose network is built, converted to `layout`
+/// with [`DualGraph::with_graph_backend`], and attached with
+/// [`ScenarioBuilder::with_topology`]. The layout is the dual graph's own
+/// decision everywhere else; this is how the suites run one network in
+/// both row formats.
+pub fn on_layout(topology: &TopologySpec, layout: GraphBackend) -> ScenarioBuilder {
+    let built = topology.build().expect("registry topologies build");
+    let dual = Arc::new(built.dual.with_graph_backend(layout));
+    assert_eq!(dual.graph_backend(), layout);
+    Scenario::on(topology.clone()).with_topology(BuiltTopology { dual, ..built })
+}
+
 /// The beacon field on `topology` solving `problem`, with the adversary
-/// still to choose.
+/// still to choose, in the forced `layout` (`None`: the automatic one).
 pub fn beacon_builder(
     topology: &TopologySpec,
     problem: &ProblemSpec,
-    backend: BackendChoice,
+    layout: Option<GraphBackend>,
     seed: u64,
 ) -> ScenarioBuilder {
-    Scenario::on(topology.clone())
-        .custom_algorithm("beacon", beacon_factory())
-        .problem(problem.clone())
-        .seed(seed)
-        .max_rounds(200)
-        .backend(backend)
+    match layout {
+        Some(layout) => on_layout(topology, layout),
+        None => Scenario::on(topology.clone()),
+    }
+    .custom_algorithm("beacon", beacon_factory())
+    .problem(problem.clone())
+    .seed(seed)
+    .max_rounds(200)
 }
 
 /// The beacon field on `topology` under `adversary`, solving `problem`.
@@ -144,10 +159,10 @@ pub fn beacon_scenario(
     topology: &TopologySpec,
     adversary: &AdversarySpec,
     problem: &ProblemSpec,
-    backend: BackendChoice,
+    layout: Option<GraphBackend>,
     seed: u64,
 ) -> Scenario {
-    beacon_builder(topology, problem, backend, seed)
+    beacon_builder(topology, problem, layout, seed)
         .adversary(adversary.clone())
         .build()
         .expect("beacon scenarios build")
