@@ -31,6 +31,9 @@ pub struct OmniscientOffline {
     /// If non-empty, only these nodes are protected from receiving.
     protect: Vec<NodeId>,
     dual: Option<Arc<DualGraph>>,
+    /// The round's transmitters, ascending: scratch, cleared per round, so
+    /// rounds reuse its capacity.
+    transmitters: Vec<NodeId>,
 }
 
 impl OmniscientOffline {
@@ -40,6 +43,7 @@ impl OmniscientOffline {
         OmniscientOffline {
             protect: Vec::new(),
             dual: None,
+            transmitters: Vec::new(),
         }
     }
 
@@ -48,6 +52,7 @@ impl OmniscientOffline {
         OmniscientOffline {
             protect: nodes,
             dual: None,
+            transmitters: Vec::new(),
         }
     }
 
@@ -69,12 +74,15 @@ impl LinkProcess for OmniscientOffline {
         let (Some(dual), Some(actions)) = (self.dual.as_ref(), view.actions()) else {
             return LinkDecision::none();
         };
-        let transmitters: Vec<NodeId> = actions
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.is_transmit())
-            .map(|(i, _)| NodeId::new(i))
-            .collect();
+        self.transmitters.clear();
+        self.transmitters.extend(
+            actions
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| a.is_transmit())
+                .map(|(i, _)| NodeId::new(i)),
+        );
+        let transmitters = &self.transmitters;
         if transmitters.is_empty() {
             return LinkDecision::none();
         }

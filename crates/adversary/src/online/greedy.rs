@@ -27,6 +27,9 @@ pub struct GreedyCollisionOnline {
     /// Expected-transmitter level the attacker tries to reach when attacking.
     target: f64,
     dual: Option<Arc<DualGraph>>,
+    /// One receiver's grey-zone transmitters `(p, v)`: scratch, cleared
+    /// per receiver, so rounds reuse its capacity.
+    candidates: Vec<(f64, NodeId)>,
 }
 
 impl GreedyCollisionOnline {
@@ -38,6 +41,7 @@ impl GreedyCollisionOnline {
             danger_high: 1.8,
             target: 3.0,
             dual: None,
+            candidates: Vec::new(),
         }
     }
 
@@ -91,16 +95,18 @@ impl LinkProcess for GreedyCollisionOnline {
             }
             // Add the likeliest grey-zone transmitters until the expectation
             // clears the target.
-            let mut candidates: Vec<(f64, NodeId)> = dual
-                .g_prime_neighbors(u)
-                .iter()
-                .filter(|v| !dual.g().has_edge(u, **v))
-                .map(|&v| (probs[v.index()], v))
-                .filter(|(p, _)| *p > 0.0)
-                .collect();
+            let candidates = &mut self.candidates;
+            candidates.clear();
+            candidates.extend(
+                dual.g_prime_neighbors(u)
+                    .iter()
+                    .filter(|v| !dual.g().has_edge(u, **v))
+                    .map(|&v| (probs[v.index()], v))
+                    .filter(|(p, _)| *p > 0.0),
+            );
             candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
             let mut expectation = reliable_expectation;
-            for (p, v) in candidates {
+            for &(p, v) in candidates.iter() {
                 if expectation >= self.target {
                     break;
                 }

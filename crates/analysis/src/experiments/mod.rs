@@ -176,8 +176,8 @@ pub(crate) struct ContentionSetup {
 /// dual clique and renders their contention-over-time curves side by side —
 /// the shape shared by the contention tables of E2 (i.i.d. adversary) and
 /// E8 (decay-aware adversary). The cells record under `CollisionsOnly`
-/// (auto-promoted from the history-free default; the adversaries are
-/// oblivious, so never to `Full`).
+/// (the curve raises the history-free default to it; no record mode ever
+/// changes what an adversary sees).
 pub(crate) fn dual_clique_contention_table(
     title: String,
     setup: ContentionSetup,

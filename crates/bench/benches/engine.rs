@@ -3,7 +3,9 @@
 //! * `round/*` times a fixed number of simulator rounds (steady-state
 //!   uniform-probability broadcasters, so every seed runs exactly the same
 //!   number of rounds) on clique, grid, and random geometric topologies at
-//!   n ∈ {64, 256, 1024}. The printed mean is for `ROUNDS` rounds; divide by
+//!   n ∈ {64, 256, 1024}, plus the online adaptive dense/sparse attacker on
+//!   the 256-node dual clique, whose every round is one all-dynamic decision
+//!   folded over `G'`. The printed mean is for `ROUNDS` rounds; divide by
 //!   `ROUNDS` for the per-round cost.
 //! * `trials_per_sec/*` times many *short* executions (the shape of most
 //!   campaign cells) through a reused [`dradio_sim::TrialExecutor`] versus a
@@ -96,6 +98,28 @@ fn bench_rounds(c: &mut Criterion) {
             }
         }
     }
+    // P · 256 = 25.6 expected transmitters clear the attacker's log2 256 = 8
+    // threshold, so every round activates every dynamic edge.
+    let n = 256;
+    let built = TopologySpec::DualClique { n }
+        .build()
+        .expect("bench topology builds");
+    let adversary = AdversarySpec::DenseSparse {
+        density_factor: None,
+    };
+    group.bench_with_input(
+        BenchmarkId::new("dual_clique_dense_sparse", n),
+        &n,
+        |b, _| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                engine_workload(&built, &adversary, P, ROUNDS, seed, RecordMode::None)
+                    .metrics
+                    .deliveries
+            });
+        },
+    );
     group.finish();
 }
 

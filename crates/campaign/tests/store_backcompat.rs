@@ -19,9 +19,10 @@
 //! the same way, with the last binary in which batching was a per-group
 //! spec knob, from a spec that turned it on. The link-profile fixtures were
 //! captured with the last binary in which every oblivious `Iid`/static link
-//! round ran `decide` over all dynamic edges, and the legacy-backend
-//! fixture with the last binary in which the graph layout was a per-group
-//! spec knob. If any of these tests fails, the store format has drifted —
+//! round ran `decide` over all dynamic edges, the legacy-backend fixture
+//! with the last binary in which the graph layout was a per-group spec
+//! knob, and the adaptive fixture with the last binary in which adaptive
+//! adversaries forced full recording. If any of these tests fails, the store format has drifted —
 //! bump a format version rather than editing the fixtures.
 
 use std::sync::Arc;
@@ -154,6 +155,41 @@ const LEGACY_BACKEND_STORE: &str = concat!(
     r#"{"key":"0966b77120aab557","cell":{"scenario":{"topology":{"Bracelet":{"k":3}},"algorithm":{"Local":"StaticDecay"},"adversary":{"Iid":{"p":0.5}},"problem":"LocalHeadsA","seed":6,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":12.333333333333334,"std_dev":6.350852961085883,"min":5.0,"max":16.0,"median":16.0,"p95":16.0},"completion_rate":1.0,"mean_collisions":0.6666666666666666}}"#,
     "\n",
     r#"{"key":"b084829c1b3b9508","cell":{"scenario":{"topology":{"Bracelet":{"k":3}},"algorithm":{"Local":"StaticDecay"},"adversary":"BraceletAttack","problem":"LocalHeadsA","seed":6,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None","backend":"Csr"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":12.333333333333334,"std_dev":6.350852961085883,"min":5.0,"max":16.0,"median":16.0,"p95":16.0},"completion_rate":1.0,"mean_collisions":2.0}}"#,
+    "\n",
+);
+
+/// Adaptive cells: the online dense/sparse and greedy attackers and the
+/// offline blocker, on a dual clique and a random geometric graph, stored
+/// under `RecordMode::None`.
+const ADAPTIVE_CAMPAIGN: &str = r#"{"name":"adaptive-view-pin","seed":5,"trials":{"Fixed":3},"groups":[{"topologies":[{"DualClique":{"n":16}},{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}}],"algorithms":[{"Global":"Bgi"},{"Global":"Permuted"}],"adversaries":[{"DenseSparse":{"density_factor":null}},"GreedyCollision","Omniscient"],"problems":[{"GlobalFrom":0}],"seed":null,"trials":null,"rounds":{"Fixed":300},"collision_detection":false,"record_mode":"None","curve":false}]}"#;
+
+/// The store the last binary that promoted adaptive cells to full
+/// recording (and validated every all-dynamic decision edge by edge) wrote
+/// for [`ADAPTIVE_CAMPAIGN`], byte for byte.
+const ADAPTIVE_STORE: &str = concat!(
+    r#"{"key":"c156400ff706b00b","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Bgi"},"adversary":{"DenseSparse":{"density_factor":null}},"problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":14.666666666666666,"std_dev":9.018499505645789,"min":6.0,"max":24.0,"median":14.0,"p95":24.0},"completion_rate":1.0,"mean_collisions":33.333333333333336}}"#,
+    "\n",
+    r#"{"key":"f566c364a98bac8f","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Bgi"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":14.0,"std_dev":9.643650760992955,"min":7.0,"max":25.0,"median":10.0,"p95":25.0},"completion_rate":1.0,"mean_collisions":34.666666666666664}}"#,
+    "\n",
+    r#"{"key":"cad14e6c25091274","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Bgi"},"adversary":"Omniscient","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":96.66666666666667,"std_dev":58.432297005451815,"min":30.0,"max":139.0,"median":121.0,"p95":139.0},"completion_rate":1.0,"mean_collisions":384.0}}"#,
+    "\n",
+    r#"{"key":"34b5577a0ba13585","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Permuted"},"adversary":{"DenseSparse":{"density_factor":null}},"problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":23.666666666666668,"std_dev":21.07921567168317,"min":11.0,"max":48.0,"median":12.0,"p95":48.0},"completion_rate":1.0,"mean_collisions":65.0}}"#,
+    "\n",
+    r#"{"key":"1d6d792e9c304b69","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Permuted"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":32.333333333333336,"std_dev":1.5275252316519465,"min":31.0,"max":34.0,"median":32.0,"p95":34.0},"completion_rate":1.0,"mean_collisions":114.33333333333333}}"#,
+    "\n",
+    r#"{"key":"ad495fb251c39db2","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Permuted"},"adversary":"Omniscient","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":100.33333333333333,"std_dev":89.85729426893141,"min":36.0,"max":203.0,"median":62.0,"p95":203.0},"completion_rate":1.0,"mean_collisions":296.3333333333333}}"#,
+    "\n",
+    r#"{"key":"9e2fd09d490fb39a","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Bgi"},"adversary":{"DenseSparse":{"density_factor":null}},"problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":17.333333333333332,"std_dev":3.2145502536643185,"min":15.0,"max":21.0,"median":16.0,"p95":21.0},"completion_rate":1.0,"mean_collisions":228.0}}"#,
+    "\n",
+    r#"{"key":"cbf6839657063d92","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Bgi"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":10.333333333333334,"std_dev":9.237604307034013,"min":5.0,"max":21.0,"median":5.0,"p95":21.0},"completion_rate":1.0,"mean_collisions":116.0}}"#,
+    "\n",
+    r#"{"key":"19eeefb213accbcf","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Bgi"},"adversary":"Omniscient","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":40.0,"std_dev":15.874507866387544,"min":22.0,"max":52.0,"median":46.0,"p95":52.0},"completion_rate":1.0,"mean_collisions":672.6666666666666}}"#,
+    "\n",
+    r#"{"key":"4e1fe696d6e130aa","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":{"DenseSparse":{"density_factor":null}},"problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":19.0,"std_dev":9.643650760992955,"min":12.0,"max":30.0,"median":15.0,"p95":30.0},"completion_rate":1.0,"mean_collisions":242.0}}"#,
+    "\n",
+    r#"{"key":"4c877ab89be67002","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":13.333333333333334,"std_dev":1.5275252316519468,"min":12.0,"max":15.0,"median":13.0,"p95":15.0},"completion_rate":1.0,"mean_collisions":179.66666666666666}}"#,
+    "\n",
+    r#"{"key":"2d927c4d6d47f73f","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":"Omniscient","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":36.666666666666664,"std_dev":5.033222956847167,"min":32.0,"max":42.0,"median":36.0,"p95":42.0},"completion_rate":1.0,"mean_collisions":606.0}}"#,
     "\n",
 );
 
@@ -404,42 +440,47 @@ fn link_profile_cells_reproduce_the_stores_decide_wrote() {
 }
 
 /// Re-measures every stored line's cell on the layout its `"backend"` names
-/// — the network built by its spec, converted with `with_graph_backend` —
 /// and compares the measurement bytes with the stored ones.
 fn assert_lines_remeasure_on_their_layouts(golden: &str) {
     for line in golden.lines() {
-        let record: CellRecord = serde_json::from_str(line).unwrap();
         let layout = if line.contains(r#""backend":"Dense""#) {
             GraphBackend::Dense
         } else {
             assert!(line.contains(r#""backend":"Csr""#), "{line}");
             GraphBackend::Csr
         };
-        let built = record.cell.scenario.topology.build().unwrap();
-        let converted = BuiltTopology {
-            dual: Arc::new(built.dual.with_graph_backend(layout)),
-            ..built
-        };
-        assert_eq!(converted.dual.graph_backend(), layout);
-        let scenario = ScenarioBuilder::from_spec(record.cell.scenario.clone())
-            .with_topology(converted)
-            .build()
-            .unwrap();
-        let TrialPolicy::Fixed(trials) = record.cell.trials else {
-            panic!("the layout fixtures use fixed trial counts");
-        };
-        let runner = ScenarioRunner::new(&scenario)
-            .sequential()
-            .record_mode(record.cell.record_mode);
-        let measurement =
-            Measurement::from_trials(&runner.collect_trials(trials).unwrap()).unwrap();
-        assert_eq!(
-            serde_json::to_string(&measurement).unwrap(),
-            serde_json::to_string(&record.measurement).unwrap(),
-            "{layout} layout: {}",
-            record.cell.label()
-        );
+        assert_line_remeasures_on(line, layout);
     }
+}
+
+/// Re-measures a stored line's cell on `layout` — the network built by its
+/// spec, converted with `with_graph_backend` — and compares the measurement
+/// bytes with the stored ones.
+fn assert_line_remeasures_on(line: &str, layout: GraphBackend) {
+    let record: CellRecord = serde_json::from_str(line).unwrap();
+    let built = record.cell.scenario.topology.build().unwrap();
+    let converted = BuiltTopology {
+        dual: Arc::new(built.dual.with_graph_backend(layout)),
+        ..built
+    };
+    assert_eq!(converted.dual.graph_backend(), layout);
+    let scenario = ScenarioBuilder::from_spec(record.cell.scenario.clone())
+        .with_topology(converted)
+        .build()
+        .unwrap();
+    let TrialPolicy::Fixed(trials) = record.cell.trials else {
+        panic!("the layout fixtures use fixed trial counts");
+    };
+    let runner = ScenarioRunner::new(&scenario)
+        .sequential()
+        .record_mode(record.cell.record_mode);
+    let measurement = Measurement::from_trials(&runner.collect_trials(trials).unwrap()).unwrap();
+    assert_eq!(
+        serde_json::to_string(&measurement).unwrap(),
+        serde_json::to_string(&record.measurement).unwrap(),
+        "{layout} layout: {}",
+        record.cell.label()
+    );
 }
 
 #[test]
@@ -502,4 +543,33 @@ fn legacy_backend_campaigns_rerun_to_the_same_lines_without_the_field() {
     // And each layout the old binary was forced onto still measures its
     // lines today.
     assert_lines_remeasure_on_their_layouts(LEGACY_BACKEND_STORE);
+}
+
+#[test]
+fn adaptive_cells_reproduce_the_store_full_recording_wrote() {
+    // Adaptive adversaries now read the same edge-free rounds under every
+    // record mode, and all-dynamic rounds fold over G' instead of being
+    // validated edge by edge. The bytes must not move.
+    let path = temp_path("adaptive");
+    let spec: CampaignSpec = serde_json::from_str(ADAPTIVE_CAMPAIGN).unwrap();
+    let mut store = ResultStore::open(&path).unwrap();
+    CampaignRunner::new(&spec).run(&mut store).unwrap();
+    drop(store);
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        ADAPTIVE_STORE,
+        "the adaptive cells drifted from the store full recording wrote"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn adaptive_cells_remeasure_on_both_layouts() {
+    // The dual clique and the random geometric graph are dense by default;
+    // on forced CSR rows every cell still measures its stored bytes.
+    for line in ADAPTIVE_STORE.lines() {
+        for layout in [GraphBackend::Dense, GraphBackend::Csr] {
+            assert_line_remeasures_on(line, layout);
+        }
+    }
 }

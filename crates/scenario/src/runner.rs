@@ -290,9 +290,9 @@ pub const TRIAL_STREAM_BASE: u64 = 0x5CE7_AB10_0000_0000;
 /// Trials run with [`RecordMode::None`] by default: a [`TrialOutcome`] keeps
 /// only the cost, completion flag, and collision count, so the engine skips
 /// history recording entirely. The measured quantities are identical under
-/// every mode (the engine's behaviour does not depend on what it retains,
-/// and adaptive adversaries auto-promote to full recording), which the crate
-/// tests pin; use [`ScenarioRunner::record_mode`] to opt back into retained
+/// every mode (the mode decides only what an outcome carries; adaptive
+/// adversaries read the same earlier rounds under every mode), which the
+/// crate tests pin; use [`ScenarioRunner::record_mode`] to opt back into retained
 /// histories when debugging, or [`ScenarioRunner::curve`] to stream a
 /// contention-over-time curve into the measurement.
 #[derive(Debug, Clone, Copy)]

@@ -244,8 +244,8 @@ impl ScenarioBuilder {
     /// [`RecordMode::Full`], so [`Scenario::run`] keeps the history that
     /// [`Scenario::verify`] inspects). Trial fan-out through
     /// [`ScenarioRunner`] defaults to [`RecordMode::None`] instead — see its
-    /// documentation. Executions against adaptive adversary classes always
-    /// auto-promote to `Full`.
+    /// documentation. The mode never changes what an adaptive adversary
+    /// sees, only what the outcome carries.
     pub fn record_mode(mut self, record_mode: RecordMode) -> Self {
         self.record_mode = record_mode;
         self
@@ -450,8 +450,8 @@ impl Scenario {
         self.max_rounds
     }
 
-    /// The record mode single executions run with (the requested mode; the
-    /// engine promotes to [`RecordMode::Full`] for adaptive adversaries).
+    /// The record mode single executions run with, and so what their
+    /// outcomes carry.
     pub fn record_mode(&self) -> RecordMode {
         self.record_mode
     }

@@ -64,10 +64,11 @@ impl SimConfig {
         self
     }
 
-    /// Selects how much of the execution the engine retains (default
-    /// [`RecordMode::Full`]). Executions against adaptive adversary classes
-    /// auto-promote to `Full` regardless — see
-    /// [`RecordMode::effective_for`].
+    /// Selects how much of the execution the returned outcome carries
+    /// (default [`RecordMode::Full`]). It never changes what an adaptive
+    /// adversary sees: its view shows every earlier round's transmitters and
+    /// deliveries under every mode (see the
+    /// [`recorder`](crate::recorder) module's view contract).
     pub fn with_record_mode(mut self, record_mode: RecordMode) -> Self {
         self.record_mode = record_mode;
         self

@@ -31,8 +31,9 @@ pub struct ExecutionOutcome {
     pub history: History,
     /// Aggregate counters (identical under every record mode).
     pub metrics: Metrics,
-    /// The record mode the execution effectively ran with, after the
-    /// adaptive-adversary promotion rule (see [`RecordMode::effective_for`]).
+    /// The record mode the execution was asked for: it decides only what
+    /// this outcome carries. An adaptive adversary sees the same history
+    /// under every mode (see [`AdversaryView::history`](crate::AdversaryView::history)).
     pub record_mode: RecordMode,
     /// Collisions per executed round; retained under [`RecordMode::Full`]
     /// and [`RecordMode::CollisionsOnly`], empty under [`RecordMode::None`].
@@ -52,8 +53,8 @@ impl ExecutionOutcome {
     }
 
     /// The typed per-trial measurement of this execution: cost, completion,
-    /// aggregate collisions, and — when the effective record mode retained
-    /// one — the per-round collision curve (cloned; use
+    /// aggregate collisions, and — when the record mode retained one — the
+    /// per-round collision curve (cloned; use
     /// [`ExecutionOutcome::into_trial_metrics`] to take it without copying).
     pub fn trial_metrics(&self) -> crate::TrialMetrics {
         crate::TrialMetrics {
@@ -699,10 +700,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_adversaries_promote_to_full_recording() {
+    fn adaptive_adversaries_see_history_in_every_record_mode() {
         use crate::recorder::RecordMode;
-        // An online-adaptive adversary asked to run without recording still
-        // sees (and the outcome still carries) the full history.
+        // An online-adaptive adversary sees every earlier round (without
+        // edges) whatever the caller asked to keep; the outcome carries
+        // only what the requested mode retains.
         struct NeedsHistory;
         impl LinkProcess for NeedsHistory {
             fn class(&self) -> AdversaryClass {
@@ -711,23 +713,52 @@ mod tests {
             fn decide(&mut self, view: &AdversaryView<'_>, _rng: &mut dyn RngCore) -> LinkDecision {
                 let history = view.history().expect("adaptive classes see history");
                 assert_eq!(history.len(), view.round().index());
-                LinkDecision::none()
+                for record in history.records() {
+                    assert!(
+                        record.active_dynamic_edges.is_empty(),
+                        "the view shows no edge"
+                    );
+                }
+                // Once node 1 heard the source, open the dynamic edge (0, 2).
+                if history.received_any(NodeId::new(1)) {
+                    LinkDecision::from_edges(vec![Edge::new(NodeId::new(0), NodeId::new(2))])
+                } else {
+                    LinkDecision::none()
+                }
             }
         }
-        let dual = topology::line(3).unwrap();
-        let sim = Simulator::new(
-            dual,
-            beacon_factory(),
-            Assignment::global(3, NodeId::new(0)),
-            Box::new(NeedsHistory),
-            SimConfig::default()
-                .with_max_rounds(5)
-                .with_record_mode(RecordMode::None),
-        )
-        .unwrap();
-        let out = sim.run(StopCondition::max_rounds());
-        assert_eq!(out.record_mode, RecordMode::Full);
-        assert_eq!(out.history.len(), 5);
+        let run = |mode: RecordMode| {
+            use dradio_graphs::Graph;
+            let dual = DualGraph::new(
+                Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap(),
+                Graph::from_edges(3, [(0, 1), (1, 2), (0, 2)]).unwrap(),
+            )
+            .unwrap();
+            Simulator::new(
+                dual,
+                beacon_factory(),
+                Assignment::global(3, NodeId::new(0)),
+                Box::new(NeedsHistory),
+                SimConfig::default()
+                    .with_max_rounds(5)
+                    .with_record_mode(mode),
+            )
+            .unwrap()
+            .run(StopCondition::max_rounds())
+        };
+        let full = run(RecordMode::Full);
+        assert_eq!(full.record_mode, RecordMode::Full);
+        assert_eq!(full.history.len(), 5);
+        assert!(full.history.records()[1..]
+            .iter()
+            .all(|r| r.active_dynamic_edges.len() == 1));
+        for mode in [RecordMode::CollisionsOnly, RecordMode::None] {
+            let out = run(mode);
+            assert_eq!(out.record_mode, mode, "the requested mode is returned");
+            assert!(out.history.is_empty(), "{mode}: no history is returned");
+            assert_eq!(out.metrics, full.metrics, "{mode}: same behaviour as Full");
+            assert_eq!(out.rounds_executed, full.rounds_executed);
+        }
     }
 
     #[test]

@@ -345,7 +345,7 @@ impl TrialExecutor {
         // An `Iid` profile lets the engine read only the coins reception can
         // see, unless the history must list every active edge.
         let iid = match link.link_profile() {
-            LinkProfile::Iid { p } if !adaptive && !recorder.wants_history() => {
+            LinkProfile::Iid { p } if !adaptive && !recorder.wants_edges() => {
                 Some(IidPlan::new(p, &self.adversary_rng, &self.dual))
             }
             _ => None,
@@ -402,9 +402,11 @@ impl TrialExecutor {
             }
 
             // 4. The link process fixes the dynamic edges, seeing only what
-            //    its class entitles it to (the recorder's history is complete
-            //    here: adaptive classes auto-promote to full recording).
+            //    its class entitles it to (adaptive classes read every
+            //    earlier round's transmitters and deliveries from the
+            //    recorder, in every record mode).
             scratch.clear_dynamic();
+            let mut over_g_prime = false;
             if let Some(plan) = &iid {
                 let bits = &scratch.transmitter_bits;
                 activate_iid_edges(
@@ -431,30 +433,39 @@ impl TrialExecutor {
                     );
                     link.decide(&view, &mut self.adversary_rng)
                 };
-                // Filter the decision down to genuine dynamic edges. The
-                // dynamic adjacency doubles as an O(1) duplicate check.
-                for edge in decision.edges() {
-                    let (u, v) = edge.endpoints();
-                    let is_dynamic =
-                        self.dual.g_prime().has_edge(u, v) && !self.dual.g().has_edge(u, v);
-                    if !is_dynamic {
-                        metrics.rejected_link_edges += 1;
-                    } else if !scratch.dynamic.bit(u, v) {
-                        scratch.dynamic.set(u, v);
-                        scratch.active_edges.push(*edge);
+                if decision.is_all_dynamic_of(&self.dual) {
+                    // Every dynamic edge of this very network: the round's
+                    // topology is G' itself, so reception folds over the
+                    // rows of G', with nothing to validate and no adjacency
+                    // to write.
+                    over_g_prime = true;
+                } else {
+                    // Filter the decision down to genuine dynamic edges. The
+                    // dynamic adjacency doubles as an O(1) duplicate check.
+                    for edge in decision.edges() {
+                        let (u, v) = edge.endpoints();
+                        let is_dynamic =
+                            self.dual.g_prime().has_edge(u, v) && !self.dual.g().has_edge(u, v);
+                        if !is_dynamic {
+                            metrics.rejected_link_edges += 1;
+                        } else if !scratch.dynamic.bit(u, v) {
+                            scratch.dynamic.set(u, v);
+                            scratch.active_edges.push(*edge);
+                        }
                     }
                 }
             }
 
             // 5. Reception under the collision rule, from the packed
-            //    transmitter bitset.
+            //    transmitter bitset, over G plus the round's active dynamic
+            //    edges, or over G' alone when every dynamic edge is on.
             let transmitter_count = scratch.transmitters.len();
             metrics.transmissions += transmitter_count;
 
             scratch.feedbacks.clear();
-            // Deliveries are materialized only under full recording; feedback
+            // Deliveries are materialized only for recorded rounds; feedback
             // and stop evaluation never need the allocation.
-            let mut deliveries: Vec<Delivery> = Vec::new(); // lint: allow(D3) -- Vec::new is allocation-free; pushes happen only under full recording
+            let mut deliveries: Vec<Delivery> = Vec::new(); // lint: allow(D3) -- Vec::new is allocation-free; pushes happen only for recorded rounds
             let mut round_collisions = 0usize;
 
             if transmitter_count == 0 {
@@ -464,7 +475,11 @@ impl TrialExecutor {
                     scratch.feedbacks.push(Feedback::Silence);
                 }
             } else {
-                let g = self.dual.g();
+                let g = if over_g_prime {
+                    self.dual.g_prime()
+                } else {
+                    self.dual.g()
+                };
                 let words = g.row_words();
                 let use_dynamic = !scratch.active_edges.is_empty();
                 // Below this transmitter count, probing each transmitter with
@@ -528,9 +543,9 @@ impl TrialExecutor {
                                 }
                             }
                             NeighborRow::Sparse(row) => {
-                                // CSR backend: walk the sorted static row (and
-                                // the round's dynamic list, disjoint from it by
-                                // the is_dynamic filter above) testing
+                                // CSR backend: walk the sorted row of G or G'
+                                // (and the round's dynamic list, disjoint from
+                                // G's row by the is_dynamic filter above) testing
                                 // transmitter bits. Saturates at 2 like the
                                 // word scan, and a unique sender is unique
                                 // whichever order rows are visited in, so the
@@ -581,7 +596,7 @@ impl TrialExecutor {
                                 deliveries.push(Delivery {
                                     receiver: u,
                                     sender,
-                                    message: message.clone(), // lint: allow(D3) -- full-recording path only
+                                    message: message.clone(), // lint: allow(D3) -- recorded rounds only: Full, or an adaptive view
                                 });
                             }
                             // lint: allow(D3) -- feedback owns its message; a
@@ -611,10 +626,17 @@ impl TrialExecutor {
             //    delivery by delivery, in ascending receiver order).
             recorder.push_collisions(round_collisions);
             if recorder.wants_history() {
+                let active_dynamic_edges = if !recorder.wants_edges() {
+                    Vec::new() // lint: allow(D3) -- Vec::new is allocation-free
+                } else if over_g_prime {
+                    self.dual.dynamic_index().edges().to_vec() // lint: allow(D3) -- full-recording path only
+                } else {
+                    scratch.active_edges.clone() // lint: allow(D3) -- full-recording path only
+                };
                 recorder.push(RoundRecord {
                     round,
-                    transmitters: scratch.transmitters.clone(), // lint: allow(D3) -- full-recording path only
-                    active_dynamic_edges: scratch.active_edges.clone(), // lint: allow(D3) -- full-recording path only
+                    transmitters: scratch.transmitters.clone(), // lint: allow(D3) -- recorded rounds only: Full, or an adaptive view
+                    active_dynamic_edges,
                     deliveries,
                 });
             }
@@ -655,8 +677,8 @@ impl std::fmt::Debug for TrialExecutor {
 /// Reusable per-round working memory: every buffer is cleared, never
 /// reallocated, between rounds, so the steady-state round loop performs no
 /// heap allocation beyond what the processes themselves do (under
-/// [`RecordMode::Full`], the retained round records are additionally built
-/// per round, exactly as before the scratch existed).
+/// [`RecordMode::Full`], or when an adaptive adversary's view reads them,
+/// round records are additionally built per round).
 ///
 /// The transmitter set is kept both as a sorted `Vec<NodeId>` (for history
 /// records and transmitter probing) and as a packed `u64` bitset aligned

@@ -40,10 +40,21 @@ impl RoundRecord {
 /// The complete record of an execution: one [`RoundRecord`] per executed
 /// round, plus convenience queries used by stop conditions, adversaries, and
 /// experiment analysis.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct History {
     n: usize,
     records: Vec<RoundRecord>,
+    /// Packed set of the nodes that have received anything (bit `v` for
+    /// node `v`), grown by [`History::push`] so that
+    /// [`History::received_any`] is O(1). A function of `records`.
+    received: Vec<u64>,
+}
+
+impl PartialEq for History {
+    fn eq(&self, other: &Self) -> bool {
+        // `received` is derived from the records.
+        self.n == other.n && self.records == other.records
+    }
 }
 
 impl History {
@@ -52,6 +63,7 @@ impl History {
         History {
             n,
             records: Vec::new(),
+            received: Vec::new(),
         }
     }
 
@@ -92,15 +104,35 @@ impl History {
             self.records.len(),
             "rounds must be recorded in order"
         );
+        for delivery in &record.deliveries {
+            let v = delivery.receiver.index();
+            if v / 64 >= self.received.len() {
+                self.received.resize(v / 64 + 1, 0);
+            }
+            self.received[v / 64] |= 1u64 << (v % 64);
+        }
         self.records.push(record);
     }
 
+    /// Sets each record's active dynamic edges, in round order (engine use:
+    /// the recorder keeps them aside while adaptive adversaries read the
+    /// history, and attaches them to a [`RecordMode::Full`] outcome).
+    ///
+    /// [`RecordMode::Full`]: crate::RecordMode::Full
+    pub(crate) fn attach_active_edges(&mut self, edges: Vec<Vec<Edge>>) {
+        debug_assert_eq!(edges.len(), self.records.len(), "one edge list per round");
+        for (record, edges) in self.records.iter_mut().zip(edges) {
+            record.active_dynamic_edges = edges;
+        }
+    }
+
     /// Returns `true` if `node` has received at least one message of any
-    /// kind.
+    /// kind. O(1): the history keeps the set of receivers as it grows.
     pub fn received_any(&self, node: NodeId) -> bool {
-        self.records
-            .iter()
-            .any(|r| r.deliveries.iter().any(|d| d.receiver == node))
+        let v = node.index();
+        self.received
+            .get(v / 64)
+            .is_some_and(|word| word >> (v % 64) & 1 == 1)
     }
 
     /// Returns `true` if `node` has received at least one message of `kind`.

@@ -44,9 +44,27 @@ impl fmt::Display for AdversaryClass {
 /// edge of the network (reliable edges are always present and cannot be
 /// removed; edges outside `G'` cannot be added), counting such proposals in
 /// the metrics so buggy adversaries are visible.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// [`LinkDecision::all_dynamic`] holds the shared network rather than a copy
+/// of its edge list; the engine runs such a round over `G'` itself.
+#[derive(Clone, Default)]
 pub struct LinkDecision {
-    edges: Vec<Edge>,
+    edges: DecisionEdges,
+}
+
+/// Where a [`LinkDecision`]'s edges live.
+#[derive(Clone)]
+enum DecisionEdges {
+    /// An explicit list.
+    Listed(Vec<Edge>),
+    /// Every dynamic edge of this network, in canonical order.
+    AllDynamic(Arc<DualGraph>),
+}
+
+impl Default for DecisionEdges {
+    fn default() -> Self {
+        DecisionEdges::Listed(Vec::new())
+    }
 }
 
 impl LinkDecision {
@@ -56,30 +74,68 @@ impl LinkDecision {
     }
 
     /// Activate every dynamic edge of `dual`: the round topology is `G'`.
-    pub fn all_dynamic(dual: &DualGraph) -> Self {
+    ///
+    /// Costs an [`Arc`] bump, not a copy: the decision shares the network
+    /// and [`edges`](LinkDecision::edges) borrows its
+    /// [`dynamic_index`](DualGraph::dynamic_index). Given the engine's own
+    /// handle (the one [`AdversarySetup::dual`] lends), the executor skips
+    /// per-edge validation and folds reception over `G'`'s rows directly.
+    pub fn all_dynamic(dual: &Arc<DualGraph>) -> Self {
         LinkDecision {
-            edges: dual.dynamic_index().edges().to_vec(),
+            edges: DecisionEdges::AllDynamic(Arc::clone(dual)),
         }
     }
 
     /// Activate exactly the given edges.
     pub fn from_edges(edges: Vec<Edge>) -> Self {
-        LinkDecision { edges }
+        LinkDecision {
+            edges: DecisionEdges::Listed(edges),
+        }
     }
 
     /// The activated edges.
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        match &self.edges {
+            DecisionEdges::Listed(edges) => edges,
+            DecisionEdges::AllDynamic(dual) => dual.dynamic_index().edges(),
+        }
     }
 
     /// Number of activated edges.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.edges().len()
     }
 
     /// Returns `true` if no dynamic edge is activated.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.edges().is_empty()
+    }
+
+    /// Returns `true` if this is [`LinkDecision::all_dynamic`] over the very
+    /// network `dual` points to.
+    pub(crate) fn is_all_dynamic_of(&self, dual: &Arc<DualGraph>) -> bool {
+        matches!(&self.edges, DecisionEdges::AllDynamic(own) if Arc::ptr_eq(own, dual))
+    }
+}
+
+impl PartialEq for LinkDecision {
+    fn eq(&self, other: &Self) -> bool {
+        self.edges() == other.edges()
+    }
+}
+
+impl Eq for LinkDecision {}
+
+impl fmt::Debug for LinkDecision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = f.debug_struct("LinkDecision");
+        match &self.edges {
+            DecisionEdges::Listed(edges) => out.field("edges", edges),
+            DecisionEdges::AllDynamic(dual) => {
+                out.field("all_dynamic", &dual.dynamic_index().len())
+            }
+        };
+        out.finish()
     }
 }
 
@@ -111,7 +167,8 @@ pub struct AdversarySetup<'a> {
 /// number, online adaptive adversaries additionally get the [`History`]
 /// through the previous round and the per-node transmit probabilities implied
 /// by the algorithm's current state, and offline adaptive adversaries also
-/// get the actual actions of the current round.
+/// get the actual actions of the current round. The view is the same under
+/// every [`RecordMode`](crate::RecordMode) (see [`AdversaryView::history`]).
 #[derive(Debug)]
 pub struct AdversaryView<'a> {
     round: Round,
@@ -150,6 +207,13 @@ impl<'a> AdversaryView<'a> {
     }
 
     /// Execution history through the previous round (adaptive classes only).
+    ///
+    /// In every [`RecordMode`](crate::RecordMode) it holds one record per
+    /// executed round, with that round's transmitters and deliveries. Its
+    /// [`active_dynamic_edges`](crate::RoundRecord::active_dynamic_edges)
+    /// are always empty: the adversary chose them itself, and only a
+    /// [`RecordMode::Full`](crate::RecordMode::Full) outcome carries them.
+    /// So nothing an adversary reads depends on the record mode.
     pub fn history(&self) -> Option<&History> {
         self.history
     }
@@ -454,11 +518,17 @@ mod tests {
 
     #[test]
     fn link_decision_constructors() {
-        let dual = topology::dual_clique(8).unwrap();
+        let dual = Arc::new(topology::dual_clique(8).unwrap());
         assert!(LinkDecision::none().is_empty());
         let all = LinkDecision::all_dynamic(&dual);
         assert_eq!(all.len(), dual.dynamic_edges().len());
         assert!(!all.is_empty());
+        assert_eq!(all.edges(), dual.dynamic_edges());
+        assert_eq!(all, LinkDecision::from_edges(dual.dynamic_edges().to_vec()));
+        assert!(all.is_all_dynamic_of(&dual));
+        let copy = Arc::new(topology::dual_clique(8).unwrap());
+        assert!(!all.is_all_dynamic_of(&copy), "only the very same network");
+        assert!(!LinkDecision::from_edges(dual.dynamic_edges().to_vec()).is_all_dynamic_of(&dual));
     }
 
     #[test]

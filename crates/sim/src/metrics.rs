@@ -57,7 +57,7 @@ impl Metrics {
 /// or [`into_trial_metrics`](crate::ExecutionOutcome::into_trial_metrics).
 /// Unlike the outcome it never carries a [`History`](crate::History), so it
 /// is cheap to move through trial fan-outs; the optional per-round collision
-/// curve is present exactly when the effective
+/// curve is present exactly when the execution's
 /// [`RecordMode`](crate::RecordMode) retained one.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TrialMetrics {
@@ -70,7 +70,7 @@ pub struct TrialMetrics {
     /// Total collisions observed over the whole execution (identical under
     /// every record mode).
     pub collisions: usize,
-    /// Collisions per executed round, when the effective record mode
+    /// Collisions per executed round, when the execution's record mode
     /// retained them ([`RecordMode::records_collisions`]); `None` under
     /// [`RecordMode::None`].
     ///

@@ -4,29 +4,36 @@
 //! trial keeps only the cost, completion flag, and collision count, yet the
 //! engine would happily clone every delivered [`Message`](crate::Message)
 //! into per-round records nobody looks at. [`RecordMode`] lets the caller
-//! declare up front what the execution's history is *for*, and the
-//! [`Recorder`] skips everything the declared consumer does not demand.
+//! declare up front what the returned
+//! [`ExecutionOutcome`](crate::ExecutionOutcome) carries, and the
+//! [`Recorder`] skips everything that neither the outcome nor the adversary
+//! reads.
 //!
-//! # The auto-promotion rule
+//! # The view contract
 //!
-//! Adaptive link processes are entitled to see the execution history through
-//! the previous round ([`AdversaryView::history`](crate::AdversaryView)), so
-//! an execution against an [`AdversaryClass::OnlineAdaptive`] or
-//! [`AdversaryClass::OfflineAdaptive`] adversary **must** retain full
-//! history regardless of what the caller asked for. The recorder therefore
-//! promotes itself to [`RecordMode::Full`] whenever the adversary class is
-//! not [`AdversaryClass::Oblivious`]; the requested and effective modes are
-//! both observable, and behaviour (every coin flip, every delivery, every
-//! metric) is identical across modes — only what is *retained* differs.
+//! The record mode decides only what the outcome carries; it never decides
+//! what an adversary sees. An [`AdversaryClass::OnlineAdaptive`] or
+//! [`AdversaryClass::OfflineAdaptive`] adversary's
+//! [`AdversaryView::history`](crate::AdversaryView::history) shows every
+//! round up to the previous one, with its transmitters and deliveries,
+//! under every record mode. It never shows
+//! [`active_dynamic_edges`](RoundRecord::active_dynamic_edges): the
+//! adversary chose those itself, and the recorder keeps them aside, only
+//! for a [`RecordMode::Full`] outcome. What an adversary reads is therefore
+//! the same in every mode, so behaviour (every coin flip, every delivery,
+//! every metric) cannot depend on the record mode, by construction.
+
+use dradio_graphs::Edge;
 
 use crate::history::{History, RoundRecord};
 use crate::link::AdversaryClass;
 
-/// How much of an execution the engine retains.
+/// How much of an execution the returned
+/// [`ExecutionOutcome`](crate::ExecutionOutcome) carries.
 ///
 /// The measured quantities — [`Metrics`](crate::Metrics), completion, cost —
-/// are identical under every mode; recording only changes what the returned
-/// [`ExecutionOutcome`](crate::ExecutionOutcome) carries.
+/// are identical under every mode, and so is what an adaptive adversary
+/// sees (see the [module documentation](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RecordMode {
     /// Keep the complete per-round [`History`] (every transmitter list,
@@ -36,7 +43,7 @@ pub enum RecordMode {
     Full,
     /// Keep only a per-round collision count
     /// ([`ExecutionOutcome::collisions_per_round`](crate::ExecutionOutcome::collisions_per_round));
-    /// no round records or message clones.
+    /// the returned history is empty.
     CollisionsOnly,
     /// Keep nothing beyond the aggregate metrics: the returned history is
     /// empty. The fastest mode, intended for trial fan-out where only the
@@ -51,18 +58,6 @@ serde::serde_enum!(RecordMode {
 });
 
 impl RecordMode {
-    /// The mode an execution against an adversary of `class` actually runs
-    /// with: adaptive classes force [`RecordMode::Full`] because the
-    /// adversary's view borrows the history (see the
-    /// [module documentation](self)).
-    pub fn effective_for(self, class: AdversaryClass) -> RecordMode {
-        if class == AdversaryClass::Oblivious {
-            self
-        } else {
-            RecordMode::Full
-        }
-    }
-
     /// Returns `true` if this mode retains per-round [`RoundRecord`]s.
     pub fn records_history(self) -> bool {
         matches!(self, RecordMode::Full)
@@ -84,71 +79,98 @@ impl std::fmt::Display for RecordMode {
     }
 }
 
-/// The engine's recording sink: accumulates whatever the effective
-/// [`RecordMode`] retains and hands it back at the end of the run.
+/// The engine's recording sink: keeps the rounds an adaptive adversary reads
+/// and whatever the [`RecordMode`] retains, and hands the latter back at the
+/// end of the run.
 #[derive(Debug, Clone)]
 pub struct Recorder {
-    requested: RecordMode,
-    effective: RecordMode,
+    mode: RecordMode,
+    /// Whether round records are kept during the run: the mode returns
+    /// them, or an adaptive adversary's view shows them.
+    keeps_rounds: bool,
+    /// The rounds so far, without their active dynamic edges.
     history: History,
+    /// Each round's active dynamic edges, kept aside for a
+    /// [`RecordMode::Full`] outcome.
+    active_edges: Vec<Vec<Edge>>,
     collisions_per_round: Vec<usize>,
 }
 
 impl Recorder {
-    /// Creates a recorder for a network of `n` nodes, promoting `requested`
-    /// to [`RecordMode::Full`] when `class` is adaptive.
-    pub fn new(requested: RecordMode, class: AdversaryClass, n: usize) -> Self {
-        let effective = requested.effective_for(class);
+    /// Creates a recorder for a network of `n` nodes that returns what
+    /// `mode` retains, and keeps the rounds during the run as well when
+    /// `class` is adaptive.
+    pub fn new(mode: RecordMode, class: AdversaryClass, n: usize) -> Self {
         Recorder {
-            requested,
-            effective,
+            mode,
+            keeps_rounds: mode.records_history() || class != AdversaryClass::Oblivious,
             history: History::new(n),
+            active_edges: Vec::new(),
             collisions_per_round: Vec::new(),
         }
     }
 
-    /// The mode the caller asked for.
-    pub fn requested(&self) -> RecordMode {
-        self.requested
-    }
-
-    /// The mode in effect after auto-promotion.
+    /// The mode the outcome is recorded with.
     pub fn mode(&self) -> RecordMode {
-        self.effective
+        self.mode
     }
 
-    /// Returns `true` if the engine must assemble full [`RoundRecord`]s.
+    /// Returns `true` if the engine must assemble each round's transmitters
+    /// and deliveries: the mode retains them, or an adaptive adversary reads
+    /// them.
     pub fn wants_history(&self) -> bool {
-        self.effective.records_history()
+        self.keeps_rounds
     }
 
-    /// The history recorded so far (empty unless the effective mode is
-    /// [`RecordMode::Full`]); the engine lends it to adaptive adversaries.
+    /// Returns `true` if the engine must list each round's active dynamic
+    /// edges ([`RecordMode::Full`] only; no adversary reads them).
+    pub fn wants_edges(&self) -> bool {
+        self.mode.records_history()
+    }
+
+    /// The rounds recorded so far, without their active dynamic edges: what
+    /// the engine lends an adaptive adversary's view. Empty for an
+    /// oblivious class unless the mode is [`RecordMode::Full`].
     pub fn history(&self) -> &History {
         &self.history
     }
 
-    /// Appends a fully assembled round record (effective mode
-    /// [`RecordMode::Full`] only; a no-op otherwise, so callers may guard
-    /// record assembly with [`Recorder::wants_history`] purely for speed).
-    pub fn push(&mut self, record: RoundRecord) {
-        if self.effective.records_history() {
-            self.history.push(record);
+    /// Appends a round record. Its active dynamic edges are set aside for a
+    /// [`RecordMode::Full`] outcome and dropped otherwise; the whole record
+    /// is dropped when [`Recorder::wants_history`] is false, so callers may
+    /// guard record assembly with it purely for speed.
+    pub fn push(&mut self, mut record: RoundRecord) {
+        if !self.keeps_rounds {
+            return;
         }
+        let edges = std::mem::take(&mut record.active_dynamic_edges);
+        if self.mode.records_history() {
+            self.active_edges.push(edges);
+        }
+        self.history.push(record);
     }
 
     /// Appends one round's collision count (retained under
     /// [`RecordMode::Full`] and [`RecordMode::CollisionsOnly`]).
     pub fn push_collisions(&mut self, collisions: usize) {
-        if self.effective.records_collisions() {
+        if self.mode.records_collisions() {
             self.collisions_per_round.push(collisions);
         }
     }
 
-    /// Consumes the recorder, returning the retained history and per-round
-    /// collision counts (either may be empty depending on the mode).
+    /// Consumes the recorder, returning the history the mode retains (with
+    /// every round's active dynamic edges under [`RecordMode::Full`], empty
+    /// otherwise) and the per-round collision counts (empty under
+    /// [`RecordMode::None`]).
     pub fn finish(self) -> (History, Vec<usize>) {
-        (self.history, self.collisions_per_round)
+        let history = if self.mode.records_history() {
+            let mut history = self.history;
+            history.attach_active_edges(self.active_edges);
+            history
+        } else {
+            History::new(self.history.node_count())
+        };
+        (history, self.collisions_per_round)
     }
 }
 
@@ -177,6 +199,29 @@ mod tests {
         assert!(!RecordMode::None.records_collisions());
     }
 
+    /// A round with one delivery (node 1 hears node 0) over the dynamic
+    /// edge (0, 1).
+    fn delivered(round: usize) -> RoundRecord {
+        use crate::history::Delivery;
+        use crate::message::{Message, MessageKind};
+        use dradio_graphs::NodeId;
+        let (sender, receiver) = (NodeId::new(0), NodeId::new(1));
+        RoundRecord {
+            round: Round::new(round),
+            transmitters: vec![sender],
+            active_dynamic_edges: vec![Edge::new(sender, receiver)],
+            deliveries: vec![Delivery {
+                receiver,
+                sender,
+                message: Message::plain(sender, MessageKind::new(1), 0),
+            }],
+        }
+    }
+
+    /// Adaptive classes force the recorder to keep every round while the
+    /// execution runs, whatever the mode, because their view reads it; the
+    /// view never holds an edge, and the outcome still gets only what the
+    /// mode retains.
     #[test]
     fn adaptive_classes_force_full_recording() {
         for mode in [
@@ -184,15 +229,34 @@ mod tests {
             RecordMode::CollisionsOnly,
             RecordMode::None,
         ] {
-            assert_eq!(mode.effective_for(AdversaryClass::Oblivious), mode);
-            assert_eq!(
-                mode.effective_for(AdversaryClass::OnlineAdaptive),
-                RecordMode::Full
-            );
-            assert_eq!(
-                mode.effective_for(AdversaryClass::OfflineAdaptive),
-                RecordMode::Full
-            );
+            for class in [
+                AdversaryClass::Oblivious,
+                AdversaryClass::OnlineAdaptive,
+                AdversaryClass::OfflineAdaptive,
+            ] {
+                let mut recorder = Recorder::new(mode, class, 4);
+                assert_eq!(recorder.mode(), mode);
+                let adaptive = class != AdversaryClass::Oblivious;
+                assert_eq!(
+                    recorder.wants_history(),
+                    adaptive || mode == RecordMode::Full
+                );
+                assert_eq!(recorder.wants_edges(), mode == RecordMode::Full);
+                recorder.push(delivered(0));
+                recorder.push(delivered(1));
+                let view = recorder.history();
+                assert_eq!(view.len(), if recorder.wants_history() { 2 } else { 0 });
+                assert!(view
+                    .records()
+                    .iter()
+                    .all(|r| r.active_dynamic_edges.is_empty()));
+                let (history, _) = recorder.finish();
+                if mode == RecordMode::Full {
+                    assert_eq!(history.records(), [delivered(0), delivered(1)]);
+                } else {
+                    assert!(history.is_empty());
+                }
+            }
         }
     }
 
@@ -223,11 +287,22 @@ mod tests {
     }
 
     #[test]
-    fn recorder_promotes_for_adaptive_adversaries() {
-        let promoted = Recorder::new(RecordMode::None, AdversaryClass::OnlineAdaptive, 4);
-        assert_eq!(promoted.requested(), RecordMode::None);
-        assert_eq!(promoted.mode(), RecordMode::Full);
-        assert!(promoted.wants_history());
+    fn recorder_keeps_the_requested_mode_for_adaptive_adversaries() {
+        let mut recorder = Recorder::new(RecordMode::None, AdversaryClass::OnlineAdaptive, 4);
+        assert_eq!(recorder.mode(), RecordMode::None);
+        assert!(
+            recorder.wants_history(),
+            "the adaptive view reads the rounds"
+        );
+        assert!(!recorder.wants_edges());
+        recorder.push(delivered(0));
+        recorder.push_collisions(1);
+        assert!(recorder
+            .history()
+            .received_any(dradio_graphs::NodeId::new(1)));
+        let (history, collisions) = recorder.finish();
+        assert!(history.is_empty(), "RecordMode::None returns no history");
+        assert!(collisions.is_empty());
     }
 
     #[test]

@@ -178,11 +178,11 @@ fn custom_components_execute_identically() {
 }
 
 #[test]
-fn adaptive_adversaries_promote_on_reused_executors_too() {
-    // The auto-promotion rule is per execution, not per executor: even when
-    // the executor is asked for RecordMode::None, an adaptive adversary
-    // class forces full recording — on the first trial and on every reused
-    // one.
+fn adaptive_adversaries_keep_the_requested_mode_on_reused_executors_too() {
+    // The record mode decides only what an outcome carries, per execution:
+    // an adaptive adversary reads the same rounds either way, so on the
+    // first trial and on every reused one a RecordMode::None execution
+    // returns no history and measures exactly what a Full one does.
     let scenario = Scenario::on(TopologySpec::DualClique { n: 16 })
         .algorithm(GlobalAlgorithm::Permuted)
         .adversary(AdversarySpec::DenseSparse {
@@ -196,13 +196,18 @@ fn adaptive_adversaries_promote_on_reused_executors_too() {
     let runner = scenario.runner();
     let mut executor = scenario.executor();
     for trial in 0..TRIALS {
-        let outcome = executor.execute(runner.trial_seed(trial), RecordMode::None);
+        let seed = runner.trial_seed(trial);
+        let outcome = executor.execute(seed, RecordMode::None);
         assert_eq!(
             outcome.record_mode,
-            RecordMode::Full,
-            "trial {trial}: adaptive adversary must promote to full recording"
+            RecordMode::None,
+            "trial {trial}: the requested mode is returned"
         );
-        assert_eq!(outcome.history.len(), outcome.rounds_executed);
+        assert!(outcome.history.is_empty(), "trial {trial}");
+        let full = executor.execute(seed, RecordMode::Full);
+        assert_eq!(full.history.len(), full.rounds_executed);
+        assert_eq!(outcome.metrics, full.metrics, "trial {trial}");
+        assert_eq!(outcome.completion_round, full.completion_round);
     }
 }
 
