@@ -3,10 +3,13 @@
 //! * `round/*` times a fixed number of simulator rounds (steady-state
 //!   uniform-probability broadcasters, so every seed runs exactly the same
 //!   number of rounds) on clique, grid, and random geometric topologies at
-//!   n ∈ {64, 256, 1024}, plus the online adaptive dense/sparse attacker on
-//!   the 256-node dual clique, whose every round is one all-dynamic decision
-//!   folded over `G'`. The printed mean is for `ROUNDS` rounds; divide by
-//!   `ROUNDS` for the per-round cost.
+//!   n ∈ {64, 256, 1024}, plus three history-free link paths: the online
+//!   adaptive dense/sparse attacker on the 256-node dual clique, whose every
+//!   round is one all-dynamic decision folded over `G'`; Gilbert–Elliott
+//!   links on the same network, an opaque listed decision whose every edge
+//!   is validated and heard at its listener; and `Iid` links on a 4096-node
+//!   random geometric network, whose automatic layout is CSR. The printed
+//!   mean is for `ROUNDS` rounds; divide by `ROUNDS` for the per-round cost.
 //! * `trials_per_sec/*` times many *short* executions (the shape of most
 //!   campaign cells) through a reused [`dradio_sim::TrialExecutor`] versus a
 //!   fresh simulator per trial — isolating per-trial setup amortization,
@@ -24,13 +27,13 @@
 //!   expansion, content-hash keying, and store appends — the costs that must
 //!   stay invisible next to the simulation itself.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use dradio_bench::{engine_batch_executor, engine_executor, engine_workload};
 use dradio_campaign::{CampaignSpec, CellRecord, ResultStore, RoundsRule, SweepGroup, TrialPolicy};
 use dradio_core::algorithms::GlobalAlgorithm;
 use dradio_scenario::{
-    AdversarySpec, Completion, ContentionCurve, Measurement, ProblemSpec, RecordMode, Summary,
-    TopologySpec,
+    AdversarySpec, BuiltTopology, Completion, ContentionCurve, GraphBackend, Measurement,
+    ProblemSpec, RecordMode, Summary, TopologySpec,
 };
 use dradio_sim::derive_stream_seed;
 
@@ -104,23 +107,59 @@ fn bench_rounds(c: &mut Criterion) {
     let built = TopologySpec::DualClique { n }
         .build()
         .expect("bench topology builds");
-    let adversary = AdversarySpec::DenseSparse {
+    let dense_sparse = AdversarySpec::DenseSparse {
         density_factor: None,
     };
-    group.bench_with_input(
-        BenchmarkId::new("dual_clique_dense_sparse", n),
-        &n,
-        |b, _| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                engine_workload(&built, &adversary, P, ROUNDS, seed, RecordMode::None)
-                    .metrics
-                    .deliveries
-            });
-        },
+    bench_history_free(
+        &mut group,
+        "dual_clique_dense_sparse",
+        &built,
+        &dense_sparse,
     );
+    // Bursty links on the same network: each round is an opaque listed
+    // decision of about half its 16 383 dynamic edges (the chains start and
+    // stay at availability 1/2), every edge validated and heard.
+    let gilbert_elliott = AdversarySpec::GilbertElliott {
+        p_fail: 0.1,
+        p_recover: 0.1,
+    };
+    bench_history_free(
+        &mut group,
+        "dual_clique_gilbert_elliott",
+        &built,
+        &gilbert_elliott,
+    );
+    // Past the dense floor, the random geometric network's automatic layout
+    // is CSR rows alone: reception walks sorted rows while `Iid` coins are
+    // heard at their listeners.
+    let (_, random, iid) = topologies(4096)
+        .into_iter()
+        .find(|(name, ..)| *name == "random")
+        .expect("the random family is registered");
+    let built = random.build().expect("bench topology builds");
+    assert_eq!(built.dual.graph_backend(), GraphBackend::Csr);
+    bench_history_free(&mut group, "random_csr", &built, &iid);
     group.finish();
+}
+
+/// Times `ROUNDS` rounds of the uniform broadcasters on `built` under
+/// `adversary`, keeping no history.
+fn bench_history_free(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    built: &BuiltTopology,
+    adversary: &AdversarySpec,
+) {
+    let n = built.dual.len();
+    group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            engine_workload(built, adversary, P, ROUNDS, seed, RecordMode::None)
+                .metrics
+                .deliveries
+        });
+    });
 }
 
 /// Rounds per trial in the trials/sec group: short on purpose, so per-trial

@@ -16,7 +16,10 @@
 //! before the link step, so a lane whose adversary declares
 //! [`LinkProfile::Iid`] never calls `decide`: it reads only the coins of
 //! the dynamic edges between its own transmitters and listeners (see
-//! [`LinkProcess::link_profile`]).
+//! [`LinkProcess::link_profile`]). Every lane hears its active dynamic
+//! edges at their listening endpoints, straight into the shared ≥1/≥2 lane
+//! masks, and the word-parallel fold over `G` starts from that state; no
+//! lane keeps a list of its edges.
 //!
 //! # Equivalence contract
 //!
@@ -32,15 +35,14 @@
 //!
 //! * Processes whose profile is [`BatchProfile::Generic`] (or an incoherent
 //!   `FixedRate`) — they run on the scalar executor.
-//! * [`RecordMode::Full`] — retaining per-round history defeats lane packing
-//!   (and is what adaptive adversaries force); callers fall back to the
-//!   scalar executor.
+//! * [`RecordMode::Full`] — retaining per-round history defeats lane
+//!   packing; callers fall back to the scalar executor.
 //! * Adaptive adversary classes — their views borrow the execution history.
 //! * Lane groups larger than [`MAX_LANES`].
 
 use std::sync::Arc;
 
-use dradio_graphs::{DualGraph, Edge, Graph, GraphBackend, NeighborRow, NodeId};
+use dradio_graphs::{DualGraph, Graph, NeighborRow, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -166,7 +168,6 @@ struct Lane {
     /// [`LinkProfile::Iid`]; `None` calls `decide`.
     iid: Option<IidPlan>,
     tracker: StopTracker,
-    active_edges: Vec<Edge>,
     metrics: Metrics,
     collisions_per_round: Vec<usize>,
     rounds_executed: usize,
@@ -182,7 +183,6 @@ impl Lane {
             link_spent: false,
             iid: None,
             tracker,
-            active_edges: Vec::new(),
             metrics: Metrics::default(),
             collisions_per_round: Vec::new(),
             rounds_executed: 0,
@@ -193,34 +193,16 @@ impl Lane {
 }
 
 /// Word-parallel scratch shared by every lane of a group: per-node lane
-/// masks, the packed "any lane transmits" bitset, the saturating ≥1/≥2
-/// reception counters, and the per-(node, lane) sender table. All buffers
-/// are sized once at construction and reused across groups.
+/// masks, the packed "any lane transmits" bitset, what every listener heard
+/// in every lane, and the complete-row fold's tables. All buffers are sized
+/// once at construction and reused across groups.
 struct Shared {
     /// `transmit[u]`: lane mask of trials in which node `u` transmits.
     transmit: Vec<u64>,
     /// Packed bitset over nodes: bit `v` set iff `transmit[v] != 0`.
     tx_any: Vec<u64>,
-    /// Lanes in which a listener heard ≥ 1 transmitting neighbor.
-    ge1: Vec<u64>,
-    /// Lanes in which a listener heard ≥ 2 transmitting neighbors.
-    ge2: Vec<u64>,
-    /// `senders[u * MAX_LANES + lane]`: the unique transmitting neighbor of
-    /// `u` in `lane`, valid only where `ge1 & !ge2` is set this round.
-    senders: Vec<u32>,
-    /// Packed duplicate-check rows for one lane's link decision
-    /// (`words_per_row` words per node, cleared lazily between lanes; empty
-    /// on the CSR backend, which uses `dedup_lists` instead).
-    dedup_rows: Vec<u64>,
-    /// Row-word indices written into `dedup_rows` since the last clear.
-    dedup_touched: Vec<usize>,
-    /// Per-node duplicate-check lists — the CSR backend's O(n + edges)
-    /// replacement for the `dedup_rows` bit matrix, whose n × words
-    /// footprint would itself be the quadratic allocation the sparse
-    /// backend avoids. Only the canonical (lo, hi) direction is recorded.
-    dedup_lists: Vec<Vec<NodeId>>,
-    /// Node indices written into `dedup_lists` since the last clear.
-    dedup_list_touched: Vec<usize>,
+    /// What each listener heard this round, lane by lane.
+    heard: Heard,
     words_per_row: usize,
     /// Packed bitset over nodes: bit `u` set iff `u`'s static row is
     /// complete (degree `n - 1`) — such listeners take the subtract-self
@@ -241,10 +223,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(g: &Graph, has_dynamic_edges: bool) -> Self {
+    fn new(g: &Graph) -> Self {
         let n = g.len();
         let words_per_row = g.row_words();
-        let sparse = g.backend() == GraphBackend::Csr;
         let mut complete_rows = vec![0u64; words_per_row];
         let mut has_complete_rows = false;
         for u in 0..n {
@@ -256,21 +237,11 @@ impl Shared {
         Shared {
             transmit: vec![0u64; n],
             tx_any: vec![0u64; words_per_row],
-            ge1: vec![0u64; n],
-            ge2: vec![0u64; n],
-            senders: vec![0u32; n * MAX_LANES],
-            dedup_rows: if has_dynamic_edges && !sparse {
-                vec![0u64; n.saturating_mul(words_per_row)]
-            } else {
-                Vec::new()
+            heard: Heard {
+                ge1: vec![0u64; n],
+                ge2: vec![0u64; n],
+                senders: vec![0u32; n * MAX_LANES],
             },
-            dedup_touched: Vec::new(),
-            dedup_lists: if has_dynamic_edges && sparse {
-                vec![Vec::new(); n]
-            } else {
-                Vec::new()
-            },
-            dedup_list_touched: Vec::new(),
             words_per_row,
             complete_rows,
             has_complete_rows,
@@ -287,44 +258,38 @@ impl Shared {
             tx_nodes: Vec::new(),
         }
     }
+}
 
-    /// Marks the dynamic edge `(u, v)` (endpoints already normalized by
-    /// [`Edge`]) as seen this lane; returns `true` if it already was.
-    fn dedup_test_and_set(&mut self, u: usize, v: usize) -> bool {
-        if self.dedup_lists.is_empty() {
-            let idx = u * self.words_per_row + v / 64;
-            let bit = 1u64 << (v % 64);
-            let seen = self.dedup_rows[idx] & bit != 0;
-            if !seen {
-                if self.dedup_rows[idx] == 0 {
-                    self.dedup_touched.push(idx);
-                }
-                self.dedup_rows[idx] |= bit;
-            }
-            seen
-        } else {
-            // CSR backend: per-lane decisions stay small, so a linear probe
-            // of the node's list beats maintaining packed rows.
-            let seen = self.dedup_lists[u].contains(&NodeId::new(v));
-            if !seen {
-                if self.dedup_lists[u].is_empty() {
-                    self.dedup_list_touched.push(u);
-                }
-                self.dedup_lists[u].push(NodeId::new(v));
-            }
-            seen
+/// What each listener heard this round, lane by lane: saturating ≥1/≥2
+/// counters and the sender table. Lanes hear their active dynamic edges
+/// into it first; [`fold_reception`] then adds the static neighbours.
+struct Heard {
+    /// Lanes in which a listener heard ≥ 1 transmitting neighbor.
+    ge1: Vec<u64>,
+    /// Lanes in which a listener heard ≥ 2 transmitting neighbors.
+    ge2: Vec<u64>,
+    /// `senders[u * MAX_LANES + lane]`: the unique transmitting neighbor of
+    /// `u` in `lane`, valid only where `ge1 & !ge2` is set this round.
+    senders: Vec<u32>,
+}
+
+impl Heard {
+    // lint: hot-path
+    /// In `lane`, `listener` hears `transmitter` over an active dynamic
+    /// edge. Idempotent: hearing the same transmitter again changes
+    /// nothing, so a repeated edge is never counted twice.
+    #[inline]
+    fn hear(&mut self, lane: usize, listener: usize, transmitter: usize) {
+        let bit = 1u64 << lane;
+        let sender = &mut self.senders[listener * MAX_LANES + lane];
+        if self.ge1[listener] & bit == 0 {
+            self.ge1[listener] |= bit;
+            *sender = transmitter as u32;
+        } else if *sender != transmitter as u32 {
+            self.ge2[listener] |= bit;
         }
     }
-
-    /// Zeroes the duplicate-check words/lists touched since the last clear.
-    fn dedup_clear(&mut self) {
-        while let Some(idx) = self.dedup_touched.pop() {
-            self.dedup_rows[idx] = 0;
-        }
-        while let Some(u) = self.dedup_list_touched.pop() {
-            self.dedup_lists[u].clear();
-        }
-    }
+    // lint: end-hot-path
 }
 
 /// Precomputed fixed-rate transmit plan: which nodes flip a coin each round
@@ -512,35 +477,46 @@ fn counter_flush(planes: &mut [u64; 4], out: &mut [usize; MAX_LANES]) {
     }
 }
 
-/// Runs one lane's link decision for `round`, filtering it down to genuine
-/// deduplicated dynamic edges exactly as the scalar executor does (rejected
-/// proposals are counted into the lane's metrics).
+/// Runs lane `lane_idx`'s link decision for `round` and hears each genuine
+/// dynamic edge in that lane, exactly as the scalar executor does (rejected
+/// proposals are counted into the lane's metrics). An all-dynamic decision
+/// over this very network is heard edge by edge with nothing to validate.
 // lint: hot-path
-fn decide_lane_edges(dual: &DualGraph, shared: &mut Shared, lane: &mut Lane, round: Round) {
-    let n = dual.len();
+fn decide_lane_edges(
+    dual: &Arc<DualGraph>,
+    transmit: &[u64],
+    heard: &mut Heard,
+    lane: &mut Lane,
+    lane_idx: usize,
+    round: Round,
+) {
     let decision = {
-        let view = AdversaryView::new(round, n, None, None, None);
+        let view = AdversaryView::new(round, dual.len(), None, None, None);
         lane.link.decide(&view, &mut lane.adversary_rng)
     };
-    lane.active_edges.clear();
+    let trusted = decision.is_all_dynamic_of(dual);
+    let bit = 1u64 << lane_idx;
     for edge in decision.edges() {
         let (u, v) = edge.endpoints();
-        let is_dynamic = dual.g_prime().has_edge(u, v) && !dual.g().has_edge(u, v);
-        if !is_dynamic {
+        if !trusted && (!dual.g_prime().has_edge(u, v) || dual.g().has_edge(u, v)) {
             lane.metrics.rejected_link_edges += 1;
-        } else if !shared.dedup_test_and_set(u.index(), v.index()) {
-            lane.active_edges.push(*edge);
+            continue;
+        }
+        let (u, v) = (u.index(), v.index());
+        match (transmit[u] & bit != 0, transmit[v] & bit != 0) {
+            (false, true) => heard.hear(lane_idx, u, v),
+            (true, false) => heard.hear(lane_idx, v, u),
+            _ => {}
         }
     }
-    shared.dedup_clear();
 }
 // lint: end-hot-path
 
 /// Resolves reception for every lane at once: folds each transmitting
-/// neighbor's lane mask into saturating ≥1/≥2 counters per listener
-/// (recording the sender wherever a lane first reaches 1), then scatters
-/// each lane's active dynamic edges as single-bit updates — the fold
-/// commutes, so static-then-dynamic order matches the scalar count.
+/// neighbor's lane mask into the saturating ≥1/≥2 counters per listener
+/// (recording the sender wherever a lane first reaches 1), starting from
+/// what the lanes heard over their active dynamic edges — the fold
+/// commutes, so dynamic-then-static order matches the scalar count.
 ///
 /// Listeners whose static row is complete (degree `n - 1`) share one global
 /// fold over the transmitter set instead of each re-scanning it: a listener
@@ -550,7 +526,7 @@ fn decide_lane_edges(dual: &DualGraph, shared: &mut Shared, lane: &mut Lane, rou
 /// into O(1) words — the difference between ~n² and ~n bit operations per
 /// round on a clique.
 // lint: hot-path
-fn fold_reception(dual: &DualGraph, shared: &mut Shared, lanes: &[Lane], live: u64) {
+fn fold_reception(dual: &DualGraph, shared: &mut Shared, live: u64) {
     let g = dual.g();
     let n = g.len();
     let words = shared.words_per_row;
@@ -564,8 +540,6 @@ fn fold_reception(dual: &DualGraph, shared: &mut Shared, lanes: &[Lane], live: u
             any_transmit = true;
         }
     }
-    shared.ge1[..n].fill(0);
-    shared.ge2[..n].fill(0);
     if any_transmit {
         // Global fold, shared by every complete-row listener: saturating
         // ≥1/≥2/≥3 lane counters over all transmitters in node order, plus
@@ -622,18 +596,20 @@ fn fold_reception(dual: &DualGraph, shared: &mut Shared, lanes: &[Lane], live: u
                     // The unique audible transmitter, in scalar neighbor
                     // order: the lane's first transmitter unless that was
                     // u itself, then its second.
-                    shared.senders[u * MAX_LANES + lane] = if s1[lane] == u as u32 {
+                    shared.heard.senders[u * MAX_LANES + lane] = if s1[lane] == u as u32 {
                         s2[lane]
                     } else {
                         s1[lane]
                     };
                 }
-                shared.ge1[u] = ge1;
-                shared.ge2[u] = ge2;
+                // A complete row leaves no dynamic edge at u, so u heard
+                // nothing before the fold.
+                shared.heard.ge1[u] = ge1;
+                shared.heard.ge2[u] = ge2;
                 continue;
             }
-            let mut ge1 = 0u64;
-            let mut ge2 = 0u64;
+            let mut ge1 = shared.heard.ge1[u];
+            let mut ge2 = shared.heard.ge2[u];
             match g.neighbor_row(NodeId::new(u)) {
                 NeighborRow::Dense(row) => {
                     'row: for (w, &row_bits) in row.iter().enumerate().take(words) {
@@ -646,7 +622,7 @@ fn fold_reception(dual: &DualGraph, shared: &mut Shared, lanes: &[Lane], live: u
                             while newly != 0 {
                                 let lane = newly.trailing_zeros() as usize;
                                 newly &= newly - 1;
-                                shared.senders[u * MAX_LANES + lane] = v as u32;
+                                shared.heard.senders[u * MAX_LANES + lane] = v as u32;
                             }
                             ge2 |= ge1 & tv;
                             ge1 |= tv;
@@ -674,7 +650,7 @@ fn fold_reception(dual: &DualGraph, shared: &mut Shared, lanes: &[Lane], live: u
                         while newly != 0 {
                             let lane = newly.trailing_zeros() as usize;
                             newly &= newly - 1;
-                            shared.senders[u * MAX_LANES + lane] = v as u32;
+                            shared.heard.senders[u * MAX_LANES + lane] = v as u32;
                         }
                         ge2 |= ge1 & tv;
                         ge1 |= tv;
@@ -684,34 +660,8 @@ fn fold_reception(dual: &DualGraph, shared: &mut Shared, lanes: &[Lane], live: u
                     }
                 }
             }
-            shared.ge1[u] = ge1;
-            shared.ge2[u] = ge2;
-        }
-    }
-    let mut mask = live;
-    while mask != 0 {
-        let lane_idx = mask.trailing_zeros() as usize;
-        mask &= mask - 1;
-        let bit = 1u64 << lane_idx;
-        for edge in &lanes[lane_idx].active_edges {
-            let (a, b) = edge.endpoints();
-            let (a, b) = (a.index(), b.index());
-            if shared.transmit[b] & bit != 0 {
-                if shared.ge1[a] & bit == 0 {
-                    shared.ge1[a] |= bit;
-                    shared.senders[a * MAX_LANES + lane_idx] = b as u32;
-                } else {
-                    shared.ge2[a] |= bit;
-                }
-            }
-            if shared.transmit[a] & bit != 0 {
-                if shared.ge1[b] & bit == 0 {
-                    shared.ge1[b] |= bit;
-                    shared.senders[b * MAX_LANES + lane_idx] = a as u32;
-                } else {
-                    shared.ge2[b] |= bit;
-                }
-            }
+            shared.heard.ge1[u] = ge1;
+            shared.heard.ge2[u] = ge2;
         }
     }
 }
@@ -789,7 +739,7 @@ impl BatchExecutor {
                 ),
             });
         }
-        let shared = Shared::new(dual.g(), !dual.is_static());
+        let shared = Shared::new(dual.g());
         let tracker = StopTracker::new(stop, dual.len());
         let tracker_template = tracker.clone();
         let lanes = vec![Lane::new(tracker, probe)];
@@ -914,7 +864,6 @@ impl BatchExecutor {
             lane.tracker.reset();
             lane.metrics = Metrics::default();
             lane.collisions_per_round.clear();
-            lane.active_edges.clear();
             lane.rounds_executed = 0;
             lane.completion_round = None;
             lane.completed = false;
@@ -1021,39 +970,39 @@ impl BatchExecutor {
                 }
             }
 
-            // 2. Each lane's adversary fixes its dynamic edges: an `Iid`
-            //    profile from the lane's own transmitters, anything else
-            //    through `decide`.
+            // 2. Each lane's adversary fixes its dynamic edges, and the lane
+            //    hears each active edge at its listening endpoint at once:
+            //    an `Iid` profile from the lane's own transmitters, anything
+            //    else through `decide`.
+            shared.heard.ge1[..n].fill(0);
+            shared.heard.ge2[..n].fill(0);
+            let (transmit, tx_nodes) = (&shared.transmit, &shared.tx_nodes);
+            let heard = &mut shared.heard;
             let mut mask = live;
             while mask != 0 {
                 let lane_idx = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let lane = &mut lanes[lane_idx];
+                let bit = 1u64 << lane_idx;
                 match lane.iid {
-                    Some(iid) => {
-                        let bit = 1u64 << lane_idx;
-                        let transmit = &shared.transmit;
-                        lane.active_edges.clear();
-                        activate_iid_edges(
-                            &iid,
-                            dual,
-                            round,
-                            shared
-                                .tx_nodes
-                                .iter()
-                                .map(|&v| v as usize)
-                                .filter(|&v| transmit[v] & bit != 0),
-                            |w| transmit[w] & bit != 0,
-                            &mut lane.adversary_rng,
-                            &mut lane.active_edges,
-                        );
-                    }
-                    None => decide_lane_edges(dual, shared, lane, round),
+                    Some(iid) => activate_iid_edges(
+                        &iid,
+                        dual,
+                        round,
+                        tx_nodes
+                            .iter()
+                            .map(|&v| v as usize)
+                            .filter(|&v| transmit[v] & bit != 0),
+                        |w| transmit[w] & bit != 0,
+                        &mut lane.adversary_rng,
+                        |listener, transmitter| heard.hear(lane_idx, listener, transmitter),
+                    ),
+                    None => decide_lane_edges(dual, transmit, heard, lane, lane_idx, round),
                 }
             }
 
             // 3. Word-parallel reception across all lanes.
-            fold_reception(dual, shared, lanes, live);
+            fold_reception(dual, shared, live);
 
             // 4. Metrics from the lane-mask algebra: deliveries are sparse
             //    (and feed the stop trackers), collisions accumulate in a
@@ -1065,7 +1014,7 @@ impl BatchExecutor {
             let mut pending_adds = 0usize;
             for u in 0..n {
                 let listening = live & !shared.transmit[u];
-                let collided = shared.ge2[u] & listening;
+                let collided = shared.heard.ge2[u] & listening;
                 if collided != 0 {
                     counter_add(&mut planes, collided);
                     pending_adds += 1;
@@ -1074,12 +1023,12 @@ impl BatchExecutor {
                         pending_adds = 0;
                     }
                 }
-                let mut ones = shared.ge1[u] & !shared.ge2[u] & listening;
+                let mut ones = shared.heard.ge1[u] & !shared.heard.ge2[u] & listening;
                 while ones != 0 {
                     let lane_idx = ones.trailing_zeros() as usize;
                     ones &= ones - 1;
                     round_deliveries[lane_idx] += 1;
-                    let sender = shared.senders[u * MAX_LANES + lane_idx] as usize;
+                    let sender = shared.heard.senders[u * MAX_LANES + lane_idx] as usize;
                     lanes[lane_idx].tracker.observe_one(
                         NodeId::new(u),
                         NodeId::new(sender),
@@ -1138,7 +1087,7 @@ mod tests {
     use crate::process::{Process, Role};
     use crate::sampling;
     use crate::TrialExecutor;
-    use dradio_graphs::topology;
+    use dradio_graphs::{topology, Edge};
     use rand::RngCore;
 
     const DATA: MessageKind = MessageKind::new(1);
@@ -1200,20 +1149,14 @@ mod tests {
     }
 
     /// Oblivious dynamic adversary: each genuine `G' \ G` edge flips on with
-    /// probability 1/2; also proposes a duplicate and (when one exists) a
-    /// static `G` edge every round to exercise dedup and rejection.
+    /// probability 1/2, and (when one exists) a static `G` edge is proposed
+    /// every round to exercise rejection. With `repeats`, the first chosen
+    /// edge is proposed twice, from the same coins: hearing is idempotent,
+    /// so the twin without repeats must produce the same outcome.
     struct FlakyLinks {
         dynamic: Vec<Edge>,
         bogus: Option<Edge>,
-    }
-
-    impl FlakyLinks {
-        fn new() -> Self {
-            FlakyLinks {
-                dynamic: Vec::new(),
-                bogus: None,
-            }
-        }
+        repeats: bool,
     }
 
     impl LinkProcess for FlakyLinks {
@@ -1238,8 +1181,8 @@ mod tests {
                     chosen.push(edge);
                 }
             }
-            if let Some(&first) = chosen.first() {
-                chosen.push(first); // duplicate: must dedup, not double-count
+            if let Some(&first) = chosen.first().filter(|_| self.repeats) {
+                chosen.push(first); // a repeat: heard once, not counted twice
             }
             if let Some(bogus) = self.bogus {
                 chosen.push(bogus); // static edge: must be rejected
@@ -1255,8 +1198,14 @@ mod tests {
         Arc::new(|| Box::new(StaticLinks::none()))
     }
 
-    fn flaky_link() -> LinkFactory {
-        Arc::new(|| Box::new(FlakyLinks::new()))
+    fn flaky_link(repeats: bool) -> LinkFactory {
+        Arc::new(move || {
+            Box::new(FlakyLinks {
+                dynamic: Vec::new(),
+                bogus: None,
+                repeats,
+            })
+        })
     }
 
     fn assert_groups_match_scalar(
@@ -1341,28 +1290,48 @@ mod tests {
 
     #[test]
     fn kernel_matches_scalar_with_dynamic_adversary() {
+        let scalar_with = |repeats: bool| {
+            TrialExecutor::new(
+                topology::dual_clique(8).unwrap(),
+                rate_factory(0.7, 0.3),
+                Assignment::global(8, NodeId::new(0)),
+                flaky_link(repeats),
+                StopCondition::global_broadcast(DATA, NodeId::new(0)),
+                SimConfig::default().with_max_rounds(40),
+            )
+            .unwrap()
+        };
         let mut batch = BatchExecutor::new(
             topology::dual_clique(8).unwrap(),
             rate_factory(0.7, 0.3),
             Assignment::global(8, NodeId::new(0)),
-            flaky_link(),
+            flaky_link(true),
             StopCondition::global_broadcast(DATA, NodeId::new(0)),
             SimConfig::default().with_max_rounds(40),
         )
         .unwrap();
-        let mut scalar = TrialExecutor::new(
-            topology::dual_clique(8).unwrap(),
-            rate_factory(0.7, 0.3),
-            Assignment::global(8, NodeId::new(0)),
-            flaky_link(),
-            StopCondition::global_broadcast(DATA, NodeId::new(0)),
-            SimConfig::default().with_max_rounds(40),
-        )
-        .unwrap();
+        let mut scalar = scalar_with(true);
+        let mut twin = scalar_with(false);
         let all: Vec<u64> = (0..64).collect();
         let ragged: Vec<u64> = (200..223).collect();
         for mode in [RecordMode::None, RecordMode::CollisionsOnly] {
-            assert_groups_match_scalar(&mut batch, &mut scalar, &[&all, &ragged, &[42]], mode);
+            for seeds in [&all[..], &ragged, &[42]] {
+                let outcomes = batch
+                    .execute_group(seeds, mode)
+                    .expect("group is batchable");
+                for (k, outcome) in outcomes.iter().enumerate() {
+                    // The twin proposes no repeats, so it pins idempotent
+                    // hearing on both paths, not only their agreement.
+                    let expected = twin.execute(seeds[k], mode);
+                    let seed = seeds[k];
+                    assert_eq!(*outcome, expected, "lane {k} (seed {seed}) under {mode}");
+                    assert_eq!(
+                        scalar.execute(seed, mode),
+                        expected,
+                        "scalar seed {seed} under {mode}"
+                    );
+                }
+            }
         }
     }
 

@@ -582,8 +582,11 @@ mod tests {
     }
 
     /// A link process that proposes the same dynamic edge several times per
-    /// round (plus one non-dynamic edge), to pin the engine's deduplication.
-    struct RepeatingAdversary;
+    /// round (plus one non-dynamic edge), to pin that a repeat is heard once
+    /// and listed once; without `repeats`, it proposes each edge once.
+    struct RepeatingAdversary {
+        repeats: bool,
+    }
     impl LinkProcess for RepeatingAdversary {
         fn class(&self) -> AdversaryClass {
             AdversaryClass::Oblivious
@@ -594,22 +597,31 @@ mod tests {
             let dynamic = Edge::new(NodeId::new(0), NodeId::new(2));
             let other = Edge::new(NodeId::new(0), NodeId::new(3));
             let reliable = Edge::new(NodeId::new(0), NodeId::new(1));
-            LinkDecision::from_edges(vec![dynamic, other, dynamic, reliable, dynamic])
+            LinkDecision::from_edges(if self.repeats {
+                vec![dynamic, other, dynamic, reliable, dynamic]
+            } else {
+                vec![dynamic, other, reliable]
+            })
         }
     }
 
     #[test]
     fn repeated_link_edges_are_deduplicated_once_per_round() {
-        let dual = topology::dual_clique(4).unwrap();
-        let sim = Simulator::new(
-            dual,
-            beacon_factory(),
-            Assignment::global(4, NodeId::new(0)),
-            Box::new(RepeatingAdversary),
-            SimConfig::default().with_max_rounds(3),
-        )
-        .unwrap();
-        let out = sim.run(StopCondition::max_rounds());
+        use crate::recorder::RecordMode;
+        let run = |repeats: bool, mode: RecordMode| {
+            Simulator::new(
+                topology::dual_clique(4).unwrap(),
+                beacon_factory(),
+                Assignment::global(4, NodeId::new(0)),
+                Box::new(RepeatingAdversary { repeats }),
+                SimConfig::default()
+                    .with_max_rounds(3)
+                    .with_record_mode(mode),
+            )
+            .unwrap()
+            .run(StopCondition::max_rounds())
+        };
+        let out = run(true, RecordMode::Full);
         for record in out.history.records() {
             assert_eq!(
                 record.active_dynamic_edges,
@@ -625,6 +637,17 @@ mod tests {
         // The dynamic edges genuinely carry: both far-side nodes hear node 0.
         assert!(out.history.received_kind(NodeId::new(2), DATA));
         assert!(out.history.received_kind(NodeId::new(3), DATA));
+        assert_eq!(out, run(false, RecordMode::Full), "repeats change nothing");
+        // Hearing is idempotent in every mode, not only where the history
+        // lists the edges: a repeat never turns a delivery into a collision.
+        for mode in [RecordMode::CollisionsOnly, RecordMode::None] {
+            let repeated = run(true, mode);
+            assert_eq!(
+                repeated.metrics, out.metrics,
+                "{mode}: the Full run's metrics"
+            );
+            assert_eq!(repeated, run(false, mode), "{mode}: repeats change nothing");
+        }
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //!   otherwise), the [`StopTracker`] (reset in place), and the round
 //!   scratch memory.
 //!
+//! Within a round, active dynamic edges leave no adjacency behind: the
+//! executor hears each one at its listening endpoint as soon as the link
+//! step produces it, and reception starts every listener from what it
+//! heard, then counts only the rows of `G` (of `G'` when every dynamic
+//! edge is on; see `RoundScratch`). Only a [`RecordMode::Full`] history
+//! lists a round's edges.
+//!
 //! [`TrialExecutor::execute`] is *deterministically equivalent* to building
 //! a fresh `Simulator` with the same seed and running it: the per-node and
 //! adversary streams are derived from the seed exactly as
@@ -28,9 +35,10 @@
 //! type). The root `integration_executor` test suite pins outcome equality
 //! across every registered algorithm × adversary × problem class.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use dradio_graphs::{DualGraph, Edge, GraphBackend, NeighborRow, NodeId};
+use dradio_graphs::{DualGraph, Edge, NeighborRow, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -226,12 +234,7 @@ impl TrialExecutor {
         let contexts: Vec<ProcessContext> =
             validated_contexts(&dual, &assignment, Some(&stop), &config)?.collect();
         let n = dual.len();
-        let scratch = RoundScratch::new(
-            n,
-            dual.g().row_words(),
-            !dual.is_static(),
-            dual.g().backend() == GraphBackend::Csr,
-        );
+        let scratch = RoundScratch::new(n, dual.g().row_words());
         Ok(TrialExecutor {
             tracker: StopTracker::new(stop, n),
             dual,
@@ -404,24 +407,24 @@ impl TrialExecutor {
             // 4. The link process fixes the dynamic edges, seeing only what
             //    its class entitles it to (adaptive classes read every
             //    earlier round's transmitters and deliveries from the
-            //    recorder, in every record mode).
-            scratch.clear_dynamic();
+            //    recorder, in every record mode). Each active edge is heard
+            //    at its listening endpoint as soon as it is decided.
             let mut over_g_prime = false;
+            // The round's genuine dynamic edges as proposed, kept only for a
+            // Full history (which lists each once, see step 7).
+            let mut listed_edges: Vec<Edge> = Vec::new(); // lint: allow(D3) -- Vec::new is allocation-free; pushes happen only under Full recording
             if let Some(plan) = &iid {
                 let bits = &scratch.transmitter_bits;
+                let heard = &mut scratch.heard;
                 activate_iid_edges(
                     plan,
                     &self.dual,
                     round,
                     scratch.transmitters.iter().map(|v| v.index()),
-                    |w| bits[w / 64] >> (w % 64) & 1 == 1,
+                    |w| bit(bits, w),
                     &mut self.adversary_rng,
-                    &mut scratch.active_edges,
+                    |listener, transmitter| hear(heard, listener, transmitter),
                 );
-                for edge in &scratch.active_edges {
-                    let (u, v) = edge.endpoints();
-                    scratch.dynamic.set(u, v);
-                }
             } else {
                 let decision = {
                     let view = AdversaryView::new(
@@ -436,29 +439,35 @@ impl TrialExecutor {
                 if decision.is_all_dynamic_of(&self.dual) {
                     // Every dynamic edge of this very network: the round's
                     // topology is G' itself, so reception folds over the
-                    // rows of G', with nothing to validate and no adjacency
-                    // to write.
+                    // rows of G', with nothing to validate or hear.
                     over_g_prime = true;
                 } else {
-                    // Filter the decision down to genuine dynamic edges. The
-                    // dynamic adjacency doubles as an O(1) duplicate check.
+                    // Hear each genuine dynamic edge; hearing is idempotent,
+                    // so a repeated proposal changes nothing.
                     for edge in decision.edges() {
                         let (u, v) = edge.endpoints();
-                        let is_dynamic =
-                            self.dual.g_prime().has_edge(u, v) && !self.dual.g().has_edge(u, v);
-                        if !is_dynamic {
+                        if !self.dual.g_prime().has_edge(u, v) || self.dual.g().has_edge(u, v) {
                             metrics.rejected_link_edges += 1;
-                        } else if !scratch.dynamic.bit(u, v) {
-                            scratch.dynamic.set(u, v);
-                            scratch.active_edges.push(*edge);
+                            continue;
+                        }
+                        let (u, v) = (u.index(), v.index());
+                        let bits = &scratch.transmitter_bits;
+                        match (bit(bits, u), bit(bits, v)) {
+                            (false, true) => hear(&mut scratch.heard, u, v),
+                            (true, false) => hear(&mut scratch.heard, v, u),
+                            _ => {}
+                        }
+                        if recorder.wants_edges() {
+                            listed_edges.push(*edge);
                         }
                     }
                 }
             }
 
             // 5. Reception under the collision rule, from the packed
-            //    transmitter bitset, over G plus the round's active dynamic
-            //    edges, or over G' alone when every dynamic edge is on.
+            //    transmitter bitset: what each listener heard over dynamic
+            //    edges, plus its transmitting neighbours over G, or over G'
+            //    alone when every dynamic edge is on.
             let transmitter_count = scratch.transmitters.len();
             metrics.transmissions += transmitter_count;
 
@@ -469,7 +478,8 @@ impl TrialExecutor {
             let mut round_collisions = 0usize;
 
             if transmitter_count == 0 {
-                // Nobody transmitted: every node listens into silence.
+                // Nobody transmitted: every node listens into silence (and
+                // nobody heard anything over a dynamic edge).
                 metrics.idle_listens += n;
                 for _ in 0..n {
                     scratch.feedbacks.push(Feedback::Silence);
@@ -481,42 +491,38 @@ impl TrialExecutor {
                     self.dual.g()
                 };
                 let words = g.row_words();
-                let use_dynamic = !scratch.active_edges.is_empty();
                 // Below this transmitter count, probing each transmitter with
                 // O(1) bit queries beats scanning the whole adjacency row.
                 let probe_transmitters = transmitter_count <= words;
+                let bits = &scratch.transmitter_bits;
                 for u in NodeId::all(n) {
                     let u_idx = u.index();
-                    if scratch.transmitter_bits[u_idx / 64] >> (u_idx % 64) & 1 == 1 {
+                    if bit(bits, u_idx) {
                         scratch.feedbacks.push(Feedback::Transmitted);
                         continue;
                     }
                     // Count transmitting neighbors, capped at 2 (the collision
-                    // rule only distinguishes 0 / 1 / "several"), picking the
-                    // cheapest of three equivalent strategies per listener:
-                    // walk the adjacency list testing transmitter bits (low
-                    // degree), probe each transmitter with O(1) edge queries
-                    // (few transmitters), or intersect the packed adjacency
-                    // row with the transmitter bitset (dense rounds).
-                    let mut count = 0usize;
-                    let mut sender = 0usize;
+                    // rule only distinguishes 0 / 1 / "several"), starting
+                    // from what u heard over dynamic edges (disjoint from G's
+                    // row, and absent when folding over G') and picking the
+                    // cheapest of three equivalent strategies over the row:
+                    // walk the sorted row testing transmitter bits (low
+                    // degree, or CSR), probe each transmitter with O(1) edge
+                    // queries (few transmitters), or intersect the packed row
+                    // with the transmitter bitset (dense rounds). Each stops
+                    // once the count reaches 2, and a unique sender is unique
+                    // whichever order it is found in, so all three agree.
+                    let (mut count, mut sender) = match std::mem::take(&mut scratch.heard[u_idx]) {
+                        0 => (0, 0),
+                        HEARD_SEVERAL => (2, 0),
+                        mark => (1, mark as usize - 1),
+                    };
                     let degree = g.degree(u);
-                    if !use_dynamic && degree <= transmitter_count && degree <= words * 2 {
-                        for &v in g.neighbors(u) {
-                            let v_idx = v.index();
-                            if scratch.transmitter_bits[v_idx / 64] >> (v_idx % 64) & 1 == 1 {
-                                count += 1;
-                                if count >= 2 {
-                                    break;
-                                }
-                                sender = v_idx;
-                            }
-                        }
+                    if degree <= transmitter_count && degree <= words * 2 {
+                        count_row(g.neighbors(u), bits, &mut count, &mut sender);
                     } else if probe_transmitters {
                         for &v in &scratch.transmitters {
-                            let connected =
-                                g.has_edge(u, v) || (use_dynamic && scratch.dynamic.bit(u, v));
-                            if connected {
+                            if g.has_edge(u, v) {
                                 count += 1;
                                 if count >= 2 {
                                     break;
@@ -527,12 +533,8 @@ impl TrialExecutor {
                     } else {
                         match g.neighbor_row(u) {
                             NeighborRow::Dense(row) => {
-                                let dyn_row = scratch.dynamic.row(u_idx);
-                                for w in 0..words {
-                                    let mut hit = row[w] & scratch.transmitter_bits[w];
-                                    if use_dynamic {
-                                        hit |= dyn_row[w] & scratch.transmitter_bits[w];
-                                    }
+                                for (w, &row_word) in row.iter().enumerate() {
+                                    let hit = row_word & bits[w];
                                     if hit != 0 {
                                         count += hit.count_ones() as usize;
                                         if count >= 2 {
@@ -543,38 +545,7 @@ impl TrialExecutor {
                                 }
                             }
                             NeighborRow::Sparse(row) => {
-                                // CSR backend: walk the sorted row of G or G'
-                                // (and the round's dynamic list, disjoint from
-                                // G's row by the is_dynamic filter above) testing
-                                // transmitter bits. Saturates at 2 like the
-                                // word scan, and a unique sender is unique
-                                // whichever order rows are visited in, so the
-                                // outcome matches the dense strategies exactly.
-                                for &v in row {
-                                    let v_idx = v.index();
-                                    if scratch.transmitter_bits[v_idx / 64] >> (v_idx % 64) & 1 == 1
-                                    {
-                                        count += 1;
-                                        if count >= 2 {
-                                            break;
-                                        }
-                                        sender = v_idx;
-                                    }
-                                }
-                                if use_dynamic && count < 2 {
-                                    for &v in scratch.dynamic.list(u_idx) {
-                                        let v_idx = v.index();
-                                        if scratch.transmitter_bits[v_idx / 64] >> (v_idx % 64) & 1
-                                            == 1
-                                        {
-                                            count += 1;
-                                            if count >= 2 {
-                                                break;
-                                            }
-                                            sender = v_idx;
-                                        }
-                                    }
-                                }
+                                count_row(row, bits, &mut count, &mut sender);
                             }
                         }
                     }
@@ -626,12 +597,14 @@ impl TrialExecutor {
             //    delivery by delivery, in ascending receiver order).
             recorder.push_collisions(round_collisions);
             if recorder.wants_history() {
-                let active_dynamic_edges = if !recorder.wants_edges() {
-                    Vec::new() // lint: allow(D3) -- Vec::new is allocation-free
-                } else if over_g_prime {
+                let active_dynamic_edges = if over_g_prime && recorder.wants_edges() {
                     self.dual.dynamic_index().edges().to_vec() // lint: allow(D3) -- full-recording path only
                 } else {
-                    scratch.active_edges.clone() // lint: allow(D3) -- full-recording path only
+                    // Each edge once, in first-occurrence order (empty
+                    // unless the mode is Full).
+                    let mut seen = BTreeSet::new();
+                    listed_edges.retain(|edge| seen.insert(*edge));
+                    listed_edges
                 };
                 recorder.push(RoundRecord {
                     round,
@@ -684,9 +657,9 @@ impl std::fmt::Debug for TrialExecutor {
 /// records and transmitter probing) and as a packed `u64` bitset aligned
 /// with the dense rows of [`dradio_graphs::Graph::neighbor_row`], so
 /// reception resolves 64 candidate neighbors per word instead of chasing
-/// adjacency rows. Dynamic edges activated by the link process live in a
-/// [`DynamicAdjacency`]; only what the round's active edges wrote is
-/// cleared afterwards.
+/// adjacency rows. Active dynamic edges leave no adjacency behind: each is
+/// heard (`hear`) at its listening endpoint when the link step produces it,
+/// and reception reads and zeroes what every listener heard.
 #[derive(Debug)]
 struct RoundScratch {
     /// Per-node actions of the current round.
@@ -699,22 +672,21 @@ struct RoundScratch {
     transmitters: Vec<NodeId>,
     /// Packed transmitter bitset (bit `v` set iff node `v` transmits).
     transmitter_bits: Vec<u64>,
-    /// The current round's active dynamic edges as adjacency.
-    dynamic: DynamicAdjacency,
-    /// The deduplicated genuine dynamic edges of the current round.
-    active_edges: Vec<Edge>,
+    /// What each listener heard over the round's active dynamic edges:
+    /// 0 for nothing, `v + 1` for transmitter `v` alone, or
+    /// [`HEARD_SEVERAL`]. All zero between rounds.
+    heard: Vec<u32>,
 }
 
 impl RoundScratch {
-    fn new(n: usize, words_per_row: usize, has_dynamic_edges: bool, sparse: bool) -> Self {
+    fn new(n: usize, words_per_row: usize) -> Self {
         RoundScratch {
             actions: Vec::with_capacity(n),
             transmit_probs: Vec::with_capacity(n),
             feedbacks: Vec::with_capacity(n),
             transmitters: Vec::with_capacity(n),
             transmitter_bits: vec![0u64; words_per_row],
-            dynamic: DynamicAdjacency::new(n, words_per_row, has_dynamic_edges, sparse),
-            active_edges: Vec::new(),
+            heard: vec![0u32; n],
         }
     }
 
@@ -726,108 +698,50 @@ impl RoundScratch {
         self.feedbacks.clear();
         self.transmitters.clear();
         self.transmitter_bits.iter_mut().for_each(|w| *w = 0);
-        self.clear_dynamic();
-    }
-
-    /// Zeroes what the previous round's active edges wrote and forgets them.
-    fn clear_dynamic(&mut self) {
-        self.dynamic.clear(&self.active_edges);
-        self.active_edges.clear();
+        self.heard.iter_mut().for_each(|h| *h = 0);
     }
 }
 
-/// One round's active dynamic edges as adjacency: packed per-node bit rows
-/// (`words_per_row` words per node) on the dense backend, per-node lists on
-/// CSR — whose O(n + active-edges) footprint replaces the n × words bit
-/// matrix that would itself be the quadratic allocation the sparse backend
-/// exists to avoid. Both are empty when the network is static.
-#[derive(Debug)]
-struct DynamicAdjacency {
-    rows: Vec<u64>,
-    lists: Vec<Vec<NodeId>>,
-    words_per_row: usize,
+/// `heard[u]` once listener `u` has heard two distinct transmitters over
+/// dynamic edges: a collision, whatever G adds.
+const HEARD_SEVERAL: u32 = u32::MAX;
+
+// lint: hot-path
+/// Whether bit `v` of the packed bitset `bits` is set.
+#[inline]
+fn bit(bits: &[u64], v: usize) -> bool {
+    bits[v / 64] >> (v % 64) & 1 == 1
 }
 
-impl DynamicAdjacency {
-    fn new(n: usize, words_per_row: usize, has_dynamic_edges: bool, sparse: bool) -> Self {
-        DynamicAdjacency {
-            rows: if has_dynamic_edges && !sparse {
-                vec![0u64; n.saturating_mul(words_per_row)]
-            } else {
-                Vec::new()
-            },
-            lists: if has_dynamic_edges && sparse {
-                vec![Vec::new(); n]
-            } else {
-                Vec::new()
-            },
-            words_per_row,
-        }
+/// Listener `listener` hears `transmitter` over an active dynamic edge.
+/// Idempotent: hearing the same transmitter again changes nothing, so a
+/// repeated edge is never counted twice.
+#[inline]
+fn hear(heard: &mut [u32], listener: usize, transmitter: usize) {
+    let mark = transmitter as u32 + 1;
+    let slot = &mut heard[listener];
+    if *slot == 0 {
+        *slot = mark;
+    } else if *slot != mark {
+        *slot = HEARD_SEVERAL;
     }
+}
 
-    /// Zeroes what `edges` set: per edge, the two row words holding its
-    /// bits (dense) or its endpoints' two lists (CSR). Every other bit in
-    /// those words belongs to another edge of the same round, cleared too.
-    fn clear(&mut self, edges: &[Edge]) {
-        for edge in edges {
-            let (u, v) = edge.endpoints();
-            let (ui, vi) = (u.index(), v.index());
-            if self.lists.is_empty() {
-                self.rows[ui * self.words_per_row + vi / 64] = 0;
-                self.rows[vi * self.words_per_row + ui / 64] = 0;
-            } else {
-                self.lists[ui].clear();
-                self.lists[vi].clear();
+/// Adds the transmitters in the sorted row `row` to `count`, stopping once
+/// it reaches 2; `sender` is the last transmitter counted below that.
+#[inline]
+fn count_row(row: &[NodeId], transmitter_bits: &[u64], count: &mut usize, sender: &mut usize) {
+    for &v in row {
+        if bit(transmitter_bits, v.index()) {
+            *count += 1;
+            if *count >= 2 {
+                return;
             }
-        }
-    }
-
-    /// Returns `true` if the dynamic edge `(u, v)` is active this round.
-    fn bit(&self, u: NodeId, v: NodeId) -> bool {
-        if self.lists.is_empty() {
-            let idx = u.index() * self.words_per_row + v.index() / 64;
-            self.rows[idx] >> (v.index() % 64) & 1 == 1
-        } else {
-            // Dynamic lists stay tiny (one entry per active edge at u this
-            // round), so the linear probe is cheaper than keeping them sorted.
-            self.lists[u.index()].contains(&v)
-        }
-    }
-
-    /// Activates the dynamic edge `(u, v)` for this round.
-    fn set(&mut self, u: NodeId, v: NodeId) {
-        let (ui, vi) = (u.index(), v.index());
-        if self.lists.is_empty() {
-            self.rows[ui * self.words_per_row + vi / 64] |= 1u64 << (vi % 64);
-            self.rows[vi * self.words_per_row + ui / 64] |= 1u64 << (ui % 64);
-        } else {
-            self.lists[ui].push(v);
-            self.lists[vi].push(u);
-        }
-    }
-
-    /// The packed dynamic adjacency row of node `u` (empty when the network
-    /// is static or the backend is CSR, which reads
-    /// [`list`](DynamicAdjacency::list) instead).
-    fn row(&self, u: usize) -> &[u64] {
-        if self.rows.is_empty() {
-            &[]
-        } else {
-            let start = u * self.words_per_row;
-            &self.rows[start..start + self.words_per_row]
-        }
-    }
-
-    /// The dynamic neighbors activated at node `u` this round (empty when
-    /// the network is static or the backend is dense).
-    fn list(&self, u: usize) -> &[NodeId] {
-        if self.lists.is_empty() {
-            &[]
-        } else {
-            &self.lists[u]
+            *sender = v.index();
         }
     }
 }
+// lint: end-hot-path
 
 #[cfg(test)]
 mod tests {

@@ -281,10 +281,11 @@ pub trait LinkProcess: Send {
     /// oblivious, no history is recorded and the profile is
     /// [`LinkProfile::Iid`], the executors never call `decide`: each round
     /// they read the coins of the dynamic edges joining a transmitter to a
-    /// listener, straight from the adversary stream, and activate only
-    /// those. Under [`RecordMode::Full`](crate::RecordMode::Full) the
-    /// history lists every active edge, so `decide` runs as usual; that
-    /// path is the reference the profile path is tested against.
+    /// listener, straight from the adversary stream, and hear each edge
+    /// that is on at its listener. Under
+    /// [`RecordMode::Full`](crate::RecordMode::Full) the history lists every
+    /// active edge, so `decide` runs as usual; that path is the reference
+    /// the profile path is tested against.
     ///
     /// # Contract for `Iid { p }`
     ///
@@ -377,12 +378,12 @@ impl IidPlan {
 }
 
 // lint: hot-path
-/// Pushes onto `active` the dynamic edges of `round` that reception can
-/// see: those joining one of `transmitters` to a node for which `transmits`
-/// is false, whose coin (read by seeking `rng` to exactly the word where
-/// [`LinkProcess::decide`] would draw it) switches them on. Edges between
-/// two listeners or two transmitters never change a reception, so their
-/// coins are never read; each pushed edge appears once.
+/// Hears the dynamic edges of `round` that reception can see: each edge
+/// joining one of `transmitters` to a node `w` for which `transmits` is
+/// false, whose coin (read by seeking `rng` to exactly the word where
+/// [`LinkProcess::decide`] would draw it) switches it on, is passed to
+/// `hear` as `(w, transmitter)`, once. Edges between two listeners or two
+/// transmitters never change a reception, so their coins are never read.
 ///
 /// Serves the scalar executor and every batch lane alike.
 pub(crate) fn activate_iid_edges(
@@ -392,7 +393,7 @@ pub(crate) fn activate_iid_edges(
     transmitters: impl Iterator<Item = usize>,
     transmits: impl Fn(usize) -> bool,
     rng: &mut ChaCha8Rng,
-    active: &mut Vec<Edge>,
+    mut hear: impl FnMut(usize, usize),
 ) {
     let threshold = match plan.rule {
         CoinRule::Never => return,
@@ -403,7 +404,8 @@ pub(crate) fn activate_iid_edges(
     let round_start = plan.start + 2 * plan.coins_per_round * round.index() as u128;
     for t in transmitters {
         for &(w, k) in index.incident(NodeId::new(t)) {
-            if transmits(w as usize) {
+            let w = w as usize;
+            if transmits(w) {
                 continue;
             }
             let present = match threshold {
@@ -414,7 +416,7 @@ pub(crate) fn activate_iid_edges(
                 None => true,
             };
             if present {
-                active.push(index.edges()[k as usize]);
+                hear(w, t);
             }
         }
     }

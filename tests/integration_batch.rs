@@ -172,8 +172,12 @@ fn bracelet_attack_batches_and_matches_scalar() {
     let topology = TopologySpec::Bracelet { k: 3 };
     let adversary = AdversarySpec::BraceletAttack;
     let problem = ProblemSpec::LocalHeadsA;
+    // The attack's dense rounds are all-dynamic decisions, which lanes hear
+    // without validation: pin them on the automatic layout and on CSR rows.
     let beacon = beacon_scenario(&topology, &adversary, &problem, None, 13);
     assert_kernel_matches_scalar("beacon/bracelet-attack/local", &beacon, 9);
+    let csr = beacon_scenario(&topology, &adversary, &problem, Some(GraphBackend::Csr), 13);
+    assert_kernel_matches_scalar("beacon/bracelet-attack/local/csr", &csr, 9);
     let decay = Scenario::on(topology)
         .algorithm(LocalAlgorithm::StaticDecay)
         .adversary(adversary)
