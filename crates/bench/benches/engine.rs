@@ -19,16 +19,13 @@
 //!   `RecordMode::CollisionsOnly` and streams each trial's collision curve
 //!   into a `ContentionCurve` — the cost a `"curve": true` campaign cell
 //!   pays over the history-free default, pinning the cheap-by-default
-//!   instrumentation claim with numbers. The `*_batch` variant runs a full
-//!   64-trial word through the bit-sliced [`dradio_sim::BatchExecutor`]
-//!   (trials/sec = `BATCH_TRIALS` / mean) — the speedup the runner takes on
-//!   its own for fixed-rate processes on oblivious, history-free cells.
+//!   instrumentation claim with numbers.
 //! * `campaign/*` times the campaign orchestration overhead per cell:
 //!   expansion, content-hash keying, and store appends — the costs that must
 //!   stay invisible next to the simulation itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
-use dradio_bench::{engine_batch_executor, engine_executor, engine_workload};
+use dradio_bench::{engine_executor, engine_workload};
 use dradio_campaign::{CampaignSpec, CellRecord, ResultStore, RoundsRule, SweepGroup, TrialPolicy};
 use dradio_core::algorithms::GlobalAlgorithm;
 use dradio_scenario::{
@@ -170,10 +167,6 @@ const SHORT_ROUNDS: usize = 4;
 /// Trials per measured iteration of the trials/sec group.
 const TRIALS: usize = 16;
 
-/// Trials per measured iteration of the `*_batch` variants: one full 64-lane
-/// word, so the bit-sliced executor is benched at its packing density.
-const BATCH_TRIALS: usize = 64;
-
 fn bench_trials_per_sec(c: &mut Criterion) {
     let mut group = c.benchmark_group("trials_per_sec");
     group.sample_size(10);
@@ -191,30 +184,6 @@ fn bench_trials_per_sec(c: &mut Criterion) {
                             let seed = derive_stream_seed(batch, t);
                             executor.execute(seed, RecordMode::None).metrics.deliveries
                         })
-                        .sum::<usize>()
-                });
-            });
-            // Batch: the bit-sliced executor retiring BATCH_TRIALS trials as
-            // lane groups of <= 64 — the same trials the scalar paths run
-            // one at a time (identical per-lane outcomes, pinned by the lib
-            // tests). trials/sec = BATCH_TRIALS / mean here versus
-            // TRIALS / mean for `_reused`; the README table normalizes.
-            group.bench_with_input(BenchmarkId::new(format!("{name}_batch"), n), &n, |b, _| {
-                let mut executor = engine_batch_executor(&built, &adversary, P, SHORT_ROUNDS);
-                let mut batch = 0u64;
-                b.iter(|| {
-                    batch += 1;
-                    let seeds: Vec<u64> = (0..BATCH_TRIALS as u64)
-                        .map(|t| derive_stream_seed(batch, t))
-                        .collect();
-                    seeds
-                        .chunks(dradio_sim::MAX_LANES)
-                        .flat_map(|lanes| {
-                            executor
-                                .execute_group(lanes, RecordMode::None)
-                                .expect("oblivious bench adversary is batchable")
-                        })
-                        .map(|outcome| outcome.metrics.deliveries)
                         .sum::<usize>()
                 });
             });

@@ -27,8 +27,9 @@
 //!                         cell: duplicate cells, degenerate or unreachable
 //!                         adaptive stop targets, and a per-group worst-case
 //!                         budget estimate — rounds and peak topology memory
-//!                         in the layout the dual graph will pick (exits
-//!                         non-zero on warnings)
+//!                         in the layout the dual graph will pick; exits 0
+//!                         when clean, 1 on warnings only, 2 when the spec
+//!                         cannot be loaded or expanded or an argument is bad
 //!     campaign run        execute every cell missing from the store
 //!                         (creates the store; resumes it if it exists)
 //!     campaign resume     like run, but requires the store to exist already
@@ -59,7 +60,7 @@
 //!                         plain bytes or a binary-suffixed size ("512MiB",
 //!                         "4GiB"); any cell whose estimated topology
 //!                         footprint, in its automatic layout, exceeds it
-//!                         draws a warning
+//!                         draws a warning (check exits 1; fleet refuses)
 //!     --workers <N>       fleet: worker processes to spawn (default 2)
 //!     --hang-timeout <S>  fleet: declare a silent worker dead after S seconds
 //!     --lease-timeout <S> fleet: re-queue an assigned cell not acknowledged
@@ -91,10 +92,6 @@
 //!                         over the workspace (same rules as CI)
 //!
 //! MICRO-BENCH:
-//!     repro bench [--json] [--trials <N>]
-//!                         quick batch-vs-scalar trials/sec comparison on the
-//!                         engine workloads (clique / grid / random-geo at
-//!                         three sizes); --json also writes BENCH_batch.json
 //!     repro bench --scale [--scale-n <N>]
 //!                         million-node broadcast on CSR rows: a grid and a
 //!                         random-geometric network at ~N nodes (default
@@ -306,6 +303,15 @@ fn campaign_command(args: &[String]) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    // `campaign check` follows dradio-lint's exit convention (0 clean,
+    // 1 warnings only, 2 a bad argument or a spec that cannot be loaded or
+    // expanded), so a script can tell a warning from an invalid spec. Every
+    // other action fails with 1.
+    let bad_input = if action == "check" {
+        ExitCode::from(2)
+    } else {
+        ExitCode::FAILURE
+    };
     let mut campaign_arg: Option<String> = None;
     let mut store_arg: Option<String> = None;
     let mut csv = false;
@@ -330,14 +336,14 @@ fn campaign_command(args: &[String]) -> ExitCode {
                 Some(v) => campaign_arg = Some(v.clone()),
                 None => {
                     eprintln!("--campaign requires a JSON string or file path");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--store" => match iter.next() {
                 Some(v) => store_arg = Some(v.clone()),
                 None => {
                     eprintln!("--store requires a file path");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--csv" => csv = true,
@@ -347,63 +353,63 @@ fn campaign_command(args: &[String]) -> ExitCode {
                 Some(n) if n > 0 => threads = n,
                 _ => {
                     eprintln!("--threads requires a positive integer");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--workers" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => workers = n,
                 _ => {
                     eprintln!("--workers requires a positive integer");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--shard" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(n) => shard = n,
                 None => {
                     eprintln!("--shard requires a shard index");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--faults" => match iter.next() {
                 Some(v) => faults_arg = Some(v.clone()),
                 None => {
                     eprintln!("--faults requires a JSON list of worker faults");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--chaos" => match iter.next() {
                 Some(v) => chaos_arg = Some(v.clone()),
                 None => {
                     eprintln!("--chaos requires a seed, inline FaultPlan JSON, or a file path");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--worker-exit-after" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => worker_exit_after = Some(n),
                 _ => {
                     eprintln!("--worker-exit-after requires a positive integer");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--restart-budget" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(n) => restart_budget = n,
                 None => {
                     eprintln!("--restart-budget requires an integer (0 disables restarts)");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--hang-timeout" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(s) if s > 0.0 => hang_timeout = Some(Duration::from_secs_f64(s)),
                 _ => {
                     eprintln!("--hang-timeout requires a positive number of seconds");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--lease-timeout" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(s) if s > 0.0 => lease_timeout = Some(Duration::from_secs_f64(s)),
                 _ => {
                     eprintln!("--lease-timeout requires a positive number of seconds");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--mem-budget" => match iter.next().and_then(|v| parse_mem_size(v)) {
@@ -413,14 +419,14 @@ fn campaign_command(args: &[String]) -> ExitCode {
                         "--mem-budget requires a positive size: plain bytes or a \
                          binary-suffixed form like 512MiB or 4GiB"
                     );
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             "--ready-timeout" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(s) if s > 0.0 => ready_timeout = Some(Duration::from_secs_f64(s)),
                 _ => {
                     eprintln!("--ready-timeout requires a positive number of seconds");
-                    return ExitCode::FAILURE;
+                    return bad_input;
                 }
             },
             other if !other.starts_with('-') && action == "merge" => {
@@ -428,7 +434,7 @@ fn campaign_command(args: &[String]) -> ExitCode {
             }
             other => {
                 eprintln!("unknown campaign option {other}");
-                return ExitCode::FAILURE;
+                return bad_input;
             }
         }
     }
@@ -504,13 +510,13 @@ fn campaign_command(args: &[String]) -> ExitCode {
 
     let Some(campaign_arg) = campaign_arg else {
         eprintln!("campaign {action} requires --campaign <json-or-path>");
-        return ExitCode::FAILURE;
+        return bad_input;
     };
     let spec = match load_campaign(&campaign_arg) {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return bad_input;
         }
     };
     if action == "check" {
@@ -526,7 +532,7 @@ fn campaign_command(args: &[String]) -> ExitCode {
             }
             Err(e) => {
                 eprintln!("campaign check failed: {e}");
-                ExitCode::FAILURE
+                bad_input
             }
         };
     }
@@ -840,65 +846,6 @@ fn fleet_command(
     }
 }
 
-/// One row of the `repro bench` batch-versus-scalar comparison.
-struct BatchBenchRow {
-    workload: &'static str,
-    n: usize,
-    trials: usize,
-    rounds: usize,
-    scalar_tps: f64,
-    batch_tps: f64,
-}
-
-impl BatchBenchRow {
-    fn speedup(&self) -> f64 {
-        if self.scalar_tps > 0.0 {
-            self.batch_tps / self.scalar_tps
-        } else {
-            0.0
-        }
-    }
-}
-
-impl serde::Serialize for BatchBenchRow {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("workload".into(), serde::Value::Str(self.workload.into())),
-            ("n".into(), serde::Value::UInt(self.n as u64)),
-            ("trials".into(), serde::Value::UInt(self.trials as u64)),
-            ("rounds".into(), serde::Value::UInt(self.rounds as u64)),
-            (
-                "scalar_trials_per_sec".into(),
-                serde::Value::Float(self.scalar_tps),
-            ),
-            (
-                "batch_trials_per_sec".into(),
-                serde::Value::Float(self.batch_tps),
-            ),
-            ("speedup".into(), serde::Value::Float(self.speedup())),
-        ])
-    }
-}
-
-/// The `BENCH_batch.json` document: `{"benches": [row, ...]}`.
-struct BatchBenchReport<'a> {
-    benches: &'a [BatchBenchRow],
-}
-
-impl serde::Serialize for BatchBenchReport<'_> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![(
-            "benches".into(),
-            serde::Value::Seq(
-                self.benches
-                    .iter()
-                    .map(serde::Serialize::to_value)
-                    .collect(),
-            ),
-        )])
-    }
-}
-
 /// One row of the `repro bench --scale` report.
 struct ScaleBenchRow {
     workload: &'static str,
@@ -1117,20 +1064,14 @@ fn scale_bench_command(scale_n: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro bench [--json]`: an in-binary trials/sec comparison of the scalar
-/// [`dradio_sim::TrialExecutor`] against the bit-sliced
-/// [`dradio_sim::BatchExecutor`] on the engine bench workloads. Unlike the
-/// Criterion benches this runs in seconds, prints one table, and with
-/// `--json` writes the numbers to `BENCH_batch.json` for CI trend tracking.
+/// `repro bench --scale [--scale-n N]`: parses the bench options and runs
+/// the scale bench, the only one `repro bench` has.
 fn bench_command(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut trials = 256usize;
     let mut scale = false;
     let mut scale_n = 1_000_000usize;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--scale" => scale = true,
             "--scale-n" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 4 => scale_n = n,
@@ -1139,156 +1080,17 @@ fn bench_command(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--trials" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(t) if t > 0 => trials = t,
-                _ => {
-                    eprintln!("--trials requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
             other => {
-                eprintln!(
-                    "unknown bench option {other}; repro bench takes --json, --trials, \
-                     --scale, and --scale-n"
-                );
+                eprintln!("unknown bench option {other}; repro bench takes --scale and --scale-n");
                 return ExitCode::FAILURE;
             }
         }
     }
-    if scale {
-        return scale_bench_command(scale_n);
+    if !scale {
+        eprintln!("repro bench runs only the scale bench: repro bench --scale [--scale-n <N>]");
+        return ExitCode::FAILURE;
     }
-
-    const ROUNDS: usize = 16;
-    const P: f64 = 0.1;
-    let workloads: Vec<(&'static str, Vec<TopologySpec>, AdversarySpec)> = vec![
-        (
-            "clique",
-            vec![64, 256, 1024]
-                .into_iter()
-                .map(|n| TopologySpec::Clique { n })
-                .collect(),
-            AdversarySpec::StaticNone,
-        ),
-        (
-            "grid",
-            vec![8, 16, 32]
-                .into_iter()
-                .map(|side| TopologySpec::Grid {
-                    cols: side,
-                    rows: side,
-                })
-                .collect(),
-            AdversarySpec::StaticNone,
-        ),
-        (
-            "random-geo",
-            vec![64, 256, 1024]
-                .into_iter()
-                .map(|n| TopologySpec::RandomGeometric {
-                    n,
-                    side: (n as f64 / 8.0).sqrt().max(1.5),
-                    r: 1.5,
-                    seed: 9,
-                })
-                .collect(),
-            AdversarySpec::Iid { p: 0.5 },
-        ),
-    ];
-
-    let mut rows = Vec::new();
-    for (name, specs, adversary) in workloads {
-        for spec in specs {
-            let built = match spec.build() {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("repro bench: {name} topology does not build: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let n = built.dual.len();
-            let mut scalar = dradio_bench::engine_executor(&built, &adversary, P, ROUNDS);
-            let mut batch = dradio_bench::engine_batch_executor(&built, &adversary, P, ROUNDS);
-            let seeds: Vec<u64> = (0..trials as u64)
-                .map(|t| dradio_sim::derive_stream_seed(0xBE7C4, t))
-                .collect();
-
-            let t0 = std::time::Instant::now();
-            let scalar_sum: usize = seeds
-                .iter()
-                .map(|&s| {
-                    scalar
-                        .execute(s, dradio_scenario::RecordMode::None)
-                        .metrics
-                        .deliveries
-                })
-                .sum();
-            let scalar_secs = t0.elapsed().as_secs_f64();
-
-            let t1 = std::time::Instant::now();
-            let batch_sum: usize = seeds
-                .chunks(dradio_scenario::MAX_LANES)
-                .flat_map(|lanes| {
-                    batch
-                        .execute_group(lanes, dradio_scenario::RecordMode::None)
-                        .expect("oblivious bench adversary is batchable")
-                })
-                .map(|o| o.metrics.deliveries)
-                .sum();
-            let batch_secs = t1.elapsed().as_secs_f64();
-
-            if scalar_sum != batch_sum {
-                eprintln!(
-                    "repro bench: batch/scalar outcome divergence on {name}/{n} \
-                     ({batch_sum} vs {scalar_sum} deliveries) — refusing to report timings"
-                );
-                return ExitCode::FAILURE;
-            }
-            rows.push(BatchBenchRow {
-                workload: name,
-                n,
-                trials,
-                rounds: ROUNDS,
-                scalar_tps: trials as f64 / scalar_secs.max(1e-9),
-                batch_tps: trials as f64 / batch_secs.max(1e-9),
-            });
-        }
-    }
-
-    println!("batch vs scalar trials/sec ({trials} trials x {ROUNDS} rounds, RecordMode::None)");
-    println!(
-        "{:<12} {:>6} {:>14} {:>14} {:>9}",
-        "workload", "n", "scalar t/s", "batch t/s", "speedup"
-    );
-    for row in &rows {
-        println!(
-            "{:<12} {:>6} {:>14.0} {:>14.0} {:>8.2}x",
-            row.workload,
-            row.n,
-            row.scalar_tps,
-            row.batch_tps,
-            row.speedup()
-        );
-    }
-
-    if json {
-        let doc = BatchBenchReport { benches: &rows };
-        let path = Path::new("BENCH_batch.json");
-        match serde_json::to_string_pretty(&doc) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(path, body + "\n") {
-                    eprintln!("repro bench: cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote {}", path.display());
-            }
-            Err(e) => {
-                eprintln!("repro bench: JSON serialization failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    scale_bench_command(scale_n)
 }
 
 /// `repro lint [--fix-hints]`: the workspace static-analysis pass, from the
@@ -1401,8 +1203,7 @@ fn main() -> ExitCode {
                 );
                 println!("lint: repro lint [--fix-hints] (workspace static analysis)");
                 println!(
-                    "bench: repro bench [--json] [--trials <N>] (batch vs scalar trials/sec; \
-                     --json writes BENCH_batch.json); repro bench --scale [--scale-n <N>] \
+                    "bench: repro bench --scale [--scale-n <N>] \
                      (million-node CSR broadcast; writes BENCH_sparse.json)"
                 );
                 return ExitCode::SUCCESS;

@@ -30,9 +30,9 @@ use dradio_core::hitting::{play, HittingGame, SweepPlayer};
 use dradio_core::reduction::{run_reduction, ReductionConfig};
 use dradio_scenario::{AdversarySpec, ProblemSpec, Scenario, TopologySpec};
 use dradio_sim::{
-    Action, Assignment, BatchExecutor, BatchProfile, ExecutionOutcome, LinkFactory, Message,
-    MessageKind, Process, ProcessContext, ProcessFactory, RecordMode, Round, SimConfig, Simulator,
-    StopCondition, TrialExecutor,
+    Action, Assignment, ExecutionOutcome, LinkFactory, Message, MessageKind, Process,
+    ProcessContext, ProcessFactory, RecordMode, Round, SimConfig, Simulator, StopCondition,
+    TrialExecutor,
 };
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -63,15 +63,16 @@ impl Process for UniformBeacon {
     fn name(&self) -> &'static str {
         "uniform-beacon"
     }
-    fn batch_profile(&self) -> BatchProfile {
-        // One bernoulli draw per round, fixed message, no feedback use —
-        // exactly the FixedRate contract, so the batch benches can drive the
-        // word-parallel kernel.
-        BatchProfile::FixedRate {
-            rate: self.p,
-            message: Some(self.msg.clone()),
-        }
-    }
+}
+
+/// One [`UniformBeacon`] per node, each sending its own message at rate `p`.
+fn beacon_factory(p: f64) -> ProcessFactory {
+    Arc::new(move |ctx: &ProcessContext| {
+        Box::new(UniformBeacon {
+            p,
+            msg: Message::plain(ctx.id, ENGINE_BENCH_KIND, ctx.id.index() as u64),
+        }) as Box<dyn Process>
+    })
 }
 
 /// Runs exactly `rounds` rounds of the engine on a pre-built topology with
@@ -92,15 +93,9 @@ pub fn engine_workload(
 ) -> ExecutionOutcome {
     let link = adversary.build(built).expect("bench adversary builds");
     let n = built.dual.len();
-    let factory: ProcessFactory = Arc::new(move |ctx: &ProcessContext| {
-        Box::new(UniformBeacon {
-            p,
-            msg: Message::plain(ctx.id, ENGINE_BENCH_KIND, ctx.id.index() as u64),
-        }) as Box<dyn Process>
-    });
     Simulator::new(
         std::sync::Arc::clone(&built.dual),
-        factory,
+        beacon_factory(p),
         Assignment::relays(n),
         link,
         SimConfig::default()
@@ -124,19 +119,13 @@ pub fn engine_executor(
     rounds: usize,
 ) -> TrialExecutor {
     let n = built.dual.len();
-    let factory: ProcessFactory = Arc::new(move |ctx: &ProcessContext| {
-        Box::new(UniformBeacon {
-            p,
-            msg: Message::plain(ctx.id, ENGINE_BENCH_KIND, ctx.id.index() as u64),
-        }) as Box<dyn Process>
-    });
     let spec = adversary.clone();
     let topology = built.clone();
     let link: LinkFactory =
         Arc::new(move || spec.build(&topology).expect("bench adversary builds"));
     TrialExecutor::new(
         Arc::clone(&built.dual),
-        factory,
+        beacon_factory(p),
         Assignment::relays(n),
         link,
         StopCondition::max_rounds(),
@@ -145,41 +134,6 @@ pub fn engine_executor(
             .with_record_mode(RecordMode::None),
     )
     .expect("bench executor builds")
-}
-
-/// The bit-sliced counterpart of [`engine_executor`]: the same workload on a
-/// [`BatchExecutor`], retiring up to 64 trials per word pass. The
-/// [`UniformBeacon`] advertises a `FixedRate` batch profile, so on oblivious
-/// adversaries this drives the word-parallel kernel; per-lane outcomes are
-/// bit-for-bit those of `engine_executor(...).execute(seed, mode)`.
-pub fn engine_batch_executor(
-    built: &dradio_scenario::BuiltTopology,
-    adversary: &AdversarySpec,
-    p: f64,
-    rounds: usize,
-) -> BatchExecutor {
-    let n = built.dual.len();
-    let factory: ProcessFactory = Arc::new(move |ctx: &ProcessContext| {
-        Box::new(UniformBeacon {
-            p,
-            msg: Message::plain(ctx.id, ENGINE_BENCH_KIND, ctx.id.index() as u64),
-        }) as Box<dyn Process>
-    });
-    let spec = adversary.clone();
-    let topology = built.clone();
-    let link: LinkFactory =
-        Arc::new(move || spec.build(&topology).expect("bench adversary builds"));
-    BatchExecutor::new(
-        Arc::clone(&built.dual),
-        factory,
-        Assignment::relays(n),
-        link,
-        StopCondition::max_rounds(),
-        SimConfig::default()
-            .with_max_rounds(rounds)
-            .with_record_mode(RecordMode::None),
-    )
-    .expect("bench batch executor builds")
 }
 
 /// Measured cost (rounds to completion, or the budget if censored) of one
@@ -318,25 +272,6 @@ mod tests {
             let reused = executor.execute(seed, RecordMode::None);
             let fresh = engine_workload(&built, &adversary, 0.2, 12, seed, RecordMode::None);
             assert_eq!(reused, fresh, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn engine_batch_executor_matches_scalar_lanes() {
-        let built = TopologySpec::DualClique { n: 16 }.build().unwrap();
-        let adversary = AdversarySpec::Iid { p: 0.5 };
-        // Construction succeeds only because UniformBeacon's FixedRate
-        // profile lets the word-parallel kernel drive it.
-        let mut batch = engine_batch_executor(&built, &adversary, 0.2, 12);
-        let mut scalar = engine_executor(&built, &adversary, 0.2, 12);
-        let seeds: Vec<u64> = (0..7).collect();
-        let outcomes = batch.execute_group(&seeds, RecordMode::None).unwrap();
-        for (seed, outcome) in seeds.iter().zip(outcomes) {
-            assert_eq!(
-                outcome,
-                scalar.execute(*seed, RecordMode::None),
-                "seed {seed}"
-            );
         }
     }
 

@@ -255,3 +255,55 @@ fn merge_without_shard_paths_is_a_usage_error() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The CI scale-smoke spec: one 100 000-node grid cell, whose topology
+/// estimate exceeds a 1 MiB memory budget.
+const SCALE_SMOKE: &str = r#"{"name":"scale-smoke","seed":5,"trials":{"Fixed":2},"groups":[{"topologies":[{"Grid":{"cols":400,"rows":250}}],"algorithms":[{"Global":"Permuted"}],"adversaries":[{"Iid":{"p":0.5}}],"problems":[{"GlobalFrom":0}],"seed":null,"trials":null,"rounds":{"Fixed":64},"collision_detection":false,"record_mode":"None","curve":false}]}"#;
+
+#[test]
+fn campaign_check_exit_status_tells_warnings_from_invalid_specs() {
+    let dir = scratch("check-status");
+    let example = repro(&dir).arg("--example-campaign").output().unwrap();
+    assert!(example.status.success());
+    std::fs::write(dir.join("example.json"), &example.stdout).unwrap();
+    std::fs::write(dir.join("scale.json"), SCALE_SMOKE).unwrap();
+    std::fs::write(dir.join("malformed.json"), "{\"name\": ").unwrap();
+    let zero_trials = CampaignSpec::named("zero-trials")
+        .trials(TrialPolicy::Fixed(0))
+        .group(SweepGroup::cell(
+            TopologySpec::Clique { n: 8 },
+            GlobalAlgorithm::Bgi,
+            AdversarySpec::StaticNone,
+            ProblemSpec::GlobalFrom(0),
+        ));
+    std::fs::write(
+        dir.join("zero-trials.json"),
+        serde_json::to_string(&zero_trials).unwrap(),
+    )
+    .unwrap();
+
+    let status = |args: &[&str]| {
+        let out = repro(&dir)
+            .args(["campaign", "check"])
+            .args(args)
+            .output()
+            .unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
+    };
+    let (code, report) = status(&["--campaign", "example.json"]);
+    assert_eq!(code, Some(0), "the example campaign is clean:\n{report}");
+    let (code, report) = status(&["--campaign", "scale.json", "--mem-budget", "1mib"]);
+    assert_eq!(code, Some(1), "a budget warning alone exits 1:\n{report}");
+    assert!(report.contains("warning"), "{report}");
+    assert_eq!(status(&["--campaign", "malformed.json"]).0, Some(2));
+    assert_eq!(status(&["--campaign", "zero-trials.json"]).0, Some(2));
+    assert_eq!(
+        status(&["--campaign", "scale.json", "--mem-budget", "lots"]).0,
+        Some(2),
+        "a bad argument exits 2"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

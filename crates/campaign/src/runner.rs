@@ -500,8 +500,7 @@ fn run_cell(
             let measurement = if cell.curve {
                 // Stream each trial's collision curve into the measurement:
                 // trial-index order, no per-trial retention. The runner's
-                // curve path does exactly that (through one scalar executor,
-                // or lane groups of up to 64 trials when the runner batches).
+                // curve path does exactly that, through one executor.
                 runner.run_trials(trials).map_err(at_cell)?
             } else {
                 Measurement::from_trials(&runner.collect_trials(trials).map_err(at_cell)?)

@@ -464,7 +464,8 @@ impl Deserialize for SweepGroup {
             },
             // Legacy `"batch"` and `"backend"` keys, from specs written
             // while batching and the graph layout were knobs, are ignored
-            // whatever their value: the runner and the dual graph decide.
+            // whatever their value: every trial runs on the one executor,
+            // and the dual graph decides its layout.
         })
     }
 }
@@ -1045,7 +1046,7 @@ mod tests {
 
     #[test]
     fn batch_flag_stays_off_the_wire_and_out_of_keys_when_false() {
-        // Batching is the runner's decision: a legacy `"batch"` key, true or
+        // Batching is no longer a knob: a legacy `"batch"` key, true or
         // false, parses with its value ignored and is never written back.
         let plain = sample_campaign();
         let plain_json = serde_json::to_string(&plain).unwrap();

@@ -130,12 +130,11 @@ pub fn csr_bytes_estimate(n: usize, expected_edges: u64) -> u64 {
 
 /// One adjacency row, in the shape the graph's layout scans fastest.
 ///
-/// Hot-path consumers (the scalar reception strategies and the batch
-/// executor's word algebra) match on this once per listener and run the
-/// layout-appropriate scan: word intersection against a packed transmitter
-/// bitset for [`NeighborRow::Dense`], a sorted neighbor walk for
-/// [`NeighborRow::Sparse`]. Both enumerate the same neighbor set in the same
-/// ascending order.
+/// Hot-path consumers (the executor's reception strategies) match on this
+/// once per listener and run the layout-appropriate scan: word intersection
+/// against a packed transmitter bitset for [`NeighborRow::Dense`], a sorted
+/// neighbor walk for [`NeighborRow::Sparse`]. Both enumerate the same
+/// neighbor set in the same ascending order.
 #[derive(Debug, Clone, Copy)]
 pub enum NeighborRow<'a> {
     /// A packed bitset row (dense layout): bit `v` (word `v / 64`, bit
@@ -311,14 +310,14 @@ impl Graph {
 
     /// Number of `u64` words in each adjacency-row bitset (`⌈n / 64⌉`).
     ///
-    /// Defined for both layouts — simulator bitsets (transmitter sets, lane
-    /// masks) are sized from it regardless of how adjacency is stored.
+    /// Defined for both layouts — simulator bitsets (transmitter sets) are
+    /// sized from it regardless of how adjacency is stored.
     #[inline]
     pub fn row_words(&self) -> usize {
         self.len().div_ceil(64)
     }
 
-    // Row access: the scalar and batch reception loops and the adaptive
+    // Row access: the executor's reception loop and the adaptive
     // adversaries call these once per listener (or candidate edge) per
     // round; no allocation permitted, and each is `#[inline]` so it inlines
     // across crates into those loops.

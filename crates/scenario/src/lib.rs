@@ -73,6 +73,4 @@ pub use dradio_graphs::{csr_bytes_estimate, dense_bytes_estimate, GraphBackend};
 // Re-exported so scenario and campaign callers can select a record mode,
 // read typed per-trial metrics, or hold a reusable executor without
 // depending on `dradio-sim` directly.
-pub use dradio_sim::{
-    AdversaryClass, BatchExecutor, RecordMode, TrialExecutor, TrialMetrics, MAX_LANES,
-};
+pub use dradio_sim::{AdversaryClass, RecordMode, TrialExecutor, TrialMetrics};

@@ -40,9 +40,7 @@
 //! invalidates every stored measurement; tests in this module and in
 //! `dradio-campaign` pin the derivation.
 
-use dradio_sim::{
-    derive_stream_seed, BatchExecutor, RecordMode, TrialExecutor, TrialMetrics, MAX_LANES,
-};
+use dradio_sim::{derive_stream_seed, RecordMode, TrialExecutor, TrialMetrics};
 use rayon::prelude::*;
 
 use serde::{Deserialize, Serialize, Value};
@@ -346,20 +344,6 @@ impl<'a> ScenarioRunner<'a> {
         self.curve
     }
 
-    /// Whether the trial fan-out runs bit-sliced: trials in lane groups of
-    /// up to [`MAX_LANES`] through a [`BatchExecutor`], each group advancing
-    /// all its live trials one round per word pass. The runner decides on
-    /// its own, by [`Scenario::is_batchable`] under the effective record
-    /// mode; everything else runs on the scalar [`TrialExecutor`].
-    ///
-    /// The choice is a pure execution strategy, never a semantics change:
-    /// lane `k` of a group produces bit-for-bit the outcome the scalar
-    /// executor produces for the same trial index, so every statistic —
-    /// measurements, curves, persisted stores — is identical either way.
-    pub fn uses_batch(&self) -> bool {
-        self.scenario.is_batchable(self.effective_record_mode())
-    }
-
     /// The record mode trials actually execute with: the configured mode,
     /// promoted to [`RecordMode::CollisionsOnly`] when a curve is requested
     /// and the mode retains no collisions.
@@ -382,84 +366,6 @@ impl<'a> ScenarioRunner<'a> {
     /// one fresh simulator per trial, just without the per-trial setup.
     pub fn executor(&self) -> TrialExecutor {
         self.scenario.executor()
-    }
-
-    /// The [`BatchExecutor`] the fan-out will use: [`ScenarioRunner::uses_batch`]
-    /// must hold and the scenario's actual link process must pass the
-    /// executor's own obliviousness check. `None` means the scalar path runs
-    /// instead.
-    fn batch_executor_if_usable(&self) -> Option<BatchExecutor> {
-        if !self.uses_batch() {
-            return None;
-        }
-        self.scenario.batch_executor().ok()
-    }
-
-    /// Runs one lane group — trials `start..start + seeds.len()` — on a
-    /// reused batch executor, in trial order.
-    fn run_group_on(
-        &self,
-        executor: &mut BatchExecutor,
-        start: usize,
-        seeds: &[u64],
-    ) -> Vec<TrialOutcome> {
-        let outcomes = executor
-            .execute_group(seeds, self.effective_record_mode())
-            // lint: allow(D4) -- an identical construction was probed when the batch path was selected
-            .expect("group batchability was verified when the batch path was selected");
-        outcomes
-            .into_iter()
-            .zip(seeds)
-            .enumerate()
-            .map(|(k, (outcome, &seed))| TrialOutcome {
-                trial: start + k,
-                seed,
-                metrics: outcome.into_trial_metrics().without_curve(),
-            })
-            .collect()
-    }
-
-    /// The lane-group decomposition of a batch of `trials`: `(start, seeds)`
-    /// pairs covering `0..trials` in order, each at most [`MAX_LANES`] wide.
-    fn lane_groups(&self, trials: usize) -> Vec<(usize, Vec<u64>)> {
-        (0..trials)
-            .step_by(MAX_LANES)
-            .map(|start| {
-                let end = usize::min(start + MAX_LANES, trials);
-                (start, (start..end).map(|t| self.trial_seed(t)).collect())
-            })
-            .collect()
-    }
-
-    /// The bit-sliced analogue of the scalar fan-out in
-    /// [`collect_trials`](ScenarioRunner::collect_trials): lane groups fan
-    /// out across the rayon pool (one reused batch executor per worker), and
-    /// the per-group outcome vectors concatenate back into trial order.
-    fn collect_trials_batched(&self, mut first: BatchExecutor, trials: usize) -> Vec<TrialOutcome> {
-        let groups = self.lane_groups(trials);
-        let per_group: Vec<Vec<TrialOutcome>> = if self.parallel {
-            (0..groups.len())
-                .into_par_iter()
-                .map_init(
-                    || {
-                        self.scenario
-                            .batch_executor()
-                            // lint: allow(D4) -- an identical construction was probed when the batch path was selected
-                            .expect("an identical batch executor was constructed moments ago")
-                    },
-                    |executor, g| {
-                        let (start, seeds) = &groups[g];
-                        self.run_group_on(executor, *start, seeds)
-                    },
-                )
-                .collect()
-        } else {
-            groups
-                .into_iter()
-                .map(|(start, seeds)| self.run_group_on(&mut first, start, &seeds))
-                .collect()
-        };
-        per_group.concat()
     }
 
     /// Runs one trial by index (a fresh single-shot execution; for many
@@ -535,9 +441,6 @@ impl<'a> ScenarioRunner<'a> {
         if trials == 0 {
             return Err(ScenarioError::NoTrials);
         }
-        if let Some(executor) = self.batch_executor_if_usable() {
-            return Ok(self.collect_trials_batched(executor, trials));
-        }
         let outcomes: Vec<TrialOutcome> = if self.parallel {
             (0..trials)
                 .into_par_iter()
@@ -559,8 +462,9 @@ impl<'a> ScenarioRunner<'a> {
     ///
     /// With [`ScenarioRunner::curve`] the trials run sequentially through one
     /// executor and their collision curves stream into the measurement's
-    /// [`ContentionCurve`]; otherwise the scalar fan-out path is used. Both
-    /// produce identical scalar statistics.
+    /// [`ContentionCurve`]; otherwise the trials fan out as in
+    /// [`ScenarioRunner::collect_trials`]. Both produce identical scalar
+    /// statistics.
     ///
     /// # Errors
     ///
@@ -571,25 +475,9 @@ impl<'a> ScenarioRunner<'a> {
                 return Err(ScenarioError::NoTrials);
             }
             let mut acc = TrialAccumulator::with_curve();
-            if let Some(mut executor) = self.batch_executor_if_usable() {
-                // Curve streaming is inherently sequential, but each lane
-                // group still advances up to MAX_LANES trials per word pass;
-                // outcomes come back in lane (= trial) order, so the curve
-                // folds exactly as the scalar loop would fold it.
-                for (_start, seeds) in self.lane_groups(trials) {
-                    let outcomes = executor
-                        .execute_group(&seeds, self.effective_record_mode())
-                        // lint: allow(D4) -- an identical construction was probed when the batch path was selected
-                        .expect("group batchability was verified when the batch path was selected");
-                    for outcome in outcomes {
-                        acc.push(&outcome.into_trial_metrics());
-                    }
-                }
-            } else {
-                let mut executor = self.executor();
-                for t in 0..trials {
-                    self.run_trial_into(&mut executor, t, &mut acc);
-                }
+            let mut executor = self.executor();
+            for t in 0..trials {
+                self.run_trial_into(&mut executor, t, &mut acc);
             }
             acc.finish()
         } else {
@@ -605,11 +493,6 @@ mod tests {
     use crate::problem::ProblemSpec;
     use crate::topology::TopologySpec;
     use dradio_core::algorithms::GlobalAlgorithm;
-    use dradio_core::kinds;
-    use dradio_sim::{
-        sampling, Action, BatchProfile, Message, Process, ProcessContext, ProcessFactory, Role,
-        Round,
-    };
 
     fn scenario(seed: u64) -> Scenario {
         Scenario::on(TopologySpec::DualClique { n: 16 })
@@ -896,115 +779,6 @@ mod tests {
         let legacy: Measurement = serde_json::from_str(&json).unwrap();
         assert_eq!(legacy.completion.trials, 4);
         assert_eq!(legacy, m);
-    }
-
-    /// A fixed-rate beacon field: the source sends its DATA message with
-    /// probability 1/2 each round and every other node its own at 1/8. It
-    /// declares the matching `FixedRate` profile, so oblivious history-free
-    /// fan-outs over it take the batch kernel.
-    struct Beacon {
-        msg: Message,
-        rate: f64,
-    }
-
-    impl Process for Beacon {
-        fn on_round(&mut self, _round: Round, rng: &mut dyn rand::RngCore) -> Action {
-            if sampling::bernoulli(rng, self.rate) {
-                Action::Transmit(self.msg.clone())
-            } else {
-                Action::Listen
-            }
-        }
-        fn batch_profile(&self) -> BatchProfile {
-            BatchProfile::FixedRate {
-                rate: self.rate,
-                message: Some(self.msg.clone()),
-            }
-        }
-    }
-
-    fn beacon_scenario(adversary: AdversarySpec, seed: u64) -> Scenario {
-        let factory: ProcessFactory = std::sync::Arc::new(|ctx: &ProcessContext| {
-            let rate = if ctx.role == Role::Source { 0.5 } else { 0.125 };
-            let msg = Message::plain(ctx.id, kinds::DATA, ctx.id.index() as u64);
-            Box::new(Beacon { msg, rate }) as Box<dyn Process>
-        });
-        Scenario::on(TopologySpec::DualClique { n: 16 })
-            .custom_algorithm("beacon", factory)
-            .adversary(adversary)
-            .problem(ProblemSpec::GlobalFrom(0))
-            .seed(seed)
-            .max_rounds(400)
-            .build()
-            .expect("valid scenario")
-    }
-
-    /// The reference: every trial through one reused scalar executor.
-    fn scalar_loop(runner: &ScenarioRunner<'_>, trials: usize) -> Vec<TrialOutcome> {
-        let mut executor = runner.executor();
-        (0..trials)
-            .map(|t| runner.run_trial_on(&mut executor, t))
-            .collect()
-    }
-
-    #[test]
-    fn batch_fan_out_matches_scalar_everywhere() {
-        let s = beacon_scenario(AdversarySpec::Iid { p: 0.5 }, 31);
-        let runner = ScenarioRunner::new(&s);
-        assert!(runner.uses_batch(), "fixed-rate + iid + RecordMode::None");
-        // Trial-by-trial outcomes: ragged tail group (100 = 64 + 36), a
-        // group smaller than one lane word, and both execution strategies.
-        for trials in [100usize, 7, 64] {
-            let expected = scalar_loop(&runner, trials);
-            assert_eq!(
-                runner.collect_trials(trials).unwrap(),
-                expected,
-                "{trials} trials"
-            );
-            assert_eq!(
-                runner.sequential().collect_trials(trials).unwrap(),
-                expected,
-                "{trials} trials, sequential lane groups"
-            );
-        }
-        // Measurements, with and without curve streaming.
-        assert_eq!(
-            runner.run_trials(70).unwrap(),
-            Measurement::from_trials(&scalar_loop(&runner, 70)).unwrap()
-        );
-        let curved = runner.curve(true);
-        let mut acc = curved.accumulator();
-        let mut executor = curved.executor();
-        for t in 0..70 {
-            curved.run_trial_into(&mut executor, t, &mut acc);
-        }
-        assert_eq!(
-            curved.run_trials(70).unwrap(),
-            acc.finish().unwrap(),
-            "batched lane groups stream the identical contention curve"
-        );
-    }
-
-    #[test]
-    fn unbatchable_runners_fall_back_to_scalar() {
-        // Registered algorithms declare no fixed-rate profile.
-        let s = scenario(5);
-        let runner = ScenarioRunner::new(&s);
-        assert!(!runner.uses_batch());
-        assert_eq!(runner.collect_trials(5).unwrap(), scalar_loop(&runner, 5));
-        // Full recording cannot batch, even over fixed-rate processes.
-        let beacons = beacon_scenario(AdversarySpec::Iid { p: 0.5 }, 5);
-        let full = ScenarioRunner::new(&beacons).record_mode(RecordMode::Full);
-        assert!(!full.uses_batch());
-        assert_eq!(full.collect_trials(5).unwrap(), scalar_loop(&full, 5));
-        // An adaptive adversary cannot batch either.
-        let adaptive = beacon_scenario(AdversarySpec::GreedyCollision, 3);
-        let adaptive_runner = ScenarioRunner::new(&adaptive);
-        assert!(!adaptive_runner.uses_batch());
-        assert_eq!(
-            adaptive_runner.run_trials(4).unwrap(),
-            Measurement::from_trials(&scalar_loop(&adaptive_runner, 4)).unwrap()
-        );
     }
 
     #[test]

@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use dradio_graphs::DualGraph;
 use dradio_sim::{
-    AdversaryClass, Assignment, BatchExecutor, ExecutionOutcome, History, LinkProcess,
-    ProcessFactory, RecordMode, SimConfig, Simulator, StopCondition, TrialExecutor,
+    Assignment, ExecutionOutcome, History, LinkProcess, ProcessFactory, RecordMode, SimConfig,
+    Simulator, StopCondition, TrialExecutor,
 };
 use serde::{Deserialize, Serialize, Value};
 
@@ -514,54 +514,6 @@ impl Scenario {
         )
         // lint: allow(D4) -- components were validated when the scenario was built
         .expect("scenario components were validated at build time")
-    }
-
-    /// A reusable [`BatchExecutor`] over this scenario: the bit-sliced
-    /// counterpart of [`executor`](Scenario::executor), running up to
-    /// [`MAX_LANES`](dradio_sim::MAX_LANES) trials per word pass. Lane `k` of
-    /// a group seeded `[trial_seed(t0), trial_seed(t0+1), ..]` produces
-    /// exactly the outcome `executor().execute(trial_seed(t0+k), mode)`
-    /// would.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnsupportedBatch`](dradio_sim::SimError::UnsupportedBatch)
-    /// when some process lacks a fixed-rate profile or the adversary is not
-    /// oblivious; callers run the scalar executor instead (see
-    /// [`Scenario::is_batchable`]).
-    pub fn batch_executor(&self) -> dradio_sim::Result<BatchExecutor> {
-        let config = SimConfig::default()
-            .with_seed(self.spec.seed)
-            .with_max_rounds(self.max_rounds)
-            .with_collision_detection(self.collision_detection)
-            .with_record_mode(self.record_mode);
-        BatchExecutor::new(
-            Arc::clone(&self.topology.dual),
-            self.factory.clone(),
-            self.assignment.clone(),
-            self.link.clone(),
-            self.stop.clone(),
-            config,
-        )
-    }
-
-    /// Whether trial fan-outs over this scenario run on the bit-sliced
-    /// [`BatchExecutor`] under `record_mode` — the one batching rule, with
-    /// no knob: `record_mode` keeps no history, the adversary is declared
-    /// oblivious (custom specs, whose class is unknown, and adaptive classes
-    /// are not), and every process declares a coherent
-    /// [`BatchProfile::FixedRate`](dradio_sim::BatchProfile::FixedRate).
-    /// Everything else runs on the scalar [`TrialExecutor`].
-    ///
-    /// The process probe runs last and stops at the first
-    /// [`Generic`](dradio_sim::BatchProfile::Generic) profile, before any
-    /// link process or lane buffer exists, so a scalar algorithm costs one
-    /// process construction. [`Scenario::batch_executor`] re-checks the
-    /// actual link process it constructs.
-    pub fn is_batchable(&self, record_mode: RecordMode) -> bool {
-        !record_mode.records_history()
-            && self.spec.adversary.class() == Some(AdversaryClass::Oblivious)
-            && BatchExecutor::supports(&self.topology.dual, &self.factory, &self.assignment)
     }
 
     /// Checks a recorded history against the problem's correctness

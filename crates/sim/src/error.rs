@@ -26,14 +26,6 @@ pub enum SimError {
         /// Human-readable description of the violated requirement.
         reason: String,
     },
-    /// The requested combination cannot run on the bit-sliced batch
-    /// executor (adaptive adversary, full history recording, or an
-    /// oversized lane group); callers should fall back to the scalar
-    /// `TrialExecutor`.
-    UnsupportedBatch {
-        /// Human-readable description of what made the run unbatchable.
-        reason: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -50,9 +42,6 @@ impl fmt::Display for SimError {
             SimError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             SimError::InvalidStopCondition { reason } => {
                 write!(f, "invalid stop condition: {reason}")
-            }
-            SimError::UnsupportedBatch { reason } => {
-                write!(f, "batch execution unsupported: {reason}")
             }
         }
     }
@@ -76,11 +65,6 @@ mod tests {
         assert!(SimError::InvalidConfig { reason: "x".into() }
             .to_string()
             .contains('x'));
-        assert!(SimError::UnsupportedBatch {
-            reason: "adaptive adversary".into()
-        }
-        .to_string()
-        .contains("adaptive adversary"));
     }
 
     #[test]

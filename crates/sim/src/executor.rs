@@ -63,12 +63,11 @@ use crate::Result;
 /// trial's process cannot [`reset`](LinkProcess::reset) itself.
 pub type LinkFactory = Arc<dyn Fn() -> Box<dyn LinkProcess> + Send + Sync>;
 
-/// The checks every constructor shares — [`Simulator::new`](crate::Simulator::new),
-/// [`TrialExecutor::new`] and [`BatchExecutor::new`](crate::BatchExecutor::new):
-/// a valid configuration, a non-empty network, an assignment covering every
-/// node, and (when given) a stop condition inside the network. On success,
-/// yields each node's [`ProcessContext`] lazily, so a caller that stops
-/// early never builds the whole list.
+/// The checks both constructors share — [`Simulator::new`](crate::Simulator::new)
+/// and [`TrialExecutor::new`]: a valid configuration, a non-empty network, an
+/// assignment covering every node, and (when given) a stop condition inside
+/// the network. On success, yields each node's [`ProcessContext`] in node
+/// order, built lazily.
 ///
 /// # Panics
 ///
@@ -97,17 +96,8 @@ pub(crate) fn validated_contexts<'a>(
             "stop condition references node {max_index} but the network has {n} nodes"
         );
     }
-    Ok(process_contexts(dual, assignment))
-}
-
-/// Each node's [`ProcessContext`] over `dual`, in node order, built lazily.
-pub(crate) fn process_contexts<'a>(
-    dual: &DualGraph,
-    assignment: &'a Assignment,
-) -> impl Iterator<Item = ProcessContext> + 'a {
-    let n = dual.len();
     let max_degree = dual.max_degree();
-    NodeId::all(n).map(move |u| ProcessContext::new(u, n, max_degree, assignment.role(u)))
+    Ok(NodeId::all(n).map(move |u| ProcessContext::new(u, n, max_degree, assignment.role(u))))
 }
 
 /// A reusable execution harness over one fixed (network × algorithm ×

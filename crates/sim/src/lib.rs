@@ -70,7 +70,6 @@
 #![warn(missing_docs)]
 
 pub mod action;
-pub mod batch;
 pub mod bits;
 pub mod config;
 pub mod engine;
@@ -87,7 +86,6 @@ pub mod sampling;
 pub mod stop;
 
 pub use action::{Action, Feedback};
-pub use batch::{BatchExecutor, MAX_LANES};
 pub use bits::{BitReader, BitString};
 pub use config::SimConfig;
 pub use engine::{derive_stream_seed, ExecutionOutcome, Simulator};

@@ -384,8 +384,6 @@ impl IidPlan {
 /// [`LinkProcess::decide`] would draw it) switches it on, is passed to
 /// `hear` as `(w, transmitter)`, once. Edges between two listeners or two
 /// transmitters never change a reception, so their coins are never read.
-///
-/// Serves the scalar executor and every batch lane alike.
 pub(crate) fn activate_iid_edges(
     plan: &IidPlan,
     dual: &DualGraph,

@@ -7,7 +7,6 @@ use dradio_graphs::NodeId;
 use rand::RngCore;
 
 use crate::action::{Action, Feedback};
-use crate::message::Message;
 use crate::round::Round;
 
 /// The problem-level role a node plays in an execution.
@@ -125,53 +124,17 @@ pub trait Process: Send {
         "process"
     }
 
-    /// Whether the bit-sliced [`BatchExecutor`](crate::BatchExecutor) may
-    /// drive this process. The default, [`BatchProfile::Generic`], is always
-    /// correct: the process runs on the scalar executor. A process whose
-    /// whole behaviour is "flip one coin per round, transmit a fixed message
-    /// on success" can return [`BatchProfile::FixedRate`]; when every process
-    /// in the network does (and the adversary is oblivious and no history is
-    /// recorded), trial fan-outs take the word-parallel kernel on their own.
-    ///
-    /// # Contract for `FixedRate { rate, message }`
-    ///
-    /// * [`Process::on_round`] draws coins exactly like
-    ///   [`sampling::bernoulli(rng, rate)`](crate::sampling::bernoulli) —
-    ///   one `next_u64` per round for `0 < rate < 1`, none otherwise — and
-    ///   transmits a clone of `message` on success.
-    /// * [`Process::on_start`] and [`Process::on_feedback`] draw nothing and
-    ///   change nothing observable; the process is stateless across rounds.
-    /// * The profile must not depend on anything but the
-    ///   [`ProcessContext`] the factory saw (it is probed once per executor).
-    ///
-    /// Violating the contract silently desynchronizes batch and scalar
-    /// outcomes; the equivalence suite exists to catch exactly that.
-    fn batch_profile(&self) -> BatchProfile {
-        BatchProfile::Generic
-    }
+    /// Unused: see [`BatchProfile`].
+    #[doc(hidden)]
+    fn batch_profile(&self) -> BatchProfile {}
 }
 
-/// Whether the batch executor may drive a process (see
-/// [`Process::batch_profile`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum BatchProfile {
-    /// No structure assumed: the process runs on the scalar executor, and
-    /// any network containing it never enters the batch kernel.
-    #[default]
-    Generic,
-    /// The process transmits a fixed message with a fixed per-round
-    /// probability and ignores feedback, so transmit decisions for 64 lanes
-    /// collapse to one threshold compare per random word.
-    FixedRate {
-        /// Per-round transmit probability (clamped semantics of
-        /// [`sampling::bernoulli`](crate::sampling::bernoulli)).
-        rate: f64,
-        /// The message transmitted on success. `None` is only meaningful
-        /// when `rate <= 0.0` (the process never transmits); a positive
-        /// rate with no message is treated as [`BatchProfile::Generic`].
-        message: Option<Message>,
-    },
-}
+/// Unused by the engine. [`Process::batch_profile`] and this type are kept
+/// only because the benchmark harness's forwarding process wrapper
+/// (`perfbench/src/trace.rs`), their single consumer, names them. Nothing in
+/// the workspace reads or overrides them.
+#[doc(hidden)]
+pub type BatchProfile = ();
 
 /// Factory creating one process per node at execution start.
 ///

@@ -33,8 +33,8 @@ pub fn bernoulli(rng: &mut dyn RngCore, p: f64) -> bool {
 }
 
 /// The integer threshold `T` with
-/// `uniform_f64(x) < p  ⟺  (x >> 11) < T` for `0 < p < 1`, so engine
-/// kernels can replay [`bernoulli`] on raw words without the float.
+/// `uniform_f64(x) < p  ⟺  (x >> 11) < T` for `0 < p < 1`, so the
+/// engine can replay [`bernoulli`] on raw words without the float.
 ///
 /// `uniform_f64` is `(x >> 11) as f64 * 2⁻⁵³`; the 53-bit integer converts
 /// exactly and the power-of-two scale is lossless, so the comparison is the
@@ -110,6 +110,39 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear");
+    }
+
+    #[test]
+    fn bernoulli_threshold_matches_scalar_compare() {
+        let scale = 1.0 / 9_007_199_254_740_992.0;
+        let rates = [
+            0.5,
+            0.1,
+            1.0 / 3.0,
+            0.25,
+            1e-12,
+            1.0 - 1e-12,
+            123.0 / 9_007_199_254_740_992.0,
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        for _ in 0..4096 {
+            let x = rng.next_u64();
+            for &rate in &rates {
+                let scalar = ((x >> 11) as f64 * scale) < rate;
+                let by_threshold = (x >> 11) < bernoulli_threshold(rate);
+                assert_eq!(scalar, by_threshold, "x {x} rate {rate}");
+            }
+        }
+        // Boundary cases around an exact k/2^53 rate.
+        for k in [1u64, 2, 123, (1 << 53) - 1] {
+            let rate = k as f64 * scale;
+            for probe in [k.saturating_sub(1), k, k + 1] {
+                let x = probe << 11;
+                let scalar = ((x >> 11) as f64 * scale) < rate;
+                let by_threshold = (x >> 11) < bernoulli_threshold(rate);
+                assert_eq!(scalar, by_threshold, "k {k} probe {probe}");
+            }
+        }
     }
 
     #[test]

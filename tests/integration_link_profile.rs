@@ -4,8 +4,8 @@
 //! adversary stream to where `decide` would have drawn them. These suites
 //! pin that this profile path equals the reference path — the same adversary
 //! behind a wrapper that hides its profile, so `decide` runs — outcome for
-//! outcome, on the scalar executor and on every batch lane, and that both
-//! paths match closed-form rates.
+//! outcome, through a reused executor and through the runner's fan-out, and
+//! that both paths match closed-form rates.
 
 mod support;
 
@@ -15,9 +15,7 @@ use std::sync::Arc;
 use dradio::graphs::{Graph, GraphBuilder};
 use dradio::prelude::*;
 use dradio::scenario::ScenarioBuilder;
-use dradio::sim::{
-    AdversarySetup, AdversaryView, BatchExecutor, BatchProfile, LinkDecision, LinkProfile,
-};
+use dradio::sim::{AdversarySetup, AdversaryView, LinkDecision, LinkProfile};
 use proptest::prelude::*;
 use rand::RngCore;
 use support::{beacon_builder, beacon_scenario, families, on_layout, scalar_loop};
@@ -135,7 +133,7 @@ fn registered_algorithms_match_the_reference_on_every_family() {
 }
 
 #[test]
-fn batch_lanes_match_the_reference_on_every_family() {
+fn runner_fan_out_matches_the_reference_on_every_family() {
     for (family, (topology, problem)) in families().into_iter().enumerate() {
         for layout in LAYOUTS.map(Some) {
             for adversary in profiled() {
@@ -143,18 +141,15 @@ fn batch_lanes_match_the_reference_on_every_family() {
                 let profile = beacon_scenario(&topology, &adversary, &problem, layout, 32);
                 let opaque = reference(beacon_builder(&topology, &problem, layout, 32), &adversary);
                 assert_scalar_paths_agree(&label, &profile, &opaque, 3);
-                // One full lane group plus a ragged one on the first family;
-                // a partial group everywhere else.
+                // A longer run on the first family.
                 let trials = if family == 0 { 70 } else { 9 };
                 for curve in [false, true] {
                     let fast = ScenarioRunner::new(&profile).sequential().curve(curve);
-                    assert!(fast.uses_batch(), "{label}: the beacon takes the kernel");
                     let slow = ScenarioRunner::new(&opaque).sequential().curve(curve);
-                    assert!(!slow.uses_batch(), "a custom adversary runs scalar");
                     assert_eq!(
                         fast.collect_trials(trials).unwrap(),
                         scalar_loop(&slow, trials),
-                        "{label}: kernel lanes diverged from the reference (curve {curve})"
+                        "{label}: the fan-out diverged from the reference (curve {curve})"
                     );
                 }
             }
@@ -292,13 +287,6 @@ impl Process for Hub {
             None => Action::Listen,
         }
     }
-
-    fn batch_profile(&self) -> BatchProfile {
-        BatchProfile::FixedRate {
-            rate: if self.0.is_some() { 1.0 } else { 0.0 },
-            message: self.0.clone(),
-        }
-    }
 }
 
 fn hub_factory() -> ProcessFactory {
@@ -327,18 +315,15 @@ fn a_hub_beacon_over_dynamic_spokes_delivers_binomially() {
     let dual = Arc::new(dynamic_star(LEAVES));
     for p in [0.2, 0.5, 0.85] {
         let link: LinkFactory = Arc::new(move || Box::new(IidLinks::new(p)));
-        let build = || {
-            TrialExecutor::new(
-                Arc::clone(&dual),
-                hub_factory(),
-                Assignment::global(LEAVES + 1, NodeId::new(0)),
-                Arc::clone(&link),
-                StopCondition::max_rounds(),
-                SimConfig::default().with_max_rounds(ROUNDS),
-            )
-            .unwrap()
-        };
-        let mut executor = build();
+        let mut executor = TrialExecutor::new(
+            Arc::clone(&dual),
+            hub_factory(),
+            Assignment::global(LEAVES + 1, NodeId::new(0)),
+            link,
+            StopCondition::max_rounds(),
+            SimConfig::default().with_max_rounds(ROUNDS),
+        )
+        .unwrap();
         let draws = LEAVES * ROUNDS * TRIALS as usize;
         let mut profile = 0;
         let mut full = 0;
@@ -357,25 +342,7 @@ fn a_hub_beacon_over_dynamic_spokes_delivers_binomially() {
                 .sum::<usize>();
         }
         assert_eq!(profile, full, "each active spoke carries one delivery");
-        assert_binomial(&format!("scalar p {p}"), profile, draws, p);
-
-        let mut batch = BatchExecutor::new(
-            Arc::clone(&dual),
-            hub_factory(),
-            Assignment::global(LEAVES + 1, NodeId::new(0)),
-            Arc::clone(&link),
-            StopCondition::max_rounds(),
-            SimConfig::default().with_max_rounds(ROUNDS),
-        )
-        .unwrap();
-        let seeds: Vec<u64> = (0..TRIALS).collect();
-        let lanes: usize = batch
-            .execute_group(&seeds, RecordMode::None)
-            .unwrap()
-            .iter()
-            .map(|outcome| outcome.metrics.deliveries)
-            .sum();
-        assert_eq!(lanes, profile, "p {p}: batch lanes replay the scalar coins");
+        assert_binomial(&format!("p {p}"), profile, draws, p);
     }
 }
 
@@ -383,7 +350,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any probability, seed, family and layout: the profile path equals
-    /// the reference, on the scalar executor and on batch lanes.
+    /// the reference, through a reused executor and the runner's fan-out.
     #[test]
     fn any_probability_matches_the_reference(
         p in prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0],
@@ -405,10 +372,8 @@ proptest! {
                 slow.execute(trial, RecordMode::None)
             );
         }
-        let fast = ScenarioRunner::new(&profile).sequential();
-        prop_assert!(fast.uses_batch());
         prop_assert_eq!(
-            fast.collect_trials(5).unwrap(),
+            ScenarioRunner::new(&profile).sequential().collect_trials(5).unwrap(),
             scalar_loop(&ScenarioRunner::new(&opaque).sequential(), 5)
         );
     }

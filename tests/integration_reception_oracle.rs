@@ -4,13 +4,12 @@
 //! probability 1 − (1−p)^k − k·p(1−p)^{k−1}. The equivalence suites check
 //! one engine path against another, so a mistake every path shares passes
 //! them; this suite checks reception against the formula instead, on the
-//! scalar executor over both row layouts and on the batch kernel, at fixed
-//! seeds so it cannot flake.
+//! executor over both row layouts, at fixed seeds so it cannot flake.
 
 use std::sync::Arc;
 
 use dradio::prelude::*;
-use dradio::sim::{sampling, BatchExecutor, BatchProfile};
+use dradio::sim::sampling;
 use rand::RngCore;
 
 const ROUNDS: usize = 250;
@@ -28,13 +27,6 @@ impl Process for FixedRate {
         match &self.msg {
             Some(msg) if sampling::bernoulli(rng, self.rate) => Action::Transmit(msg.clone()),
             _ => Action::Listen,
-        }
-    }
-
-    fn batch_profile(&self) -> BatchProfile {
-        BatchProfile::FixedRate {
-            rate: if self.msg.is_some() { self.rate } else { 0.0 },
-            message: self.msg.clone(),
         }
     }
 }
@@ -113,7 +105,7 @@ fn a_listening_hub_receives_and_collides_at_the_closed_form_rates() {
             let config = SimConfig::default().with_max_rounds(ROUNDS);
             let mut paths = Vec::new();
             for (layout, dual) in [("dense", &dense), ("csr", &csr)] {
-                let mut scalar = TrialExecutor::new(
+                let mut executor = TrialExecutor::new(
                     Arc::clone(dual),
                     star_field(p),
                     assignment.clone(),
@@ -123,29 +115,16 @@ fn a_listening_hub_receives_and_collides_at_the_closed_form_rates() {
                 )
                 .unwrap();
                 let outcomes: Vec<ExecutionOutcome> = (0..TRIALS)
-                    .map(|seed| scalar.execute(seed, RecordMode::None))
+                    .map(|seed| executor.execute(seed, RecordMode::None))
                     .collect();
-                paths.push((format!("scalar/{layout}"), hub_counts(&outcomes)));
-
-                let mut batch = BatchExecutor::new(
-                    Arc::clone(dual),
-                    star_field(p),
-                    assignment.clone(),
-                    Arc::clone(&link),
-                    StopCondition::max_rounds(),
-                    config,
-                )
-                .unwrap();
-                let seeds: Vec<u64> = (0..TRIALS).collect();
-                let outcomes = batch.execute_group(&seeds, RecordMode::None).unwrap();
-                paths.push((format!("batch/{layout}"), hub_counts(&outcomes)));
+                paths.push((layout, hub_counts(&outcomes)));
             }
             for (path, (received, collided)) in &paths {
                 let label = format!("k {k}, p {p}, {path}");
                 assert_inside(&label, "receptions", *received, draws, reception);
                 assert_inside(&label, "collisions", *collided, draws, collision);
             }
-            // Every path draws the same coins: one count, four paths.
+            // Both layouts draw the same coins: one count, two paths.
             assert!(
                 paths.windows(2).all(|w| w[0].1 == w[1].1),
                 "k {k}, p {p}: {paths:?}"

@@ -4,8 +4,8 @@
 //! either layout (converted with `DualGraph::with_graph_backend`) must give
 //! identical trial outcomes and byte-identical serialized measurements —
 //! across every registered declarative topology family, on oblivious and
-//! adaptive adversaries, on the scalar and the bit-sliced batch paths, and
-//! against what the campaign cell executor stores.
+//! adaptive adversaries, for registered algorithms and a busy fixed-rate
+//! beacon field, and against what the campaign cell executor stores.
 
 mod support;
 
@@ -95,9 +95,9 @@ fn every_registered_topology_and_adversary_agrees_across_backends() {
                 "{label}: measurement bytes diverged across backends"
             );
 
-            // ...and the batch kernel wherever the runner takes it: a
-            // fixed-rate process under an oblivious adversary, CSR kernel
-            // against the dense scalar loop.
+            // ...and a fixed-rate beacon field, whose every node may
+            // transmit in every round: the CSR fan-out against the dense
+            // reference loop.
             let dense_beacon = beacon_scenario(
                 &topology,
                 &adversary,
@@ -107,16 +107,13 @@ fn every_registered_topology_and_adversary_agrees_across_backends() {
             );
             let csr_beacon =
                 beacon_scenario(&topology, &adversary, &problem, Some(GraphBackend::Csr), 21);
-            let csr_kernel = ScenarioRunner::new(&csr_beacon).sequential();
-            assert_eq!(
-                csr_kernel.uses_batch(),
-                adversary.class() == Some(AdversaryClass::Oblivious),
-                "{label}: the runner's batching rule"
-            );
             assert_eq!(
                 scalar_loop(&ScenarioRunner::new(&dense_beacon), 4),
-                csr_kernel.collect_trials(4).unwrap(),
-                "{label}: CSR kernel diverged from dense scalar"
+                ScenarioRunner::new(&csr_beacon)
+                    .sequential()
+                    .collect_trials(4)
+                    .unwrap(),
+                "{label}: CSR beacon fan-out diverged from the dense loop"
             );
         }
     }
@@ -204,10 +201,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Ragged degrees: sparse Erdős–Rényi networks have wildly uneven rows
-    /// (including isolated nodes), so CSR row walks, scratch sizing, and the
-    /// word algebra all face non-uniform shapes. Outcomes must still match
-    /// the dense backend trial for trial, on the scalar path and (for a
-    /// fixed-rate process) on the batch kernel.
+    /// (including isolated nodes), so CSR row walks and scratch sizing face
+    /// non-uniform shapes. Outcomes must still match the dense backend trial
+    /// for trial, for a registered algorithm and for a fixed-rate beacon
+    /// field.
     #[test]
     fn ragged_degree_networks_agree_across_backends(
         n in 8usize..48,
@@ -225,16 +222,14 @@ proptest! {
         let csr_runner = ScenarioRunner::new(&csr).sequential();
         let expected = dense_runner.collect_trials(trials).unwrap();
         prop_assert_eq!(&expected, &csr_runner.collect_trials(trials).unwrap());
-        // Ragged trial counts over ragged rows on the batch kernel too.
+        // Ragged trial counts over ragged rows, every node a transmitter.
         let dense_beacon =
             beacon_scenario(&topology, &adversary, &problem, Some(GraphBackend::Dense), 21);
         let csr_beacon =
             beacon_scenario(&topology, &adversary, &problem, Some(GraphBackend::Csr), 21);
-        let kernel = ScenarioRunner::new(&csr_beacon).sequential();
-        prop_assert!(kernel.uses_batch());
         prop_assert_eq!(
             scalar_loop(&ScenarioRunner::new(&dense_beacon), trials),
-            kernel.collect_trials(trials).unwrap()
+            ScenarioRunner::new(&csr_beacon).sequential().collect_trials(trials).unwrap()
         );
     }
 

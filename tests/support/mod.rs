@@ -1,21 +1,21 @@
 //! Shared fixtures for the root integration suites: one topology per
 //! registered family, the one way to run a topology in a forced graph
-//! layout, a fixed-rate process that the batch kernel can drive, and the
-//! scalar reference loop the kernel is checked against.
+//! layout, a stateless fixed-rate beacon field, and the reference loop of
+//! trials through one reused executor.
 
 use std::sync::Arc;
 
 use dradio::core::kinds;
 use dradio::prelude::*;
 use dradio::scenario::{BuiltTopology, ScenarioBuilder, TrialOutcome};
-use dradio::sim::{sampling, BatchProfile};
+use dradio::sim::sampling;
 
 /// A fixed-rate beacon field: nodes holding a problem role (the global
 /// source or a local broadcaster) send their DATA message with probability
 /// 1/2 each round, every other node its own at 1/8. Stateless and
-/// feedback-blind, so it declares [`BatchProfile::FixedRate`] and oblivious
-/// history-free fan-outs over it take the batch kernel. No registered
-/// algorithm declares a profile yet.
+/// feedback-blind: every node may transmit in every round, whatever it has
+/// heard, unlike the registered algorithms, whose uninformed nodes only
+/// listen.
 struct Beacon {
     msg: Message,
     rate: f64,
@@ -27,13 +27,6 @@ impl Process for Beacon {
             Action::Transmit(self.msg.clone())
         } else {
             Action::Listen
-        }
-    }
-
-    fn batch_profile(&self) -> BatchProfile {
-        BatchProfile::FixedRate {
-            rate: self.rate,
-            message: Some(self.msg.clone()),
         }
     }
 }
@@ -168,7 +161,7 @@ pub fn beacon_scenario(
         .expect("beacon scenarios build")
 }
 
-/// The scalar reference: trials `0..trials` in order through one reused
+/// The reference loop: trials `0..trials` in order through one reused
 /// [`TrialExecutor`].
 pub fn scalar_loop(runner: &ScenarioRunner<'_>, trials: usize) -> Vec<TrialOutcome> {
     let mut executor = runner.executor();
