@@ -10,6 +10,11 @@
 //!   is validated and heard at its listener; and `Iid` links on a 4096-node
 //!   random geometric network, whose automatic layout is CSR. The printed
 //!   mean is for `ROUNDS` rounds; divide by `ROUNDS` for the per-round cost.
+//!   Those beacons never sleep; `geo_local_init/1024` instead runs the
+//!   registered Geo algorithm for the first `GEO_ROUNDS` rounds of its
+//!   initialization on the 1024-node random geometric network under `Iid`
+//!   links, where most processes are dormant and most rounds are resolved
+//!   by pushing the few transmitters' rows (mean per `GEO_ROUNDS` rounds).
 //! * `trials_per_sec/*` times many *short* executions (the shape of most
 //!   campaign cells) through a reused [`dradio_sim::TrialExecutor`] versus a
 //!   fresh simulator per trial — isolating per-trial setup amortization,
@@ -24,15 +29,21 @@
 //!   expansion, content-hash keying, and store appends — the costs that must
 //!   stay invisible next to the simulation itself.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use dradio_bench::{engine_executor, engine_workload};
 use dradio_campaign::{CampaignSpec, CellRecord, ResultStore, RoundsRule, SweepGroup, TrialPolicy};
-use dradio_core::algorithms::GlobalAlgorithm;
+use dradio_core::algorithms::{GlobalAlgorithm, LocalAlgorithm};
+use dradio_core::local::GeoConfig;
+use dradio_graphs::NodeId;
 use dradio_scenario::{
     AdversarySpec, BuiltTopology, Completion, ContentionCurve, GraphBackend, Measurement,
     ProblemSpec, RecordMode, Summary, TopologySpec,
 };
-use dradio_sim::derive_stream_seed;
+use dradio_sim::{
+    derive_stream_seed, Assignment, ExecutionOutcome, SimConfig, Simulator, StopCondition,
+};
 
 /// Rounds per measured workload run.
 const ROUNDS: usize = 32;
@@ -136,7 +147,52 @@ fn bench_rounds(c: &mut Criterion) {
     let built = random.build().expect("bench topology builds");
     assert_eq!(built.dual.graph_backend(), GraphBackend::Csr);
     bench_history_free(&mut group, "random_csr", &built, &iid);
+    // The registered Geo algorithm on the random geometric network at
+    // n = 1024: its first GEO_ROUNDS rounds lie inside the initialization
+    // stage, where only the phase's leaders and the nodes that heard
+    // something are awake, so most rounds are dormant and pushed.
+    let (_, random, iid) = topologies(1024)
+        .into_iter()
+        .find(|(name, ..)| *name == "random")
+        .expect("the random family is registered");
+    let built = random.build().expect("bench topology builds");
+    let n = built.dual.len();
+    assert!(GeoConfig::scaled(n, built.dual.max_degree()).init_rounds() > GEO_ROUNDS);
+    group.bench_with_input(BenchmarkId::new("geo_local_init", n), &n, |b, _| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            geo_init_workload(&built, &iid, seed).metrics.deliveries
+        });
+    });
     group.finish();
+}
+
+/// Rounds of the Geo initialization bench.
+const GEO_ROUNDS: usize = 200;
+
+/// `GEO_ROUNDS` rounds of the registered Geo algorithm on `built` under
+/// `adversary` from round 0, every fourth node a broadcaster, keeping no
+/// history.
+fn geo_init_workload(
+    built: &BuiltTopology,
+    adversary: &AdversarySpec,
+    seed: u64,
+) -> ExecutionOutcome {
+    let n = built.dual.len();
+    let broadcasters: Vec<NodeId> = (0..n).step_by(4).map(NodeId::new).collect();
+    Simulator::new(
+        Arc::clone(&built.dual),
+        LocalAlgorithm::Geo.factory(n, built.dual.max_degree()),
+        Assignment::local(n, &broadcasters),
+        adversary.build(built).expect("bench adversary builds"),
+        SimConfig::default()
+            .with_seed(seed)
+            .with_max_rounds(GEO_ROUNDS)
+            .with_record_mode(RecordMode::None),
+    )
+    .expect("bench simulator builds")
+    .run(StopCondition::max_rounds())
 }
 
 /// Times `ROUNDS` rounds of the uniform broadcasters on `built` under

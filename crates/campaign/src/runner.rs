@@ -199,33 +199,35 @@ impl<'a> CampaignRunner<'a> {
         let mut failure: Option<CampaignError> = None;
 
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= pending.len() {
-                        break;
-                    }
-                    // Trials run sequentially here — the cell fan-out owns
-                    // the cores. Panics are captured into the slot: an empty
-                    // slot would wedge the in-order committer forever.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_cell(&pending[i], false, topologies)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(CampaignError::CellPanicked {
-                            cell: pending[i].label(),
-                            reason: panic_reason(payload.as_ref()),
-                        })
-                    });
-                    let mut slots = ready_lock(&slots);
-                    slots[i] = Some(result);
-                    drop(slots);
-                    ready.notify_all();
-                });
-            }
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= pending.len() {
+                            break;
+                        }
+                        // Trials run sequentially here — the cell fan-out owns
+                        // the cores. Panics are captured into the slot: an empty
+                        // slot would wedge the in-order committer forever.
+                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            run_cell(&pending[i], false, topologies)
+                        }))
+                        .unwrap_or_else(|payload| {
+                            Err(CampaignError::CellPanicked {
+                                cell: pending[i].label(),
+                                reason: panic_reason(payload.as_ref()),
+                            })
+                        });
+                        let mut slots = ready_lock(&slots);
+                        slots[i] = Some(result);
+                        drop(slots);
+                        ready.notify_all();
+                    })
+                })
+                .collect();
 
             // In-order committer: wait for slot `commit`, append, advance.
             for commit in 0..pending.len() {
@@ -269,6 +271,18 @@ impl<'a> CampaignRunner<'a> {
             }
             // Unblock any worker between claim and publish.
             stop.store(true, Ordering::Relaxed);
+            // Join each worker before the scope ends: the scope waits only
+            // for the closures to return, not for their threads to exit, so
+            // the next run's fresh threads could find every malloc arena
+            // still taken and create new ones, growing peak RSS run by run.
+            for worker in workers {
+                if let Err(payload) = worker.join() {
+                    failure.get_or_insert(CampaignError::CellPanicked {
+                        cell: "worker thread, outside any cell".into(),
+                        reason: panic_reason(payload.as_ref()),
+                    });
+                }
+            }
         });
 
         match failure {

@@ -21,9 +21,11 @@
 //! captured with the last binary in which every oblivious `Iid`/static link
 //! round ran `decide` over all dynamic edges, the legacy-backend fixture
 //! with the last binary in which the graph layout was a per-group spec
-//! knob, and the adaptive fixture with the last binary in which adaptive
-//! adversaries forced full recording. If any of these tests fails, the store format has drifted —
-//! bump a format version rather than editing the fixtures.
+//! knob, the adaptive fixture with the last binary in which adaptive
+//! adversaries forced full recording, and the dormancy fixture with the last
+//! binary in which every process ran every round. If any of these tests
+//! fails, the store format has drifted — bump a format version rather than
+//! editing the fixtures.
 
 use std::sync::Arc;
 
@@ -190,6 +192,58 @@ const ADAPTIVE_STORE: &str = concat!(
     r#"{"key":"4c877ab89be67002","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":13.333333333333334,"std_dev":1.5275252316519468,"min":12.0,"max":15.0,"median":13.0,"p95":15.0},"completion_rate":1.0,"mean_collisions":179.66666666666666}}"#,
     "\n",
     r#"{"key":"2d927c4d6d47f73f","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Global":"Permuted"},"adversary":"Omniscient","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":36.666666666666664,"std_dev":5.033222956847167,"min":32.0,"max":42.0,"median":36.0,"p95":42.0},"completion_rate":1.0,"mean_collisions":606.0}}"#,
+    "\n",
+);
+
+/// Every registered local algorithm on a random geometric deployment, with
+/// a horizon past Geo's initialization, and every registered global
+/// algorithm on a grid and the dual clique, each under `Iid` links and the
+/// greedy collision attacker.
+const DORMANCY_CAMPAIGN: &str = r#"{"name":"dormancy-pin","seed":7,"trials":{"Fixed":3},"groups":[{"topologies":[{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}}],"algorithms":[{"Local":"StaticDecay"},{"Local":"Uniform"},{"Local":"RoundRobin"},{"Local":"Geo"}],"adversaries":[{"Iid":{"p":0.5}},"GreedyCollision"],"problems":[{"LocalRandom":{"count":8,"seed":6}}],"seed":null,"trials":null,"rounds":{"Fixed":600},"collision_detection":false,"record_mode":"None","curve":false},{"topologies":[{"Grid":{"cols":5,"rows":4}},{"DualClique":{"n":16}}],"algorithms":[{"Global":"Bgi"},{"Global":"Permuted"},{"Global":"RoundRobin"}],"adversaries":[{"Iid":{"p":0.5}},"GreedyCollision"],"problems":[{"GlobalFrom":0}],"seed":null,"trials":null,"rounds":{"Fixed":300},"collision_detection":false,"record_mode":"None","curve":false}]}"#;
+
+/// The store the last binary in which every process ran every round (no
+/// declared dormancy, no push reception) wrote for [`DORMANCY_CAMPAIGN`],
+/// byte for byte.
+const DORMANCY_STORE: &str = concat!(
+    r#"{"key":"94f6b7271c80f18d","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"StaticDecay"},"adversary":{"Iid":{"p":0.5}},"problem":{"LocalRandom":{"count":8,"seed":6}},"seed":7,"max_rounds":600,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":11.666666666666666,"std_dev":3.7859388972001824,"min":9.0,"max":16.0,"median":10.0,"p95":16.0},"completion_rate":1.0,"mean_collisions":104.33333333333333}}"#,
+    "\n",
+    r#"{"key":"791fcf7d7cab5b9e","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"StaticDecay"},"adversary":"GreedyCollision","problem":{"LocalRandom":{"count":8,"seed":6}},"seed":7,"max_rounds":600,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":6.666666666666667,"std_dev":4.041451884327381,"min":2.0,"max":9.0,"median":9.0,"p95":9.0},"completion_rate":1.0,"mean_collisions":75.66666666666667}}"#,
+    "\n",
+    r#"{"key":"4433f83de485a035","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":{"Iid":{"p":0.5}},"problem":{"LocalRandom":{"count":8,"seed":6}},"seed":7,"max_rounds":600,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":19.0,"std_dev":8.54400374531753,"min":10.0,"max":27.0,"median":20.0,"p95":27.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
+    "\n",
+    r#"{"key":"d5653d6192d025d6","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Uniform"},"adversary":"GreedyCollision","problem":{"LocalRandom":{"count":8,"seed":6}},"seed":7,"max_rounds":600,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":34.0,"std_dev":33.28663395418648,"min":10.0,"max":72.0,"median":20.0,"p95":72.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
+    "\n",
+    r#"{"key":"bcf0d7be1b91463d","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"RoundRobin"},"adversary":{"Iid":{"p":0.5}},"problem":{"LocalRandom":{"count":8,"seed":6}},"seed":7,"max_rounds":600,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":15.333333333333334,"std_dev":2.3094010767585034,"min":14.0,"max":18.0,"median":14.0,"p95":18.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
+    "\n",
+    r#"{"key":"a13d32e1ec6a474e","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"RoundRobin"},"adversary":"GreedyCollision","problem":{"LocalRandom":{"count":8,"seed":6}},"seed":7,"max_rounds":600,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":18.0,"std_dev":0.0,"min":18.0,"max":18.0,"median":18.0,"p95":18.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
+    "\n",
+    r#"{"key":"eca5d60e9bdc8b14","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Geo"},"adversary":{"Iid":{"p":0.5}},"problem":{"LocalRandom":{"count":8,"seed":6}},"seed":7,"max_rounds":600,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":484.6666666666667,"std_dev":54.884727687520986,"min":451.0,"max":548.0,"median":455.0,"p95":548.0},"completion_rate":1.0,"mean_collisions":238.66666666666666}}"#,
+    "\n",
+    r#"{"key":"3b04c434fb54b02b","cell":{"scenario":{"topology":{"RandomGeometric":{"n":40,"side":2.0,"r":1.5,"seed":5}},"algorithm":{"Local":"Geo"},"adversary":"GreedyCollision","problem":{"LocalRandom":{"count":8,"seed":6}},"seed":7,"max_rounds":600,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":457.6666666666667,"std_dev":6.110100926607787,"min":451.0,"max":463.0,"median":459.0,"p95":463.0},"completion_rate":1.0,"mean_collisions":68.66666666666667}}"#,
+    "\n",
+    r#"{"key":"d86126c61a5e6459","cell":{"scenario":{"topology":{"Grid":{"cols":5,"rows":4}},"algorithm":{"Global":"Bgi"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":27.666666666666668,"std_dev":8.144527815247077,"min":22.0,"max":37.0,"median":24.0,"p95":37.0},"completion_rate":1.0,"mean_collisions":19.0}}"#,
+    "\n",
+    r#"{"key":"feccaf7699ec95fa","cell":{"scenario":{"topology":{"Grid":{"cols":5,"rows":4}},"algorithm":{"Global":"Bgi"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":27.666666666666668,"std_dev":8.144527815247077,"min":22.0,"max":37.0,"median":24.0,"p95":37.0},"completion_rate":1.0,"mean_collisions":19.0}}"#,
+    "\n",
+    r#"{"key":"8b34a67710b87741","cell":{"scenario":{"topology":{"Grid":{"cols":5,"rows":4}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":19.666666666666668,"std_dev":6.8068592855540455,"min":12.0,"max":25.0,"median":22.0,"p95":25.0},"completion_rate":1.0,"mean_collisions":17.666666666666668}}"#,
+    "\n",
+    r#"{"key":"9436241175a1e312","cell":{"scenario":{"topology":{"Grid":{"cols":5,"rows":4}},"algorithm":{"Global":"Permuted"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":19.666666666666668,"std_dev":6.8068592855540455,"min":12.0,"max":25.0,"median":22.0,"p95":25.0},"completion_rate":1.0,"mean_collisions":17.666666666666668}}"#,
+    "\n",
+    r#"{"key":"55c1a7ad885489a3","cell":{"scenario":{"topology":{"Grid":{"cols":5,"rows":4}},"algorithm":{"Global":"RoundRobin"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":15.0,"std_dev":0.0,"min":15.0,"max":15.0,"median":15.0,"p95":15.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
+    "\n",
+    r#"{"key":"8104da2485549b5c","cell":{"scenario":{"topology":{"Grid":{"cols":5,"rows":4}},"algorithm":{"Global":"RoundRobin"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":15.0,"std_dev":0.0,"min":15.0,"max":15.0,"median":15.0,"p95":15.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
+    "\n",
+    r#"{"key":"b9f2c4bded5e11d6","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Bgi"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":11.666666666666666,"std_dev":3.511884584284246,"min":8.0,"max":15.0,"median":12.0,"p95":15.0},"completion_rate":1.0,"mean_collisions":32.666666666666664}}"#,
+    "\n",
+    r#"{"key":"1540e9a8dd2d3715","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Bgi"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":22.0,"std_dev":11.532562594670797,"min":9.0,"max":31.0,"median":26.0,"p95":31.0},"completion_rate":1.0,"mean_collisions":70.66666666666667}}"#,
+    "\n",
+    r#"{"key":"2d085a695a56c2f4","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Permuted"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":7.0,"std_dev":1.7320508075688772,"min":5.0,"max":8.0,"median":8.0,"p95":8.0},"completion_rate":1.0,"mean_collisions":13.666666666666666}}"#,
+    "\n",
+    r#"{"key":"e2a167b98d6e6bf3","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"Permuted"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":34.0,"std_dev":14.798648586948742,"min":17.0,"max":44.0,"median":41.0,"p95":44.0},"completion_rate":1.0,"mean_collisions":164.33333333333334}}"#,
+    "\n",
+    r#"{"key":"951270f18a15845e","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"RoundRobin"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":5.666666666666667,"std_dev":3.0550504633038935,"min":3.0,"max":9.0,"median":5.0,"p95":9.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
+    "\n",
+    r#"{"key":"b66d56479e31b0cd","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"RoundRobin"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":9.0,"std_dev":0.0,"min":9.0,"max":9.0,"median":9.0,"p95":9.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
     "\n",
 );
 
@@ -568,6 +622,29 @@ fn adaptive_cells_remeasure_on_both_layouts() {
     // The dual clique and the random geometric graph are dense by default;
     // on forced CSR rows every cell still measures its stored bytes.
     for line in ADAPTIVE_STORE.lines() {
+        for layout in [GraphBackend::Dense, GraphBackend::Csr] {
+            assert_line_remeasures_on(line, layout);
+        }
+    }
+}
+
+#[test]
+fn dormancy_cells_reproduce_the_store_awake_processes_wrote() {
+    // Registered algorithms now declare the rounds they sleep through; the
+    // engine skips their calls and resolves sparse rounds by pushing each
+    // transmitter's row. The bytes must not move, on either layout.
+    let path = temp_path("dormancy");
+    let spec: CampaignSpec = serde_json::from_str(DORMANCY_CAMPAIGN).unwrap();
+    let mut store = ResultStore::open(&path).unwrap();
+    CampaignRunner::new(&spec).run(&mut store).unwrap();
+    drop(store);
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        DORMANCY_STORE,
+        "the dormant path drifted from the store awake processes wrote"
+    );
+    let _ = std::fs::remove_file(&path);
+    for line in DORMANCY_STORE.lines() {
         for layout in [GraphBackend::Dense, GraphBackend::Csr] {
             assert_line_remeasures_on(line, layout);
         }

@@ -136,6 +136,11 @@ impl Process for BgiProcess {
     fn name(&self) -> &'static str {
         "bgi-decay"
     }
+
+    /// Uninformed, the node only listens until it hears something.
+    fn next_wake(&self, next: Round) -> Option<Round> {
+        self.message.is_some().then_some(next)
+    }
 }
 
 #[cfg(test)]

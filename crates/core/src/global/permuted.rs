@@ -182,6 +182,11 @@ impl Process for PermutedProcess {
     fn name(&self) -> &'static str {
         "permuted-decay"
     }
+
+    /// Uninformed, the node only listens until it hears something.
+    fn next_wake(&self, next: Round) -> Option<Round> {
+        self.message.is_some().then_some(next)
+    }
 }
 
 #[cfg(test)]

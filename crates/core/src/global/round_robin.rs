@@ -99,6 +99,11 @@ impl Process for RoundRobinGlobalProcess {
     fn name(&self) -> &'static str {
         "round-robin-global"
     }
+
+    /// Uninformed, the node only listens until it hears something.
+    fn next_wake(&self, next: Round) -> Option<Round> {
+        self.message.is_some().then_some(next)
+    }
 }
 
 #[cfg(test)]

@@ -359,6 +359,30 @@ impl Process for GeoProcess {
     fn name(&self) -> &'static str {
         "geo-local"
     }
+
+    /// A leader gossips all phase long, and an active node needs only the
+    /// next phase boundary, where it commits or stands for election. A
+    /// committed node without a payload never transmits again; one with a
+    /// payload sleeps through the rest of initialization.
+    fn next_wake(&self, next: Round) -> Option<Round> {
+        let init = self.config.init_rounds();
+        let r = next.index();
+        if self.is_leader {
+            return Some(next);
+        }
+        if self.active {
+            if r >= init {
+                return Some(next);
+            }
+            let phase = self.config.phase_rounds.max(1);
+            return Some(Round::new((r.div_ceil(phase) * phase).min(init)));
+        }
+        if self.committed.is_none() {
+            return Some(next);
+        }
+        self.payload.as_ref()?;
+        Some(Round::new(r.max(init)))
+    }
 }
 
 #[cfg(test)]

@@ -87,6 +87,11 @@ impl Process for StaticLocalProcess {
     fn name(&self) -> &'static str {
         "static-decay-local"
     }
+
+    /// Only a broadcaster ever transmits; feedback changes nothing.
+    fn next_wake(&self, next: Round) -> Option<Round> {
+        self.message.is_some().then_some(next)
+    }
 }
 
 #[cfg(test)]

@@ -79,6 +79,11 @@ impl Process for UniformLocalProcess {
     fn name(&self) -> &'static str {
         "uniform-local"
     }
+
+    /// Only a broadcaster ever transmits; feedback changes nothing.
+    fn next_wake(&self, next: Round) -> Option<Round> {
+        self.message.is_some().then_some(next)
+    }
 }
 
 #[cfg(test)]

@@ -575,6 +575,7 @@ mod tests {
             raw.iter().any(|f| matches!(f, WorkerFrame::Done { .. })),
             "{raw:?}"
         );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

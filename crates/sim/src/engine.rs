@@ -198,22 +198,6 @@ impl std::fmt::Debug for Simulator {
     }
 }
 
-/// Convenience helper: run one simulation end to end.
-///
-/// # Errors
-///
-/// Propagates construction errors from [`Simulator::new`].
-pub fn run_simulation(
-    dual: DualGraph,
-    factory: ProcessFactory,
-    assignment: Assignment,
-    link: Box<dyn LinkProcess>,
-    config: SimConfig,
-    stop: StopCondition,
-) -> Result<ExecutionOutcome> {
-    Ok(Simulator::new(dual, factory, assignment, link, config)?.run(stop))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

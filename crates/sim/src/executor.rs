@@ -27,6 +27,15 @@
 //! edge is on; see `RoundScratch`). Only a [`RecordMode::Full`] history
 //! lists a round's edges.
 //!
+//! A round costs what happens in it. A process that declares itself
+//! dormant ([`Process::next_wake`]) is not called: it listens, its
+//! transmit probability reads 0, and silence reaches it unnoticed. When
+//! the transmitters' rows hold fewer entries than there are nodes,
+//! reception *pushes* them, hearing each row at its listening neighbours,
+//! so a dormant listener nobody reached costs one check. Each node's
+//! feedback follows its own reception, and only awake nodes and nodes
+//! that heard something other than silence get it.
+//!
 //! [`TrialExecutor::execute`] is *deterministically equivalent* to building
 //! a fresh `Simulator` with the same seed and running it: the per-node and
 //! adversary streams are derived from the seed exactly as
@@ -333,6 +342,7 @@ impl TrialExecutor {
         }
         for (i, process) in self.processes.iter_mut().enumerate() {
             process.on_start(&mut self.node_rngs[i]);
+            scratch.wake[i] = wake_index(process.next_wake(Round::ZERO));
         }
 
         // An `Iid` profile lets the engine read only the coins reception can
@@ -366,32 +376,44 @@ impl TrialExecutor {
         // lint: hot-path
         for round in Round::range(horizon) {
             rounds_executed += 1;
+            let now = round.index();
 
             // 1. Expected behaviour (visible to adaptive adversaries) must be
-            //    captured before any round-r coin is flipped.
+            //    captured before any round-r coin is flipped. A dormant
+            //    process transmits with probability 0 and is not asked.
             if adaptive {
                 scratch.transmit_probs.clear();
                 scratch
                     .transmit_probs
-                    .extend(self.processes.iter().map(|p| p.transmit_probability(round)));
+                    .extend(self.processes.iter().zip(&scratch.wake).map(|(p, &wake)| {
+                        if wake <= now {
+                            p.transmit_probability(round)
+                        } else {
+                            0.0
+                        }
+                    }));
             }
 
-            // 2. Processes pick their actions using their private coins.
-            scratch.actions.clear();
+            // 2. Awake processes pick their actions using their private
+            //    coins; a dormant one listens uncalled. `actions` keeps one
+            //    slot per node for the offline view: last round's
+            //    transmitters go back to listening, and every awake node
+            //    overwrites its own slot. 3. The transmitter set, ascending
+            //    and as a packed bitset, is collected on the way.
+            for v in scratch.transmitters.drain(..) {
+                scratch.actions[v.index()] = Action::Listen;
+                scratch.transmitter_bits[v.index() / 64] = 0;
+            }
             for (i, p) in self.processes.iter_mut().enumerate() {
-                scratch
-                    .actions
-                    .push(p.on_round(round, &mut self.node_rngs[i]));
-            }
-
-            // 3. The transmitter set, ascending and as a packed bitset.
-            scratch.transmitters.clear();
-            scratch.transmitter_bits.iter_mut().for_each(|w| *w = 0);
-            for (i, action) in scratch.actions.iter().enumerate() {
+                if scratch.wake[i] > now {
+                    continue;
+                }
+                let action = p.on_round(round, &mut self.node_rngs[i]);
                 if action.is_transmit() {
                     scratch.transmitter_bits[i / 64] |= 1u64 << (i % 64);
                     scratch.transmitters.push(NodeId::new(i));
                 }
+                scratch.actions[i] = action;
             }
 
             // 4. The link process fixes the dynamic edges, seeing only what
@@ -457,58 +479,77 @@ impl TrialExecutor {
             // 5. Reception under the collision rule, from the packed
             //    transmitter bitset: what each listener heard over dynamic
             //    edges, plus its transmitting neighbours over G, or over G'
-            //    alone when every dynamic edge is on.
+            //    alone when every dynamic edge is on. Each node's feedback
+            //    follows its own reception at once (processes share no
+            //    state, and reception reads only `actions`).
             let transmitter_count = scratch.transmitters.len();
             metrics.transmissions += transmitter_count;
+            let g = if over_g_prime {
+                self.dual.g_prime()
+            } else {
+                self.dual.g()
+            };
+            // Push: when the transmitters' rows hold fewer entries than
+            // there are nodes, hear each row at its listening neighbours
+            // (G's rows are disjoint from the dynamic edges, and G' rows
+            // come with nothing heard), so every listener starts from what
+            // it heard alone, and a dormant listener nobody reached costs
+            // one check. Dense rounds pull instead (below).
+            let reach: usize = scratch.transmitters.iter().map(|&v| g.degree(v)).sum();
+            let push = reach < n;
+            if push {
+                let bits = &scratch.transmitter_bits;
+                for &v in &scratch.transmitters {
+                    for &w in g.neighbors(v) {
+                        if !bit(bits, w.index()) {
+                            hear(&mut scratch.heard, w.index(), v.index());
+                        }
+                    }
+                }
+            }
 
-            scratch.feedbacks.clear();
             // Deliveries are materialized only for recorded rounds; feedback
             // and stop evaluation never need the allocation.
             let mut deliveries: Vec<Delivery> = Vec::new(); // lint: allow(D3) -- Vec::new is allocation-free; pushes happen only for recorded rounds
             let mut round_collisions = 0usize;
-
-            if transmitter_count == 0 {
-                // Nobody transmitted: every node listens into silence (and
-                // nobody heard anything over a dynamic edge).
-                metrics.idle_listens += n;
-                for _ in 0..n {
-                    scratch.feedbacks.push(Feedback::Silence);
+            let words = g.row_words();
+            // Below this transmitter count, probing each transmitter with
+            // O(1) bit queries beats scanning the whole adjacency row.
+            let probe_transmitters = transmitter_count <= words;
+            let bits = &scratch.transmitter_bits;
+            for u in NodeId::all(n) {
+                let u_idx = u.index();
+                let awake = scratch.wake[u_idx] <= now;
+                if push && !awake && scratch.heard[u_idx] == 0 {
+                    // Dormant (so not transmitting) and unreached: silence,
+                    // which a dormant process promised to ignore.
+                    metrics.idle_listens += 1;
+                    continue;
                 }
-            } else {
-                let g = if over_g_prime {
-                    self.dual.g_prime()
+                let feedback = if bit(bits, u_idx) {
+                    Feedback::Transmitted
                 } else {
-                    self.dual.g()
-                };
-                let words = g.row_words();
-                // Below this transmitter count, probing each transmitter with
-                // O(1) bit queries beats scanning the whole adjacency row.
-                let probe_transmitters = transmitter_count <= words;
-                let bits = &scratch.transmitter_bits;
-                for u in NodeId::all(n) {
-                    let u_idx = u.index();
-                    if bit(bits, u_idx) {
-                        scratch.feedbacks.push(Feedback::Transmitted);
-                        continue;
-                    }
                     // Count transmitting neighbors, capped at 2 (the collision
                     // rule only distinguishes 0 / 1 / "several"), starting
-                    // from what u heard over dynamic edges (disjoint from G's
-                    // row, and absent when folding over G') and picking the
-                    // cheapest of three equivalent strategies over the row:
+                    // from what u heard (over dynamic edges, and in a push
+                    // round over every edge). A dense round adds u's row,
+                    // picking the cheapest of three equivalent strategies:
                     // walk the sorted row testing transmitter bits (low
                     // degree, or CSR), probe each transmitter with O(1) edge
                     // queries (few transmitters), or intersect the packed row
-                    // with the transmitter bitset (dense rounds). Each stops
-                    // once the count reaches 2, and a unique sender is unique
-                    // whichever order it is found in, so all three agree.
+                    // with the transmitter bitset. Each stops once the count
+                    // reaches 2, and a unique sender is unique whichever
+                    // order it is found in, so all of them agree.
                     let (mut count, mut sender) = match std::mem::take(&mut scratch.heard[u_idx]) {
                         0 => (0, 0),
                         HEARD_SEVERAL => (2, 0),
                         mark => (1, mark as usize - 1),
                     };
                     let degree = g.degree(u);
-                    if degree <= transmitter_count && degree <= words * 2 {
+                    if push || count >= 2 {
+                        // Nothing to add: the rows were pushed, or it is
+                        // already a collision.
+                    } else if degree <= transmitter_count && degree <= words * 2 {
                         count_row(g.neighbors(u), bits, &mut count, &mut sender);
                     } else if probe_transmitters {
                         for &v in &scratch.transmitters {
@@ -539,7 +580,7 @@ impl TrialExecutor {
                             }
                         }
                     }
-                    let feedback = match count {
+                    match count {
                         0 => {
                             metrics.idle_listens += 1;
                             Feedback::Silence
@@ -549,7 +590,7 @@ impl TrialExecutor {
                             let message = scratch.actions[sender.index()]
                                 .message()
                                 // lint: allow(D4) -- the transmitter bitset is
-                                // built from Transmit actions in step 3
+                                // built from Transmit actions in step 2
                                 .expect("a set transmitter bit implies a message");
                             metrics.deliveries += 1;
                             self.tracker.observe_one(u, sender, message.kind());
@@ -573,14 +614,16 @@ impl TrialExecutor {
                                 Feedback::Silence
                             }
                         }
-                    };
-                    scratch.feedbacks.push(feedback);
+                    }
+                };
+                // 6. Feedback reaches every awake process, and a dormant one
+                //    only when it is not silence; then the process says when
+                //    it next needs a round.
+                if awake || !matches!(feedback, Feedback::Silence) {
+                    let process = &mut self.processes[u_idx];
+                    process.on_feedback(round, &feedback, &mut self.node_rngs[u_idx]);
+                    scratch.wake[u_idx] = wake_index(process.next_wake(round.next()));
                 }
-            }
-
-            // 6. Deliver feedback to the processes.
-            for (i, feedback) in scratch.feedbacks.iter().enumerate() {
-                self.processes[i].on_feedback(round, feedback, &mut self.node_rngs[i]);
             }
 
             // 7. Record and evaluate the stop condition (already observed
@@ -652,48 +695,58 @@ impl std::fmt::Debug for TrialExecutor {
 /// and reception reads and zeroes what every listener heard.
 #[derive(Debug)]
 struct RoundScratch {
-    /// Per-node actions of the current round.
+    /// Per-node actions of the current round: `Listen` everywhere except at
+    /// the round's transmitters, rewritten only where a node was called or
+    /// transmitted last round.
     actions: Vec<Action>,
     /// Per-node transmit probabilities (adaptive adversaries only).
     transmit_probs: Vec<f64>,
-    /// Per-node end-of-round feedback.
-    feedbacks: Vec<Feedback>,
     /// Transmitting nodes, ascending.
     transmitters: Vec<NodeId>,
     /// Packed transmitter bitset (bit `v` set iff node `v` transmits).
     transmitter_bits: Vec<u64>,
-    /// What each listener heard over the round's active dynamic edges:
-    /// 0 for nothing, `v + 1` for transmitter `v` alone, or
-    /// [`HEARD_SEVERAL`]. All zero between rounds.
+    /// What each listener heard this round: over the active dynamic edges,
+    /// plus every transmitter's row when the round is pushed. 0 for
+    /// nothing, `v + 1` for transmitter `v` alone, or [`HEARD_SEVERAL`].
+    /// All zero between rounds.
     heard: Vec<u32>,
+    /// The round each process next needs ([`Process::next_wake`]); a node
+    /// is awake in round `r` iff its entry is at most `r`, and `usize::MAX`
+    /// stands for "until it hears something".
+    wake: Vec<usize>,
 }
 
 impl RoundScratch {
     fn new(n: usize, words_per_row: usize) -> Self {
         RoundScratch {
-            actions: Vec::with_capacity(n),
+            actions: vec![Action::Listen; n],
             transmit_probs: Vec::with_capacity(n),
-            feedbacks: Vec::with_capacity(n),
             transmitters: Vec::with_capacity(n),
             transmitter_bits: vec![0u64; words_per_row],
             heard: vec![0u32; n],
+            wake: vec![0; n],
         }
     }
 
     /// Clears every buffer (keeping capacity) so the scratch can serve a new
     /// execution; within an execution the round loop clears incrementally.
+    /// Wake rounds are set after each process's `on_start`.
     fn reset(&mut self) {
-        self.actions.clear();
+        self.actions.fill(Action::Listen);
         self.transmit_probs.clear();
-        self.feedbacks.clear();
         self.transmitters.clear();
-        self.transmitter_bits.iter_mut().for_each(|w| *w = 0);
-        self.heard.iter_mut().for_each(|h| *h = 0);
+        self.transmitter_bits.fill(0);
+        self.heard.fill(0);
     }
 }
 
-/// `heard[u]` once listener `u` has heard two distinct transmitters over
-/// dynamic edges: a collision, whatever G adds.
+/// A [`Process::next_wake`] answer as a round index (`usize::MAX` for none).
+fn wake_index(wake: Option<Round>) -> usize {
+    wake.map_or(usize::MAX, Round::index)
+}
+
+/// `heard[u]` once listener `u` has heard two distinct transmitters: a
+/// collision, whatever else the round adds.
 const HEARD_SEVERAL: u32 = u32::MAX;
 
 // lint: hot-path
@@ -703,9 +756,10 @@ fn bit(bits: &[u64], v: usize) -> bool {
     bits[v / 64] >> (v % 64) & 1 == 1
 }
 
-/// Listener `listener` hears `transmitter` over an active dynamic edge.
-/// Idempotent: hearing the same transmitter again changes nothing, so a
-/// repeated edge is never counted twice.
+/// Listener `listener` hears `transmitter`, over an active dynamic edge or,
+/// in a pushed round, over the transmitter's row. Idempotent: hearing the
+/// same transmitter again changes nothing, so a repeated edge is never
+/// counted twice.
 #[inline]
 fn hear(heard: &mut [u32], listener: usize, transmitter: usize) {
     let mark = transmitter as u32 + 1;

@@ -86,10 +86,11 @@ pub fn log2_ceil(x: usize) -> usize {
 /// One boxed `Process` is created per node by the [`ProcessFactory`] at the
 /// start of an execution. Each round the engine calls [`Process::on_round`]
 /// to obtain the node's action and later [`Process::on_feedback`] with what
-/// the node observed. All randomness must be drawn from the supplied `rng`
-/// (a per-node deterministic stream), never from global state — this is what
-/// makes executions reproducible and what lets the engine enforce the
-/// adversary capability classes.
+/// the node observed, except in rounds the process declared itself dormant
+/// for ([`Process::next_wake`]). All randomness must be drawn from the
+/// supplied `rng` (a per-node deterministic stream), never from global
+/// state — this is what makes executions reproducible and what lets the
+/// engine enforce the adversary capability classes.
 pub trait Process: Send {
     /// Called once before round 0.
     fn on_start(&mut self, _rng: &mut dyn RngCore) {}
@@ -122,6 +123,32 @@ pub trait Process: Send {
     /// Short algorithm name for traces and tables.
     fn name(&self) -> &'static str {
         "process"
+    }
+
+    /// The first round `≥ next` whose [`Process::on_round`] this process
+    /// needs, or `None` if it needs none until it hears something. The
+    /// default, `Some(next)`, keeps the process awake in every round.
+    ///
+    /// In every round from `next` up to (not including) the returned one,
+    /// the process promises that:
+    ///
+    /// * [`Process::on_round`] would return [`Action::Listen`], draw no coin
+    ///   and change no state a later call could observe;
+    /// * [`Process::on_feedback`] with [`Feedback::Silence`] would change
+    ///   nothing;
+    /// * [`Process::transmit_probability`] would return 0.
+    ///
+    /// So the engine may skip those calls without changing any later result,
+    /// and it does: a dormant process is not called, its transmit
+    /// probability reads 0, and it hears silence unnoticed. Any other
+    /// feedback (a reception, or a collision under collision detection)
+    /// still reaches [`Process::on_feedback`] at once. The engine asks
+    /// `next_wake(Round::ZERO)` after [`Process::on_start`], and
+    /// `next_wake(round.next())` after every `on_feedback` call it makes.
+    /// Waking early is always allowed; a declaration that names a round too
+    /// late is a broken promise and changes outcomes.
+    fn next_wake(&self, next: Round) -> Option<Round> {
+        Some(next)
     }
 
     /// Unused: see [`BatchProfile`].

@@ -121,16 +121,34 @@ pub struct StopTracker {
     /// waiting. `None` for `MaxRounds`.
     pending: Option<Vec<bool>>,
     pending_count: usize,
+    /// For conditions with a sender set: whether each node of the network
+    /// is in it (empty otherwise), so a delivery is tested in O(1).
+    senders: Vec<bool>,
     n: usize,
 }
 
 impl StopTracker {
-    /// Creates a tracker for a network of `n` nodes.
+    /// Creates a tracker for a network of `n` nodes. A sender outside the
+    /// network never counts.
     pub fn new(condition: StopCondition, n: usize) -> Self {
+        let mut senders = Vec::new();
+        if let StopCondition::NodesReceivedFrom {
+            senders: listed, ..
+        }
+        | StopCondition::NodesReceivedKindFrom {
+            senders: listed, ..
+        } = &condition
+        {
+            senders.resize(n, false);
+            for u in listed.iter().filter(|u| u.index() < n) {
+                senders[u.index()] = true;
+            }
+        }
         let mut tracker = StopTracker {
             condition,
             pending: None,
             pending_count: 0,
+            senders,
             n,
         };
         tracker.reset();
@@ -209,16 +227,13 @@ impl StopTracker {
         if idx >= self.n || !pending[idx] {
             return;
         }
+        let listed = self.senders.get(sender.index()) == Some(&true);
         let satisfied = match &self.condition {
             StopCondition::MaxRounds => false,
             StopCondition::AllReceivedKind { kind: want, .. }
             | StopCondition::NodesReceivedKind { kind: want, .. } => kind == *want,
-            StopCondition::NodesReceivedFrom { senders, .. } => senders.contains(&sender),
-            StopCondition::NodesReceivedKindFrom {
-                senders,
-                kind: want,
-                ..
-            } => kind == *want && senders.contains(&sender),
+            StopCondition::NodesReceivedFrom { .. } => listed,
+            StopCondition::NodesReceivedKindFrom { kind: want, .. } => kind == *want && listed,
         };
         if satisfied {
             pending[idx] = false;
@@ -321,6 +336,24 @@ mod tests {
         t.observe(&[delivery(1, 0, KIND)]);
         t.observe(&[delivery(2, 0, OTHER)]); // any kind counts for local broadcast
         assert!(t.is_done());
+    }
+
+    #[test]
+    fn senders_outside_the_set_or_the_network_never_count() {
+        let senders = vec![NodeId::new(0), NodeId::new(2), NodeId::new(7)];
+        for cond in [
+            StopCondition::local_broadcast(vec![NodeId::new(1)], senders.clone()),
+            StopCondition::local_broadcast_kind(vec![NodeId::new(1)], senders, KIND),
+        ] {
+            let mut t = StopTracker::new(cond, 4);
+            // Node 3 is in the network but not in the sender set; node 7
+            // is listed but outside the network altogether.
+            t.observe(&[delivery(1, 3, KIND), delivery(1, 7, KIND)]);
+            assert!(!t.is_done());
+            assert_eq!(t.pending_nodes(), vec![NodeId::new(1)]);
+            t.observe(&[delivery(1, 2, KIND)]);
+            assert!(t.is_done());
+        }
     }
 
     #[test]
