@@ -25,7 +25,9 @@
 //! the mismatch fails and Lemma 4.2 applies. Experiment E8 measures exactly
 //! this gap.
 
-use dradio_graphs::{DualGraph, Edge, NodeId};
+use std::sync::Arc;
+
+use dradio_graphs::{DualGraph, NodeId};
 use dradio_sim::process::log2_ceil;
 use dradio_sim::{AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess, Role};
 use rand::RngCore;
@@ -41,10 +43,19 @@ pub struct DecayAwareOblivious {
     /// set); `None` means it is derived from the role assignment at
     /// `on_start`.
     assumed_transmitters: Option<Vec<NodeId>>,
-    /// Per-receiver lists of (dynamic edge to a broadcaster).
-    grey_broadcaster_edges: Vec<Vec<Edge>>,
+    /// The network under attack, from `on_start`.
+    dual: Option<Arc<DualGraph>>,
+    /// Per-node flag: may this node transmit (rebuilt by `on_start`).
+    broadcasters: Vec<bool>,
+    /// Receiver `u`'s dynamic links to a broadcaster, as canonical
+    /// dynamic-edge indices: `grey[grey_offsets[u]..grey_offsets[u + 1]]`.
+    grey: Vec<u32>,
+    grey_offsets: Vec<usize>,
     /// Per-receiver count of reliable broadcaster neighbors.
     reliable_broadcasters: Vec<usize>,
+    /// The dynamic edges chosen in the current round, one bit per canonical
+    /// index; all zero between rounds.
+    chosen: Vec<u64>,
 }
 
 impl DecayAwareOblivious {
@@ -56,8 +67,12 @@ impl DecayAwareOblivious {
             levels: levels.max(1),
             overload: 4.0,
             assumed_transmitters: None,
-            grey_broadcaster_edges: Vec::new(),
+            dual: None,
+            broadcasters: Vec::new(),
+            grey: Vec::new(),
+            grey_offsets: Vec::new(),
             reliable_broadcasters: Vec::new(),
+            chosen: Vec::new(),
         }
     }
 
@@ -93,22 +108,34 @@ impl DecayAwareOblivious {
         0.5f64.powi(((round % self.levels) + 1).min(1024) as i32)
     }
 
-    fn index_broadcasters(&mut self, dual: &DualGraph, broadcasters: &[bool]) {
-        let n = dual.len();
-        self.grey_broadcaster_edges = vec![Vec::new(); n];
-        self.reliable_broadcasters = vec![0; n];
-        for u in NodeId::all(n) {
-            self.reliable_broadcasters[u.index()] = dual
-                .g_neighbors(u)
-                .iter()
-                .filter(|v| broadcasters[v.index()])
-                .count();
-            for &v in dual.g_prime_neighbors(u) {
-                if broadcasters[v.index()] && !dual.g().has_edge(u, v) {
-                    self.grey_broadcaster_edges[u.index()].push(Edge::new(u, v));
-                }
-            }
+    /// Indexes, per receiver, its reliable broadcaster neighbors (counted)
+    /// and its grey links to broadcasters (as canonical indices), into the
+    /// reused vectors.
+    fn index_broadcasters(&mut self, dual: &DualGraph) {
+        let index = dual.dynamic_index();
+        let broadcasters = &self.broadcasters;
+        self.grey.clear();
+        self.grey_offsets.clear();
+        self.grey_offsets.push(0);
+        self.reliable_broadcasters.clear();
+        for u in NodeId::all(dual.len()) {
+            self.reliable_broadcasters.push(
+                dual.g_neighbors(u)
+                    .iter()
+                    .filter(|v| broadcasters[v.index()])
+                    .count(),
+            );
+            self.grey.extend(
+                index
+                    .incident(u)
+                    .iter()
+                    .filter(|&&(v, _)| broadcasters[v as usize])
+                    .map(|&(_, k)| k),
+            );
+            self.grey_offsets.push(self.grey.len());
         }
+        self.chosen.clear();
+        self.chosen.resize(index.len().div_ceil(64), 0);
     }
 }
 
@@ -124,42 +151,45 @@ impl LinkProcess for DecayAwareOblivious {
         // node may eventually hold and relay the message, so every node is a
         // potential transmitter.
         let n = setup.dual.len();
-        let broadcasters = match &self.assumed_transmitters {
+        self.broadcasters.clear();
+        match &self.assumed_transmitters {
             Some(nodes) => {
-                let mut flags = vec![false; n];
+                self.broadcasters.resize(n, false);
                 for u in nodes {
                     if u.index() < n {
-                        flags[u.index()] = true;
+                        self.broadcasters[u.index()] = true;
                     }
                 }
-                flags
             }
             None => {
                 let is_global = setup
                     .assignment
                     .iter()
                     .any(|(_, role)| role == Role::Source);
-                let explicit: Vec<bool> = setup
-                    .assignment
-                    .iter()
-                    .map(|(_, role)| role == Role::Broadcaster)
-                    .collect();
-                if is_global || !explicit.contains(&true) {
-                    vec![true; n]
-                } else {
-                    explicit
+                self.broadcasters.extend(
+                    setup
+                        .assignment
+                        .iter()
+                        .map(|(_, role)| is_global || role == Role::Broadcaster),
+                );
+                if !self.broadcasters.contains(&true) {
+                    self.broadcasters.fill(true);
                 }
             }
-        };
-        self.index_broadcasters(setup.dual, &broadcasters);
+        }
+        self.index_broadcasters(setup.dual);
+        self.dual = Some(Arc::clone(setup.dual));
     }
 
     fn decide(&mut self, view: &AdversaryView<'_>, _rng: &mut dyn RngCore) -> LinkDecision {
+        let Some(dual) = &self.dual else {
+            return LinkDecision::none();
+        };
         let p = self.assumed_probability(view.round().index());
-        let mut active = Vec::new();
-        for u in 0..self.grey_broadcaster_edges.len() {
+        let mut chosen = 0usize;
+        for (u, bounds) in self.grey_offsets.windows(2).enumerate() {
             let reliable = self.reliable_broadcasters[u] as f64;
-            let grey = &self.grey_broadcaster_edges[u];
+            let grey = &self.grey[bounds[0]..bounds[1]];
             if grey.is_empty() {
                 continue;
             }
@@ -181,17 +211,37 @@ impl LinkProcess for DecayAwareOblivious {
             // between would bring the expectation closer to 1 and *help* the
             // algorithm.
             if (reliable + grey.len() as f64) * p >= self.overload {
-                active.extend_from_slice(grey);
+                for &k in grey {
+                    let (word, bit) = (k as usize / 64, 1u64 << (k % 64));
+                    chosen += usize::from(self.chosen[word] & bit == 0);
+                    self.chosen[word] |= bit;
+                }
             }
         }
-        active.sort_unstable();
-        active.dedup();
-        LinkDecision::from_edges(active)
+        // Each chosen edge once, in canonical order (which is edge order).
+        let edges = dual.dynamic_index().edges();
+        if chosen == 0 {
+            LinkDecision::none()
+        } else if chosen == edges.len() {
+            self.chosen.fill(0);
+            LinkDecision::all_dynamic(dual)
+        } else {
+            let mut active = Vec::with_capacity(chosen);
+            for (w, word) in self.chosen.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    active.push(edges[w * 64 + bits.trailing_zeros() as usize]);
+                    bits &= bits - 1;
+                }
+            }
+            LinkDecision::from_edges(active)
+        }
     }
 
     fn reset(&mut self) -> bool {
-        // Both per-receiver indexes are rebuilt by `on_start`; the attack
-        // parameters are immutable.
+        // The network, the broadcaster flags and both per-receiver indexes
+        // are rebuilt by `on_start`, and `decide` leaves no edge chosen; the
+        // attack parameters are immutable.
         true
     }
 
@@ -203,11 +253,150 @@ impl LinkProcess for DecayAwareOblivious {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::setup_ctx;
-    use dradio_graphs::topology;
-    use dradio_sim::{AdversarySetup, Round};
+    use crate::test_support::{setup_ctx, talker_factory};
+    use dradio_graphs::{topology, Edge};
+    use dradio_sim::{AdversarySetup, Assignment, Round};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The attack as first written: per-receiver lists of grey broadcaster
+    /// edges found by edge queries, concatenated, sorted and deduplicated
+    /// every round.
+    struct Reference {
+        attacker: DecayAwareOblivious,
+        grey: Vec<Vec<Edge>>,
+        reliable: Vec<usize>,
+    }
+
+    impl Reference {
+        fn new(attacker: &DecayAwareOblivious, dual: &DualGraph, broadcasters: &[bool]) -> Self {
+            let n = dual.len();
+            let mut grey = vec![Vec::new(); n];
+            let mut reliable = vec![0; n];
+            for u in NodeId::all(n) {
+                reliable[u.index()] = dual
+                    .g_neighbors(u)
+                    .iter()
+                    .filter(|v| broadcasters[v.index()])
+                    .count();
+                for &v in dual.g_prime_neighbors(u) {
+                    if broadcasters[v.index()] && !dual.g().has_edge(u, v) {
+                        grey[u.index()].push(Edge::new(u, v));
+                    }
+                }
+            }
+            Reference {
+                attacker: attacker.clone(),
+                grey,
+                reliable,
+            }
+        }
+
+        fn decide(&self, round: usize) -> Vec<Edge> {
+            let p = self.attacker.assumed_probability(round);
+            let overload = self.attacker.overload;
+            let mut active = Vec::new();
+            for (grey, &reliable) in self.grey.iter().zip(&self.reliable) {
+                let reliable = reliable as f64;
+                if grey.is_empty() || reliable == 0.0 || reliable * p >= overload {
+                    continue;
+                }
+                if (reliable + grey.len() as f64) * p >= overload {
+                    active.extend_from_slice(grey);
+                }
+            }
+            active.sort_unstable();
+            active.dedup();
+            active
+        }
+    }
+
+    #[test]
+    fn decisions_match_the_sorting_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let random =
+            topology::random_geometric(&topology::GeometricConfig::new(120, 6.0, 1.8), &mut rng)
+                .unwrap();
+        let networks = [
+            topology::grid_geometric(7, 6, 1.0, 1.5).unwrap(),
+            topology::dual_clique(16).unwrap(),
+            topology::dual_clique(64).unwrap(),
+            random,
+        ];
+        let (mut all_dynamic_rounds, mut near_misses) = (0, 0);
+        for dual in networks {
+            let dual = Arc::new(dual);
+            let n = dual.len();
+            let evens: Vec<NodeId> = NodeId::all(n).filter(|u| u.index() % 2 == 0).collect();
+            let half: Vec<NodeId> = NodeId::all(n / 2).collect();
+            // Each assignment with the transmitters it implies: every node
+            // for a global problem or one without broadcasters, else the
+            // broadcasters.
+            let assignments = [
+                (Assignment::global(n, NodeId::new(0)), vec![true; n]),
+                (
+                    Assignment::local(n, &evens),
+                    NodeId::all(n).map(|u| u.index() % 2 == 0).collect(),
+                ),
+                (Assignment::relays(n), vec![true; n]),
+            ];
+            let mut cases: Vec<(DecayAwareOblivious, &Assignment, Vec<bool>)> = assignments
+                .iter()
+                .map(|(assignment, derived)| {
+                    let attacker = DecayAwareOblivious::for_network(n);
+                    (attacker, assignment, derived.clone())
+                })
+                .collect();
+            // Assumed sets: one reaching past the network (ignored there),
+            // and one leaving out both ends of a dual clique's dynamic edge
+            // (0, n − 1), which no round can then choose.
+            let ends: Vec<NodeId> = NodeId::all(n)
+                .filter(|u| ![0, n - 1].contains(&u.index()))
+                .collect();
+            for nodes in [half.clone(), vec![NodeId::new(1), NodeId::new(n + 5)], ends] {
+                let flags = NodeId::all(n).map(|u| nodes.contains(&u)).collect();
+                let attacker = DecayAwareOblivious::new(5)
+                    .with_overload(2.5)
+                    .assuming_transmitters(nodes);
+                cases.push((attacker, &assignments[0].0, flags));
+            }
+            for (attacker, assignment, broadcasters) in cases {
+                let reference = Reference::new(&attacker, &dual, &broadcasters);
+                let mut attacker = attacker;
+                let factory = talker_factory(0.3);
+                let setup = AdversarySetup {
+                    dual: &dual,
+                    factory: &factory,
+                    assignment,
+                    horizon: 100,
+                };
+                // Two executions through one reused attacker.
+                for _ in 0..2 {
+                    attacker.on_start(&setup, &mut rng);
+                    for r in 0..3 * attacker.levels {
+                        let view = AdversaryView::new(Round::new(r), n, None, None, None);
+                        let decision = attacker.decide(&view, &mut rng);
+                        let expected = reference.decide(r);
+                        assert_eq!(decision.edges(), expected, "{} round {r}", dual.name());
+                        let every =
+                            !expected.is_empty() && expected.len() == dual.dynamic_index().len();
+                        assert_eq!(decision.is_all_dynamic_of(&dual), every, "round {r}");
+                        all_dynamic_rounds += usize::from(every);
+                        near_misses +=
+                            usize::from(expected.len() + 1 == dual.dynamic_index().len());
+                    }
+                }
+            }
+        }
+        assert!(
+            all_dynamic_rounds > 0,
+            "some round chooses every dynamic edge"
+        );
+        assert!(
+            near_misses > 0,
+            "some round chooses all dynamic edges but one"
+        );
+    }
 
     #[test]
     fn assumed_probability_follows_fixed_schedule() {

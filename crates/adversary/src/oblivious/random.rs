@@ -9,9 +9,11 @@
 //!
 //! Both are *oblivious*: the per-round coin flips are driven by the adversary
 //! RNG stream, fixed independently of the execution, and could equivalently
-//! have been tabulated before round 0. [`IidLinks`] declares exactly that
-//! through [`LinkProfile::Iid`], so the engine reads only the coins of edges
-//! that touch a transmitter instead of calling `decide`.
+//! have been tabulated before round 0. Both declare exactly that through a
+//! [`LinkProfile`], so the engine evaluates them instead of calling
+//! `decide`: under [`LinkProfile::Iid`] it reads only the coins of edges
+//! that touch a transmitter, and under [`LinkProfile::GilbertElliott`] it
+//! runs the chains itself over coins read in bulk.
 
 use std::sync::Arc;
 
@@ -181,6 +183,23 @@ impl LinkProcess for GilbertElliottLinks {
     fn name(&self) -> &'static str {
         "gilbert-elliott"
     }
+
+    fn link_profile(&self) -> LinkProfile {
+        // `on_start` draws one `bernoulli(rng, p_start_good)` per dynamic
+        // edge, and `decide` lists the good edges and then draws one
+        // `bernoulli` per edge: exactly one coin each, unless a transition
+        // probability is 0 or 1, where `bernoulli` draws none.
+        let open = |p: f64| 0.0 < p && p < 1.0;
+        if open(self.p_fail) && open(self.p_recover) {
+            LinkProfile::GilbertElliott {
+                p_fail: self.p_fail,
+                p_recover: self.p_recover,
+                p_start_good: self.p_start_good,
+            }
+        } else {
+            LinkProfile::Opaque
+        }
+    }
 }
 
 #[cfg(test)]
@@ -235,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn iid_declares_its_profile_and_bursty_links_do_not() {
+    fn iid_and_bursty_links_declare_profiles_degenerate_chains_do_not() {
         assert_eq!(
             IidLinks::new(0.3).link_profile(),
             LinkProfile::Iid { p: 0.3 }
@@ -245,10 +264,36 @@ mod tests {
             LinkProfile::Iid { p: 1.0 }
         );
         assert_eq!(
-            GilbertElliottLinks::new(0.1, 0.1).link_profile(),
-            LinkProfile::Opaque,
-            "a Markov chain needs every coin"
+            GilbertElliottLinks::new(0.1, 0.2).link_profile(),
+            LinkProfile::GilbertElliott {
+                p_fail: 0.1,
+                p_recover: 0.2,
+                p_start_good: 0.5,
+            }
         );
+        // The start probability may be anything: its draws happen once, in
+        // `on_start`, and `bernoulli`'s extremes draw nothing there.
+        for p_start_good in [0.0, 0.3, 1.0] {
+            assert_eq!(
+                GilbertElliottLinks::new(0.3, 0.6)
+                    .with_start_probability(p_start_good)
+                    .link_profile(),
+                LinkProfile::GilbertElliott {
+                    p_fail: 0.3,
+                    p_recover: 0.6,
+                    p_start_good,
+                }
+            );
+        }
+        // A transition probability of 0 or 1 draws no coin, so the number
+        // of coins a round draws depends on the chain states.
+        for (p_fail, p_recover) in [(0.0, 0.1), (1.0, 0.1), (0.1, 0.0), (0.1, 1.0), (7.0, -1.0)] {
+            assert_eq!(
+                GilbertElliottLinks::new(p_fail, p_recover).link_profile(),
+                LinkProfile::Opaque,
+                "({p_fail}, {p_recover}) is degenerate"
+            );
+        }
     }
 
     #[test]

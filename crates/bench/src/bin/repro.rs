@@ -166,7 +166,10 @@ fn example_scenario() -> String {
 /// allocation — the template for `--campaign`, also exercised by CI. The
 /// second group showcases the completion-targeted stop rule
 /// ([`StopRule::CompletionCi`]) and contention-curve streaming
-/// (`"curve": true`, reported by `campaign report --curves`).
+/// (`"curve": true`, reported by `campaign report --curves`). The third
+/// runs the bursty Gilbert–Elliott links and the decay-aware attack, so
+/// CI's Full-vs-None comparison checks the Gilbert–Elliott link profile
+/// against `decide`.
 fn example_campaign() -> CampaignSpec {
     CampaignSpec::named("example-clique-sweep")
         .seed(1)
@@ -210,6 +213,34 @@ fn example_campaign() -> CampaignSpec {
             })
             .rounds(RoundsRule::Fixed(960))
             .curve(true),
+        )
+        .group(
+            SweepGroup::product(
+                vec![
+                    TopologySpec::DualClique { n: 16 },
+                    TopologySpec::DualClique { n: 32 },
+                ],
+                vec![
+                    GlobalAlgorithm::Bgi.into(),
+                    GlobalAlgorithm::Permuted.into(),
+                ],
+                vec![
+                    AdversarySpec::GilbertElliott {
+                        p_fail: 0.1,
+                        p_recover: 0.1,
+                    },
+                    AdversarySpec::DecayAware {
+                        levels: None,
+                        assumed_transmitters: Vec::new(),
+                    },
+                ],
+                vec![ProblemSpec::GlobalFrom(0)],
+            )
+            .rounds(RoundsRule::PerNode {
+                per_node: 60,
+                base: 0,
+                min_nodes: 16,
+            }),
         )
 }
 

@@ -82,6 +82,10 @@ impl GeometricConfig {
 /// (hash-map iteration would vary run to run). Pairs are emitted in bucket
 /// order, not lexicographic order; [`Graph::from_edges`] sorts every row,
 /// so the resulting graphs are identical to the old scan's.
+///
+/// A coordinate too large for an `i64` cell index saturates to the last
+/// cell (an infinite one too), which only merges cells, and the
+/// neighbourhood of the last cell has no cell beyond it.
 type PairList = Vec<(usize, usize)>;
 
 fn classify_pairs(points: &[Point], r: f64) -> (PairList, PairList) {
@@ -95,7 +99,10 @@ fn classify_pairs(points: &[Point], r: f64) -> (PairList, PairList) {
     for (&(cx, cy), members) in &buckets {
         for dx in -1..=1i64 {
             for dy in -1..=1i64 {
-                let Some(other) = buckets.get(&(cx + dx, cy + dy)) else {
+                let Some(key) = cx.checked_add(dx).zip(cy.checked_add(dy)) else {
+                    continue;
+                };
+                let Some(other) = buckets.get(&key) else {
                     continue;
                 };
                 for &i in members {
@@ -371,5 +378,30 @@ mod tests {
         assert!(!dual.g().has_edge(b, c)); // distance 1.5 > 1 ...
         assert!(dual.g_prime().has_edge(b, c)); // ... but <= r: grey zone
         assert!(!dual.g_prime().has_edge(a, c)); // distance 2.4 > r
+    }
+
+    #[test]
+    fn huge_and_infinite_coordinates_build_without_overflow() {
+        // Cell indices saturate at the i64 range; the last cell has no
+        // neighbour beyond it.
+        let far = 1e300;
+        let points = vec![
+            Point::new(far, far),
+            Point::new(far, far),
+            Point::new(-far, -far),
+            Point::new(f64::INFINITY, 0.0),
+            Point::new(0.0, f64::NEG_INFINITY),
+            Point::new(0.5, 0.0),
+        ];
+        let dual = dual_from_points(points, 1.5, "far").unwrap();
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        assert!(
+            dual.g().has_edge(a, b),
+            "coincident far points are adjacent"
+        );
+        assert_eq!(dual.g_prime().edge_count(), 1);
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let sparse = random_geometric(&GeometricConfig::new(10, 1e300, 1.5), &mut rng);
+        assert!(matches!(sparse, Err(GraphError::Disconnected)));
     }
 }

@@ -592,6 +592,17 @@ mod tests {
     }
 
     #[test]
+    fn huge_deployments_fail_to_connect_instead_of_overflowing() {
+        let spec: TopologySpec =
+            serde_json::from_str(r#"{"RandomGeometric":{"n":10,"side":1e300,"r":1.5,"seed":1}}"#)
+                .unwrap();
+        assert!(
+            spec.build().is_err(),
+            "ten points across 1e300 never connect"
+        );
+    }
+
+    #[test]
     fn metadata_is_attached_where_available() {
         let b = TopologySpec::Bracelet { k: 3 }.build().unwrap();
         assert!(b.bracelet.is_some());

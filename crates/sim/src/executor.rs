@@ -56,10 +56,7 @@ use crate::config::SimConfig;
 use crate::engine::{derive_stream_seed, ExecutionOutcome};
 use crate::error::SimError;
 use crate::history::{Delivery, RoundRecord};
-use crate::link::{
-    activate_iid_edges, AdversaryClass, AdversarySetup, AdversaryView, IidPlan, LinkProcess,
-    LinkProfile,
-};
+use crate::link::{AdversaryClass, AdversarySetup, AdversaryView, LinkPlan, LinkProcess};
 use crate::metrics::Metrics;
 use crate::process::{Assignment, Process, ProcessContext, ProcessFactory};
 use crate::recorder::{RecordMode, Recorder};
@@ -330,7 +327,9 @@ impl TrialExecutor {
         let mut metrics = Metrics::default();
         let scratch = &mut self.scratch;
 
-        // Start-of-execution hooks.
+        // Start-of-execution hooks. A link profile replays what `on_start`
+        // drew, so its plan needs the stream position it began at.
+        let link_begin = self.adversary_rng.get_word_pos();
         {
             let setup = AdversarySetup {
                 dual: &self.dual,
@@ -345,13 +344,18 @@ impl TrialExecutor {
             scratch.wake[i] = wake_index(process.next_wake(Round::ZERO));
         }
 
-        // An `Iid` profile lets the engine read only the coins reception can
-        // see, unless the history must list every active edge.
-        let iid = match link.link_profile() {
-            LinkProfile::Iid { p } if !adaptive && !recorder.wants_edges() => {
-                Some(IidPlan::new(p, &self.adversary_rng, &self.dual))
-            }
-            _ => None,
+        // A link profile lets the engine evaluate the oblivious link process
+        // itself, unless the history must list every active edge.
+        let mut plan = if adaptive || recorder.wants_edges() {
+            None
+        } else {
+            LinkPlan::new(
+                link.link_profile(),
+                link_begin,
+                &mut self.adversary_rng,
+                &self.dual,
+                &mut scratch.chains,
+            )
         };
 
         let mut completion_round = None;
@@ -425,11 +429,10 @@ impl TrialExecutor {
             // The round's genuine dynamic edges as proposed, kept only for a
             // Full history (which lists each once, see step 7).
             let mut listed_edges: Vec<Edge> = Vec::new(); // lint: allow(D3) -- Vec::new is allocation-free; pushes happen only under Full recording
-            if let Some(plan) = &iid {
+            if let Some(plan) = &mut plan {
                 let bits = &scratch.transmitter_bits;
                 let heard = &mut scratch.heard;
-                activate_iid_edges(
-                    plan,
+                plan.hear_round(
                     &self.dual,
                     round,
                     scratch.transmitters.iter().map(|v| v.index()),
@@ -714,6 +717,9 @@ struct RoundScratch {
     /// is awake in round `r` iff its entry is at most `r`, and `usize::MAX`
     /// stands for "until it hears something".
     wake: Vec<usize>,
+    /// Each dynamic edge's Gilbert–Elliott chain state, canonically
+    /// indexed (`true` for good), under a `GilbertElliott` link plan.
+    chains: Vec<bool>,
 }
 
 impl RoundScratch {
@@ -725,6 +731,7 @@ impl RoundScratch {
             transmitter_bits: vec![0u64; words_per_row],
             heard: vec![0u32; n],
             wake: vec![0; n],
+            chains: Vec::new(),
         }
     }
 

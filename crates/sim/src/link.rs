@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use dradio_graphs::{DualGraph, Edge, NodeId};
+use dradio_graphs::{DualGraph, DynamicEdgeIndex, Edge, NodeId};
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 
@@ -112,8 +112,9 @@ impl LinkDecision {
     }
 
     /// Returns `true` if this is [`LinkDecision::all_dynamic`] over the very
-    /// network `dual` points to.
-    pub(crate) fn is_all_dynamic_of(&self, dual: &Arc<DualGraph>) -> bool {
+    /// network `dual` points to (the decisions the executor folds over
+    /// `G'`; an explicit list of every dynamic edge is not one).
+    pub fn is_all_dynamic_of(&self, dual: &Arc<DualGraph>) -> bool {
         matches!(&self.edges, DecisionEdges::AllDynamic(own) if Arc::ptr_eq(own, dual))
     }
 }
@@ -278,14 +279,16 @@ pub trait LinkProcess: Send {
     ///
     /// Under the collision rule a listener's round depends only on the
     /// dynamic edges between it and a transmitter. So when the class is
-    /// oblivious, no history is recorded and the profile is
-    /// [`LinkProfile::Iid`], the executors never call `decide`: each round
-    /// they read the coins of the dynamic edges joining a transmitter to a
-    /// listener, straight from the adversary stream, and hear each edge
-    /// that is on at its listener. Under
-    /// [`RecordMode::Full`](crate::RecordMode::Full) the history lists every
-    /// active edge, so `decide` runs as usual; that path is the reference
-    /// the profile path is tested against.
+    /// oblivious, no history is recorded and the profile is not
+    /// [`LinkProfile::Opaque`], the executor never calls `decide`: each
+    /// round it walks the dynamic edges joining a transmitter to a
+    /// listener and hears each one that is on at its listener. Under
+    /// [`LinkProfile::Iid`] it reads those edges' coins straight from the
+    /// adversary stream; under [`LinkProfile::GilbertElliott`] it keeps
+    /// every edge's chain itself and advances them all over coins read in
+    /// bulk. Under [`RecordMode::Full`](crate::RecordMode::Full) the
+    /// history lists every active edge, so `decide` runs as usual; that
+    /// path is the reference the profile path is tested against.
     ///
     /// # Contract for `Iid { p }`
     ///
@@ -306,9 +309,34 @@ pub trait LinkProcess: Send {
     /// * `decide` draws nothing else, ignores its view, and proposes no
     ///   edge outside `E' \ E`.
     ///
-    /// Violating the contract silently desynchronizes the profile path from
-    /// `decide`; the root `integration_link_profile` suite pins the two
-    /// against each other.
+    /// # Contract for `GilbertElliott { p_fail, p_recover, p_start_good }`
+    ///
+    /// With `m`, edge `k` and canonical order as above, and `begin` the
+    /// adversary stream's word position when [`LinkProcess::on_start`] is
+    /// called:
+    ///
+    /// * The class is [`AdversaryClass::Oblivious`], and
+    ///   `0 < p_fail < 1` and `0 < p_recover < 1`.
+    /// * `on_start` draws one
+    ///   [`sampling::bernoulli(rng, p_start_good)`](crate::sampling::bernoulli)
+    ///   per dynamic edge, in canonical order, and nothing else: edge `k`'s
+    ///   chain starts good iff its draw holds (no coin is drawn when
+    ///   `p_start_good` is at most 0 or at least 1).
+    /// * In round `r`, [`LinkProcess::decide`] activates exactly the edges
+    ///   whose chain is good at the start of `r`. Then it draws exactly one
+    ///   coin (`bernoulli`) per edge, in canonical order: a good chain turns
+    ///   bad iff its coin is below `p_fail`, a bad one turns good iff its
+    ///   coin is below `p_recover`.
+    /// * `decide` draws nothing else, ignores its view, and proposes no
+    ///   edge outside `E' \ E`.
+    ///
+    /// A chain with a transition probability of 0 or 1 draws a variable
+    /// number of coins (`bernoulli` draws none at the extremes), so it must
+    /// stay `Opaque`.
+    ///
+    /// Violating either contract silently desynchronizes the profile path
+    /// from `decide`; the root `integration_link_profile` suite pins the
+    /// two against each other.
     fn link_profile(&self) -> LinkProfile {
         LinkProfile::Opaque
     }
@@ -330,17 +358,127 @@ pub enum LinkProfile {
         /// [`sampling::bernoulli`](crate::sampling::bernoulli)).
         p: f64,
     },
+    /// Each dynamic edge follows its own two-state (good/bad) Markov chain
+    /// and is present while good, drawn from the adversary stream as the
+    /// [`LinkProcess::link_profile`] contract lays out.
+    GilbertElliott {
+        /// Per-round probability a good chain turns bad, in `(0, 1)`.
+        p_fail: f64,
+        /// Per-round probability a bad chain turns good, in `(0, 1)`.
+        p_recover: f64,
+        /// Probability a chain starts good (clamped semantics of
+        /// [`sampling::bernoulli`](crate::sampling::bernoulli)).
+        p_start_good: f64,
+    },
 }
 
-/// Which dynamic edges an `Iid` profile can switch on.
+/// What [`sampling::bernoulli`](crate::sampling::bernoulli) with
+/// probability `p` does.
 #[derive(Debug, Clone, Copy)]
 enum CoinRule {
-    /// `p ≤ 0`: none, and no coin exists.
+    /// `p ≤ 0`: false, and no coin is drawn.
     Never,
-    /// `p ≥ 1`: all, and no coin exists.
+    /// `p ≥ 1`: true, and no coin is drawn.
     Always,
-    /// Edge present iff its coin `x` has `(x >> 11) < threshold`.
+    /// True iff the coin `x` it draws has `(x >> 11) < threshold`.
     Below(u64),
+}
+
+impl CoinRule {
+    fn of(p: f64) -> CoinRule {
+        if p <= 0.0 {
+            CoinRule::Never
+        } else if p >= 1.0 {
+            CoinRule::Always
+        } else {
+            CoinRule::Below(bernoulli_threshold(p))
+        }
+    }
+}
+
+/// How the engine evaluates one execution's link decisions when the link
+/// process declares a profile it may use (see
+/// [`LinkProcess::link_profile`]).
+#[derive(Debug)]
+pub(crate) enum LinkPlan<'a> {
+    /// [`LinkProfile::Iid`]: seek each heard edge's coin.
+    Iid(IidPlan),
+    /// [`LinkProfile::GilbertElliott`]: run every chain, in bulk.
+    GilbertElliott(GePlan<'a>),
+}
+
+impl<'a> LinkPlan<'a> {
+    /// The plan for `profile`, or `None` for [`LinkProfile::Opaque`]. `rng`
+    /// is the adversary stream standing where `on_start` left it, and
+    /// `begin` its word position when `on_start` was called; `chains` is
+    /// reused storage for the Gilbert–Elliott chain states.
+    pub(crate) fn new(
+        profile: LinkProfile,
+        begin: u128,
+        rng: &mut ChaCha8Rng,
+        dual: &DualGraph,
+        chains: &'a mut Vec<bool>,
+    ) -> Option<LinkPlan<'a>> {
+        match profile {
+            LinkProfile::Opaque => None,
+            LinkProfile::Iid { p } => Some(LinkPlan::Iid(IidPlan::new(p, rng, dual))),
+            LinkProfile::GilbertElliott {
+                p_fail,
+                p_recover,
+                p_start_good,
+            } => {
+                let flip = [p_recover, p_fail].map(bernoulli_threshold);
+                let plan = GePlan::new(flip, p_start_good, begin, rng, dual, chains);
+                Some(LinkPlan::GilbertElliott(plan))
+            }
+        }
+    }
+
+    // lint: hot-path
+    /// Hears the dynamic edges of `round` that reception can see: each
+    /// active edge joining one of `transmitters` to a node `w` for which
+    /// `transmits` is false is passed to `hear` as `(w, transmitter)`, once.
+    /// Rounds must be heard in order, each once.
+    pub(crate) fn hear_round(
+        &mut self,
+        dual: &DualGraph,
+        round: Round,
+        transmitters: impl Iterator<Item = usize>,
+        transmits: impl Fn(usize) -> bool,
+        rng: &mut ChaCha8Rng,
+        hear: impl FnMut(usize, usize),
+    ) {
+        match self {
+            LinkPlan::Iid(plan) => match plan.rule {
+                CoinRule::Never => {}
+                CoinRule::Always => {
+                    let index = dual.dynamic_index();
+                    hear_present(index, transmitters, transmits, |_| true, hear);
+                }
+                CoinRule::Below(threshold) => {
+                    // Seek to exactly the word where `decide` would draw
+                    // edge k's coin.
+                    let round_start = plan.start + 2 * plan.coins_per_round * round.index() as u128;
+                    let present = |k: u32| {
+                        rng.set_word_pos(round_start + 2 * u128::from(k));
+                        (rng.next_u64() >> 11) < threshold
+                    };
+                    hear_present(dual.dynamic_index(), transmitters, transmits, present, hear);
+                }
+            },
+            LinkPlan::GilbertElliott(plan) => {
+                if round.index() > 0 {
+                    // The transition out of the previous round, which
+                    // `decide` drew at its end.
+                    step_chains(plan.chains, plan.flip, rng);
+                }
+                let chains = &*plan.chains;
+                let present = |k: u32| chains[k as usize];
+                hear_present(dual.dynamic_index(), transmitters, transmits, present, hear);
+            }
+        }
+    }
+    // lint: end-hot-path
 }
 
 /// One execution's plan for a [`LinkProfile::Iid`] adversary: the coin
@@ -357,14 +495,8 @@ impl IidPlan {
     /// The plan for presence probability `p`, with the adversary stream
     /// `rng` standing where `on_start` left it. Builds the network's
     /// dynamic-edge index unless `p ≤ 0`.
-    pub(crate) fn new(p: f64, rng: &ChaCha8Rng, dual: &DualGraph) -> IidPlan {
-        let rule = if p >= 1.0 {
-            CoinRule::Always
-        } else if p > 0.0 {
-            CoinRule::Below(bernoulli_threshold(p))
-        } else {
-            CoinRule::Never
-        };
+    fn new(p: f64, rng: &ChaCha8Rng, dual: &DualGraph) -> IidPlan {
+        let rule = CoinRule::of(p);
         let coins_per_round = match rule {
             CoinRule::Below(_) => dual.dynamic_index().len() as u128,
             CoinRule::Never | CoinRule::Always => 0,
@@ -377,45 +509,87 @@ impl IidPlan {
     }
 }
 
+/// One execution's plan for a [`LinkProfile::GilbertElliott`] adversary:
+/// every dynamic edge's chain state, indexed canonically (`true` for good),
+/// and the coin thresholds that flip a chain.
+#[derive(Debug)]
+pub(crate) struct GePlan<'a> {
+    chains: &'a mut Vec<bool>,
+    /// A chain in state `s` flips iff its coin `x` has
+    /// `(x >> 11) < flip[s as usize]`: `[p_recover, p_fail]` as thresholds.
+    flip: [u64; 2],
+}
+
+impl<'a> GePlan<'a> {
+    /// The plan for the chain thresholds `flip` and start probability
+    /// `p_start_good`, with the adversary stream `rng` standing where
+    /// `on_start` left it and `begin` its word position when `on_start` was
+    /// called. Replays `on_start`'s draws into `chains`, then leaves `rng`
+    /// where `on_start` left it.
+    fn new(
+        flip: [u64; 2],
+        p_start_good: f64,
+        begin: u128,
+        rng: &mut ChaCha8Rng,
+        dual: &DualGraph,
+        chains: &'a mut Vec<bool>,
+    ) -> GePlan<'a> {
+        let m = dual.dynamic_index().len();
+        chains.clear();
+        match CoinRule::of(p_start_good) {
+            CoinRule::Never => chains.resize(m, false),
+            CoinRule::Always => chains.resize(m, true),
+            CoinRule::Below(threshold) => {
+                // Every chain starts bad and flips to good on its coin.
+                let resume = rng.get_word_pos();
+                rng.set_word_pos(begin);
+                chains.resize(m, false);
+                step_chains(chains, [threshold; 2], rng);
+                rng.set_word_pos(resume);
+            }
+        }
+        GePlan { chains, flip }
+    }
+}
+
+/// Coins [`step_chains`] reads from the stream at once.
+const CHAIN_COINS: usize = 256;
+
 // lint: hot-path
-/// Hears the dynamic edges of `round` that reception can see: each edge
+/// Hears the dynamic edges of a round that reception can see: each edge `k`
 /// joining one of `transmitters` to a node `w` for which `transmits` is
-/// false, whose coin (read by seeking `rng` to exactly the word where
-/// [`LinkProcess::decide`] would draw it) switches it on, is passed to
-/// `hear` as `(w, transmitter)`, once. Edges between two listeners or two
-/// transmitters never change a reception, so their coins are never read.
-pub(crate) fn activate_iid_edges(
-    plan: &IidPlan,
-    dual: &DualGraph,
-    round: Round,
+/// false, and for which `present(k)` holds, is passed to `hear` as
+/// `(w, transmitter)`, once. Edges between two listeners or two
+/// transmitters never change a reception, so `present` is never asked
+/// about them.
+fn hear_present(
+    index: &DynamicEdgeIndex,
     transmitters: impl Iterator<Item = usize>,
     transmits: impl Fn(usize) -> bool,
-    rng: &mut ChaCha8Rng,
+    mut present: impl FnMut(u32) -> bool,
     mut hear: impl FnMut(usize, usize),
 ) {
-    let threshold = match plan.rule {
-        CoinRule::Never => return,
-        CoinRule::Always => None,
-        CoinRule::Below(threshold) => Some(threshold),
-    };
-    let index = dual.dynamic_index();
-    let round_start = plan.start + 2 * plan.coins_per_round * round.index() as u128;
     for t in transmitters {
         for &(w, k) in index.incident(NodeId::new(t)) {
             let w = w as usize;
-            if transmits(w) {
-                continue;
-            }
-            let present = match threshold {
-                Some(threshold) => {
-                    rng.set_word_pos(round_start + 2 * u128::from(k));
-                    (rng.next_u64() >> 11) < threshold
-                }
-                None => true,
-            };
-            if present {
+            if !transmits(w) && present(k) {
                 hear(w, t);
             }
+        }
+    }
+}
+
+/// Draws one coin per chain from `rng`, in order, and flips each chain
+/// whose coin is below its state's threshold in `flip` (see
+/// [`GePlan::flip`]): the same coins `bernoulli` would draw one by one,
+/// read [`CHAIN_COINS`] at a time.
+fn step_chains(chains: &mut [bool], flip: [u64; 2], rng: &mut ChaCha8Rng) {
+    let mut coins = [[0u8; 8]; CHAIN_COINS];
+    for chunk in chains.chunks_mut(CHAIN_COINS) {
+        let coins = &mut coins[..chunk.len()];
+        rng.fill_bytes(coins.as_flattened_mut());
+        for (good, coin) in chunk.iter_mut().zip(coins.iter()) {
+            *good ^= (u64::from_le_bytes(*coin) >> 11) < flip[usize::from(*good)];
         }
     }
 }

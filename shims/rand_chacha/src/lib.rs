@@ -13,6 +13,26 @@ use rand::{RngCore, SeedableRng};
 
 const ROUNDS: usize = 8;
 
+/// The first four words of every block: "expand 32-byte k".
+const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+/// Blocks [`RngCore::fill_bytes`] computes at once, side by side in the
+/// lanes of `[[u32; LANES]; 16]` (see [`wide_blocks`]); 1 means one block at
+/// a time through the scalar core.
+///
+/// A compile-time choice, because the interleaved kernel pays only where
+/// the compiler keeps its sixteen rows in vector registers and rotates them
+/// in one instruction. Measured on a 2-core AVX-512 x86-64 box (bulk fills
+/// of 2 KiB, ns per block): under `target-cpu=native` 10.5 with 4 lanes,
+/// 21.6 with 8 and 27.5 one block at a time; under `x86-64-v3` 47.2 with 4
+/// lanes against 48.0, and under `x86-64` 55.4 against 54.8, so there the
+/// kernel gains nothing.
+const LANES: usize = if cfg!(target_feature = "avx512vl") {
+    4
+} else {
+    1
+};
+
 /// A ChaCha stream cipher RNG with 8 rounds.
 #[derive(Debug, Clone)]
 pub struct ChaCha8Rng {
@@ -38,13 +58,78 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
+/// The quarter round of [`quarter_round`] on `L` blocks at once, lane by
+/// lane: row `i` holds word `i` of every block.
+// Each lane reads and writes four rows of one array; indexing by lane is
+// what the compiler turns into row-wide vector operations (copying the rows
+// out to iterate them measured 4× slower).
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn wide_quarter_round<const L: usize>(
+    state: &mut [[u32; L]; 16],
+    a: usize,
+    b: usize,
+    c: usize,
+    d: usize,
+) {
+    for lane in 0..L {
+        state[a][lane] = state[a][lane].wrapping_add(state[b][lane]);
+        state[d][lane] = (state[d][lane] ^ state[a][lane]).rotate_left(16);
+        state[c][lane] = state[c][lane].wrapping_add(state[d][lane]);
+        state[b][lane] = (state[b][lane] ^ state[c][lane]).rotate_left(12);
+        state[a][lane] = state[a][lane].wrapping_add(state[b][lane]);
+        state[d][lane] = (state[d][lane] ^ state[a][lane]).rotate_left(8);
+        state[c][lane] = state[c][lane].wrapping_add(state[d][lane]);
+        state[b][lane] = (state[b][lane] ^ state[c][lane]).rotate_left(7);
+    }
+}
+
+/// Blocks `counter, counter + 1, …, counter + L − 1` of the stream keyed by
+/// `key`, interleaved: word `i` of block `counter + l` is `out[i][l]`.
+/// Bit-exact with computing each block through `ChaCha8Rng::refill`.
+fn wide_blocks<const L: usize>(key: &[u32; 8], counter: u64) -> [[u32; L]; 16] {
+    let mut state = [[0u32; L]; 16];
+    for (row, &word) in state.iter_mut().zip(CONSTANTS.iter().chain(key)) {
+        *row = [word; L];
+    }
+    let block = |lane: usize| counter.wrapping_add(lane as u64);
+    state[12] = std::array::from_fn(|lane| block(lane) as u32);
+    state[13] = std::array::from_fn(|lane| (block(lane) >> 32) as u32);
+    let input = state;
+    for _ in 0..ROUNDS / 2 {
+        wide_quarter_round(&mut state, 0, 4, 8, 12);
+        wide_quarter_round(&mut state, 1, 5, 9, 13);
+        wide_quarter_round(&mut state, 2, 6, 10, 14);
+        wide_quarter_round(&mut state, 3, 7, 11, 15);
+        wide_quarter_round(&mut state, 0, 5, 10, 15);
+        wide_quarter_round(&mut state, 1, 6, 11, 12);
+        wide_quarter_round(&mut state, 2, 7, 8, 13);
+        wide_quarter_round(&mut state, 3, 4, 9, 14);
+    }
+    for (row, start) in state.iter_mut().zip(input) {
+        for (word, start) in row.iter_mut().zip(start) {
+            *word = word.wrapping_add(start);
+        }
+    }
+    state
+}
+
+/// Writes `words` into `out` as little-endian bytes (`out` holds exactly
+/// four bytes per word).
+#[inline]
+fn put_words<'a>(out: &mut [u8], words: impl IntoIterator<Item = &'a u32>) {
+    for (bytes, word) in out.chunks_exact_mut(4).zip(words) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+}
+
 impl ChaCha8Rng {
     fn refill(&mut self) {
         let mut state: [u32; 16] = [
-            0x6170_7865,
-            0x3320_646e,
-            0x7962_2d32,
-            0x6b20_6574,
+            CONSTANTS[0],
+            CONSTANTS[1],
+            CONSTANTS[2],
+            CONSTANTS[3],
             self.key[0],
             self.key[1],
             self.key[2],
@@ -99,6 +184,55 @@ impl ChaCha8Rng {
         self.index = (word_offset % 16) as usize;
     }
     // lint: end-hot-path
+
+    /// Fills `out` (a whole number of words) with the next keystream words
+    /// as little-endian bytes: the buffered words first, then whole blocks
+    /// straight into `out` ([`LANES`] at a time while that many fit), then
+    /// the rest word by word. The buffer is left holding block
+    /// `counter − 1`, so seeking stays correct.
+    fn fill_words(&mut self, out: &mut [u8]) {
+        let buffered = (16 - self.index).min(out.len() / 4);
+        let (head, out) = out.split_at_mut(4 * buffered);
+        put_words(head, &self.buffer[self.index..self.index + buffered]);
+        self.index += buffered;
+        let out = if LANES > 1 {
+            self.fill_groups(out)
+        } else {
+            out
+        };
+        let mut blocks = out.chunks_exact_mut(64);
+        for block in &mut blocks {
+            self.refill();
+            put_words(block, &self.buffer);
+            self.index = 16;
+        }
+        for word in blocks.into_remainder().chunks_exact_mut(4) {
+            word.copy_from_slice(&self.next_u32().to_le_bytes());
+        }
+    }
+
+    /// Fills as many whole groups of [`LANES`] blocks of `out` as fit, from
+    /// block `counter` on, through [`wide_blocks`], and returns the rest.
+    /// Called with the buffer exhausted; leaves it holding the last block
+    /// written, as [`ChaCha8Rng::refill`] would have.
+    fn fill_groups<'a>(&mut self, out: &'a mut [u8]) -> &'a mut [u8] {
+        let mut groups = out.chunks_exact_mut(64 * LANES);
+        let mut last = None;
+        for group in &mut groups {
+            let blocks = wide_blocks::<LANES>(&self.key, self.counter);
+            for (lane, block) in group.chunks_exact_mut(64).enumerate() {
+                put_words(block, blocks.iter().map(|row| &row[lane]));
+            }
+            self.counter = self.counter.wrapping_add(LANES as u64);
+            last = Some(blocks);
+        }
+        if let Some(blocks) = last {
+            for (word, row) in self.buffer.iter_mut().zip(&blocks) {
+                *word = row[LANES - 1];
+            }
+        }
+        groups.into_remainder()
+    }
 }
 
 impl SeedableRng for ChaCha8Rng {
@@ -137,6 +271,20 @@ impl RngCore for ChaCha8Rng {
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
         lo | (hi << 32)
+    }
+
+    /// The trait default's bytes — the little-endian bytes of successive
+    /// `next_u64`s, a partial tail consuming a whole one — computed whole
+    /// blocks at a time. Since `next_u64` puts its first word low, whole
+    /// `u64`s are just the keystream words in order.
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        let whole = dest.len() - dest.len() % 8;
+        let (words, tail) = dest.split_at_mut(whole);
+        self.fill_words(words);
+        if !tail.is_empty() {
+            let coin = self.next_u64().to_le_bytes();
+            tail.copy_from_slice(&coin[..tail.len()]);
+        }
     }
 }
 
@@ -246,6 +394,90 @@ mod tests {
             let a: Vec<u64> = (0..20).map(|_| rng.next_u64()).collect();
             let b: Vec<u64> = (0..20).map(|_| seeked.next_u64()).collect();
             assert_eq!(a, b, "after {reads} reads");
+        }
+    }
+
+    /// A generator whose `fill_bytes` is the trait default, built from the
+    /// wrapped one's `next_u64`.
+    struct DefaultFill(ChaCha8Rng);
+
+    impl RngCore for DefaultFill {
+        fn next_u32(&mut self) -> u32 {
+            self.0.next_u32()
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn fill_bytes_matches_the_trait_default() {
+        // From the stream's start, and from block 2³² − 2, so that the
+        // first bulk group straddles block 2³², whose counter carries into
+        // the high word; every starting word offset within and just past a
+        // block, every length up to two groups and a tail.
+        let straddle = (u128::from(u32::MAX) - 1) * 16;
+        for base in [0u128, straddle] {
+            for offset in 0..=17u128 {
+                let mut fresh = ChaCha8Rng::seed_from_u64(6);
+                fresh.set_word_pos(base + offset);
+                for len in 0..=128 * LANES + 13 {
+                    let mut bulk = fresh.clone();
+                    let mut default = DefaultFill(fresh.clone());
+                    let (mut a, mut b) = (vec![0u8; len], vec![0u8; len]);
+                    bulk.fill_bytes(&mut a);
+                    default.fill_bytes(&mut b);
+                    assert_eq!(a, b, "base {base} offset {offset} len {len}");
+                    assert_eq!(bulk.get_word_pos(), default.0.get_word_pos());
+                    assert_eq!(bulk.next_u64(), default.next_u64(), "then {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seeking_after_a_bulk_fill_reads_the_stream() {
+        let stream = sequential(12, 64 * 16);
+        for len in [8 * 64 * LANES, 8 * 64 * LANES + 8, 8 * 64 * LANES + 64] {
+            let mut rng = ChaCha8Rng::seed_from_u64(12);
+            let mut out = vec![0u8; len];
+            rng.fill_bytes(&mut out);
+            let end = len / 4;
+            // The words of the last bulk block, the block the buffer holds
+            // (the stale-buffer hazard), then earlier and later blocks.
+            for pos in [
+                end - 1,
+                end - 16,
+                end - 7,
+                end,
+                end + 1,
+                3,
+                end + 40,
+                end - 1,
+            ] {
+                rng.set_word_pos(pos as u128);
+                assert_eq!(rng.next_u32(), stream[pos], "len {len} word {pos}");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_blocks_are_bit_exact_with_refill() {
+        fn check<const L: usize>(counter: u64) {
+            let mut rng = ChaCha8Rng::seed_from_u64(13);
+            let blocks = wide_blocks::<L>(&rng.key, counter);
+            for lane in 0..L {
+                rng.counter = counter.wrapping_add(lane as u64);
+                rng.refill();
+                let wide: Vec<u32> = blocks.iter().map(|row| row[lane]).collect();
+                assert_eq!(wide, rng.buffer, "lane {lane} of {L} from block {counter}");
+            }
+        }
+        for counter in [0, 1, 7, u64::from(u32::MAX) - 2, u64::MAX - 1] {
+            check::<LANES>(counter);
+            check::<1>(counter);
+            check::<4>(counter);
+            check::<8>(counter);
         }
     }
 

@@ -1,12 +1,15 @@
 //! Engine-evaluated link profiles. An adversary that declares
-//! `LinkProfile::Iid` lets the executors skip `decide` and read only the
+//! `LinkProfile::Iid` lets the executor skip `decide` and read only the
 //! coins of dynamic edges between a transmitter and a listener, seeking the
-//! adversary stream to where `decide` would have drawn them. These suites
-//! pin that this profile path equals the reference path — the same adversary
-//! behind a wrapper that hides its profile, so `decide` runs — outcome for
-//! outcome, through a reused executor and through the runner's fan-out, and
-//! that both paths match closed-form rates.
+//! adversary stream to where `decide` would have drawn them; one that
+//! declares `LinkProfile::GilbertElliott` lets it run every edge's chain
+//! itself over coins read in bulk. These suites pin that this profile path
+//! equals the reference path — the same adversary behind a wrapper that
+//! hides its profile, so `decide` runs — outcome for outcome, through a
+//! reused executor and through the runner's fan-out, and that both paths
+//! match closed-form rates.
 
+#[allow(dead_code)]
 mod support;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,7 +21,7 @@ use dradio::scenario::ScenarioBuilder;
 use dradio::sim::{AdversarySetup, AdversaryView, LinkDecision, LinkProfile};
 use proptest::prelude::*;
 use rand::RngCore;
-use support::{beacon_builder, beacon_scenario, families, on_layout, scalar_loop};
+use support::{beacon_builder, families, on_layout, scalar_loop};
 
 /// Forwards everything to the wrapped process except
 /// [`LinkProcess::link_profile`], which stays `Opaque`: the engine must call
@@ -47,33 +50,93 @@ impl<L: LinkProcess + ?Sized> LinkProcess for Opaque<L> {
     }
 }
 
-/// Every adversary that declares an `Iid` profile, with the link process
-/// it builds.
-fn profiled() -> Vec<AdversarySpec> {
-    vec![
-        AdversarySpec::Iid { p: 0.0 },
-        AdversarySpec::Iid { p: 0.3 },
-        AdversarySpec::Iid { p: 0.5 },
-        AdversarySpec::Iid { p: 1.0 },
-        AdversarySpec::StaticAll,
-        AdversarySpec::StaticNone,
-    ]
+/// An adversary that declares a link profile: a spec, or a Gilbert–Elliott
+/// chain with a start probability no spec carries.
+#[derive(Debug, Clone)]
+enum Profiled {
+    Spec(AdversarySpec),
+    Starting {
+        p_fail: f64,
+        p_recover: f64,
+        p_start_good: f64,
+    },
 }
 
-fn link_for(spec: &AdversarySpec) -> Box<dyn LinkProcess> {
-    match spec {
-        AdversarySpec::Iid { p } => Box::new(IidLinks::new(*p)),
-        AdversarySpec::StaticAll => Box::new(StaticLinks::all()),
-        AdversarySpec::StaticNone => Box::new(StaticLinks::none()),
-        other => panic!("{} declares no profile", other.label()),
+impl Profiled {
+    fn label(&self) -> String {
+        match self {
+            Profiled::Spec(spec) => spec.label(),
+            Profiled::Starting {
+                p_fail,
+                p_recover,
+                p_start_good,
+            } => format!("bursty({p_fail},{p_recover},start {p_start_good})"),
+        }
+    }
+
+    /// The link process it builds.
+    fn link(&self) -> Box<dyn LinkProcess> {
+        match self {
+            Profiled::Spec(AdversarySpec::Iid { p }) => Box::new(IidLinks::new(*p)),
+            Profiled::Spec(AdversarySpec::StaticAll) => Box::new(StaticLinks::all()),
+            Profiled::Spec(AdversarySpec::StaticNone) => Box::new(StaticLinks::none()),
+            Profiled::Spec(AdversarySpec::GilbertElliott { p_fail, p_recover }) => {
+                Box::new(GilbertElliottLinks::new(*p_fail, *p_recover))
+            }
+            Profiled::Spec(other) => panic!("{} declares no profile", other.label()),
+            Profiled::Starting {
+                p_fail,
+                p_recover,
+                p_start_good,
+            } => Box::new(
+                GilbertElliottLinks::new(*p_fail, *p_recover).with_start_probability(*p_start_good),
+            ),
+        }
+    }
+
+    /// `builder` under this adversary, through its spec where it has one.
+    fn scenario(&self, builder: ScenarioBuilder) -> Scenario {
+        match self {
+            Profiled::Spec(spec) => builder.adversary(spec.clone()),
+            starting => {
+                let starting = starting.clone();
+                builder.custom_adversary("bursty-start", move || starting.link())
+            }
+        }
+        .build()
+        .expect("profile scenarios build")
     }
 }
 
+/// Every adversary that declares a profile.
+fn profiled() -> Vec<Profiled> {
+    let bursty =
+        |p_fail, p_recover| Profiled::Spec(AdversarySpec::GilbertElliott { p_fail, p_recover });
+    let starting = |p_start_good| Profiled::Starting {
+        p_fail: 0.3,
+        p_recover: 0.6,
+        p_start_good,
+    };
+    vec![
+        Profiled::Spec(AdversarySpec::Iid { p: 0.0 }),
+        Profiled::Spec(AdversarySpec::Iid { p: 0.3 }),
+        Profiled::Spec(AdversarySpec::Iid { p: 0.5 }),
+        Profiled::Spec(AdversarySpec::Iid { p: 1.0 }),
+        Profiled::Spec(AdversarySpec::StaticAll),
+        Profiled::Spec(AdversarySpec::StaticNone),
+        bursty(0.1, 0.1),
+        bursty(0.3, 0.6),
+        starting(0.0),
+        starting(0.3),
+        starting(1.0),
+    ]
+}
+
 /// `builder` with `adversary` hidden behind [`Opaque`].
-fn reference(builder: ScenarioBuilder, adversary: &AdversarySpec) -> Scenario {
-    let spec = adversary.clone();
+fn reference(builder: ScenarioBuilder, adversary: &Profiled) -> Scenario {
+    let adversary = adversary.clone();
     builder
-        .custom_adversary("opaque", move || Box::new(Opaque(link_for(&spec))))
+        .custom_adversary("opaque", move || Box::new(Opaque(adversary.link())))
         .build()
         .expect("reference scenarios build")
 }
@@ -114,10 +177,7 @@ fn registered_algorithms_match_the_reference_on_every_family() {
                             .seed(31)
                             .max_rounds(60)
                     };
-                    let profile = builder()
-                        .adversary(adversary.clone())
-                        .build()
-                        .expect("family scenarios build");
+                    let profile = adversary.scenario(builder());
                     let opaque = reference(builder(), &adversary);
                     let label = format!(
                         "{}/{}/{}/{layout:?}",
@@ -138,8 +198,9 @@ fn runner_fan_out_matches_the_reference_on_every_family() {
         for layout in LAYOUTS.map(Some) {
             for adversary in profiled() {
                 let label = format!("{}/{}/{layout:?}", topology.label(), adversary.label());
-                let profile = beacon_scenario(&topology, &adversary, &problem, layout, 32);
-                let opaque = reference(beacon_builder(&topology, &problem, layout, 32), &adversary);
+                let builder = || beacon_builder(&topology, &problem, layout, 32);
+                let profile = adversary.scenario(builder());
+                let opaque = reference(builder(), &adversary);
                 assert_scalar_paths_agree(&label, &profile, &opaque, 3);
                 // A longer run on the first family.
                 let trials = if family == 0 { 70 } else { 9 };
@@ -162,8 +223,9 @@ fn full_recording_calls_decide_and_measures_the_same() {
     for (topology, problem) in families().into_iter().take(6) {
         for adversary in profiled() {
             let label = format!("{}/{}", topology.label(), adversary.label());
-            let profile = beacon_scenario(&topology, &adversary, &problem, None, 33);
-            let opaque = reference(beacon_builder(&topology, &problem, None, 33), &adversary);
+            let builder = || beacon_builder(&topology, &problem, None, 33);
+            let profile = adversary.scenario(builder());
+            let opaque = reference(builder(), &adversary);
             let mut fast = profile.executor();
             let mut slow = opaque.executor();
             for seed in 0..3 {
@@ -183,10 +245,10 @@ fn full_recording_calls_decide_and_measures_the_same() {
     }
 }
 
-/// `IidLinks`, profile included, counting `decide` calls and claiming
+/// A link process, profile included, counting `decide` calls and claiming
 /// `class`.
 struct Counted {
-    inner: IidLinks,
+    inner: Box<dyn LinkProcess>,
     class: AdversaryClass,
     decides: Arc<AtomicUsize>,
 }
@@ -210,11 +272,15 @@ impl LinkProcess for Counted {
     }
 }
 
-fn counted_executor(class: AdversaryClass, decides: &Arc<AtomicUsize>) -> TrialExecutor {
+fn counted_executor(
+    inner: fn() -> Box<dyn LinkProcess>,
+    class: AdversaryClass,
+    decides: &Arc<AtomicUsize>,
+) -> TrialExecutor {
     let counter = Arc::clone(decides);
     let link: LinkFactory = Arc::new(move || {
         Box::new(Counted {
-            inner: IidLinks::new(0.5),
+            inner: inner(),
             class,
             decides: Arc::clone(&counter),
         })
@@ -250,21 +316,41 @@ impl Process for Chatter {
 #[test]
 fn the_profile_path_engages_exactly_where_it_may() {
     let decides = Arc::new(AtomicUsize::new(0));
-    let mut oblivious = counted_executor(AdversaryClass::Oblivious, &decides);
-    for mode in [RecordMode::None, RecordMode::CollisionsOnly] {
-        let _ = oblivious.execute(1, mode);
-        assert_eq!(decides.load(Ordering::Relaxed), 0, "{mode}: no decide call");
-    }
-    let _ = oblivious.execute(1, RecordMode::Full);
-    assert_eq!(decides.swap(0, Ordering::Relaxed), 10, "Full calls decide");
+    let profiled: [fn() -> Box<dyn LinkProcess>; 2] = [
+        || Box::new(IidLinks::new(0.5)),
+        || Box::new(GilbertElliottLinks::new(0.1, 0.1)),
+    ];
+    for inner in profiled {
+        let mut oblivious = counted_executor(inner, AdversaryClass::Oblivious, &decides);
+        for mode in [RecordMode::None, RecordMode::CollisionsOnly] {
+            let _ = oblivious.execute(1, mode);
+            assert_eq!(decides.load(Ordering::Relaxed), 0, "{mode}: no decide call");
+        }
+        let _ = oblivious.execute(1, RecordMode::Full);
+        assert_eq!(decides.swap(0, Ordering::Relaxed), 10, "Full calls decide");
 
-    let mut adaptive = counted_executor(AdversaryClass::OnlineAdaptive, &decides);
-    let _ = adaptive.execute(1, RecordMode::None);
-    assert_eq!(
-        decides.load(Ordering::Relaxed),
-        10,
-        "adaptive classes call decide"
-    );
+        let mut adaptive = counted_executor(inner, AdversaryClass::OnlineAdaptive, &decides);
+        let _ = adaptive.execute(1, RecordMode::None);
+        assert_eq!(
+            decides.swap(0, Ordering::Relaxed),
+            10,
+            "adaptive classes call decide"
+        );
+    }
+
+    // Chains with a transition probability of 0 or 1 declare no profile.
+    let degenerate: [fn() -> Box<dyn LinkProcess>; 4] = [
+        || Box::new(GilbertElliottLinks::new(0.0, 0.1)),
+        || Box::new(GilbertElliottLinks::new(1.0, 0.1)),
+        || Box::new(GilbertElliottLinks::new(0.1, 0.0)),
+        || Box::new(GilbertElliottLinks::new(0.1, 1.0)),
+    ];
+    for inner in degenerate {
+        assert_eq!(inner().link_profile(), LinkProfile::Opaque);
+        let mut oblivious = counted_executor(inner, AdversaryClass::Oblivious, &decides);
+        let _ = oblivious.execute(1, RecordMode::None);
+        assert_eq!(decides.swap(0, Ordering::Relaxed), 10, "degenerate chains");
+    }
 }
 
 /// A star whose spokes are all dynamic: `G` has no edge, `G'` joins the
@@ -351,9 +437,13 @@ proptest! {
 
     /// Any probability, seed, family and layout: the profile path equals
     /// the reference, through a reused executor and the runner's fan-out.
+    /// `p` is an `Iid` presence probability, or a Gilbert–Elliott start
+    /// probability with any open transition probabilities.
     #[test]
     fn any_probability_matches_the_reference(
         p in prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0],
+        (p_fail, p_recover) in (0.001f64..0.999, 0.001f64..0.999),
+        bursty in any::<bool>(),
         seed in 0u64..10_000,
         family in 0usize..1000,
         csr in any::<bool>(),
@@ -361,9 +451,14 @@ proptest! {
         let mut all = families();
         let (topology, problem) = all.swap_remove(family % all.len());
         let layout = Some(if csr { GraphBackend::Csr } else { GraphBackend::Dense });
-        let adversary = AdversarySpec::Iid { p };
-        let profile = beacon_scenario(&topology, &adversary, &problem, layout, seed);
-        let opaque = reference(beacon_builder(&topology, &problem, layout, seed), &adversary);
+        let adversary = if bursty {
+            Profiled::Starting { p_fail, p_recover, p_start_good: p }
+        } else {
+            Profiled::Spec(AdversarySpec::Iid { p })
+        };
+        let builder = || beacon_builder(&topology, &problem, layout, seed);
+        let profile = adversary.scenario(builder());
+        let opaque = reference(builder(), &adversary);
         let mut fast = profile.executor();
         let mut slow = opaque.executor();
         for trial in 0..3 {
