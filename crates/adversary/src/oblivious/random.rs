@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use dradio_graphs::DualGraph;
-use dradio_sim::sampling::bernoulli;
+use dradio_sim::sampling::{bernoulli, bernoulli_fill};
 use dradio_sim::{
     AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess, LinkProfile,
 };
@@ -108,7 +108,6 @@ pub struct GilbertElliottLinks {
     p_start_good: f64,
     dual: Option<Arc<DualGraph>>,
     good: Vec<bool>,
-    started: bool,
 }
 
 impl GilbertElliottLinks {
@@ -122,7 +121,6 @@ impl GilbertElliottLinks {
             p_start_good: 0.5,
             dual: None,
             good: Vec::new(),
-            started: false,
         }
     }
 
@@ -149,12 +147,10 @@ impl LinkProcess for GilbertElliottLinks {
     }
 
     fn on_start(&mut self, setup: &AdversarySetup<'_>, rng: &mut dyn RngCore) {
-        let edges = setup.dual.dynamic_index().edges();
         self.good.clear();
-        self.good
-            .extend(edges.iter().map(|_| bernoulli(rng, self.p_start_good)));
+        self.good.resize(setup.dual.dynamic_index().len(), false);
+        bernoulli_fill(rng, self.p_start_good, &mut self.good);
         self.dual = Some(Arc::clone(setup.dual));
-        self.started = true;
     }
 
     fn decide(&mut self, _view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> LinkDecision {
@@ -176,7 +172,7 @@ impl LinkProcess for GilbertElliottLinks {
     }
 
     fn reset(&mut self) -> bool {
-        // `dual`, `good`, and `started` are all rewritten by `on_start`.
+        // `dual` and `good` are both rewritten by `on_start`.
         true
     }
 

@@ -125,7 +125,7 @@ pub trait Experiment: Sync + Send {
     /// Runs the experiment and returns its tables.
     ///
     /// Scenario-sweep experiments define themselves as
-    /// [`CampaignSpec`](crate::sweep::CampaignSpec)s and execute through the
+    /// [`CampaignSpec`]s and execute through the
     /// campaign engine, so misconfiguration (zero trials, incompatible
     /// components) propagates as an error instead of panicking mid-sweep.
     ///

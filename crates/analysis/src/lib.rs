@@ -15,7 +15,7 @@
 //!   `√n / log n`, …), so each experiment can report *which* shape matches;
 //! * [`sweep`] — the measurement entry point over scenario sweeps, built on
 //!   the [`dradio_campaign`] engine (declarative
-//!   [`CampaignSpec`](sweep::CampaignSpec)s executed with work-stealing
+//!   [`CampaignSpec`]s executed with work-stealing
 //!   parallelism across cells);
 //! * [`experiments`] — the experiment definitions E1–E8, each mapping to one
 //!   row (or supporting lemma) of Figure 1. `experiments::all()` is the

@@ -1,12 +1,13 @@
 //! Measuring the round complexity of scenario sweeps through the campaign
 //! engine.
 //!
-//! The construction machinery lives in [`dradio_scenario`] (a [`Scenario`]
-//! pins down one combination, [`ScenarioRunner`] fans trials across threads)
-//! and the orchestration machinery in [`dradio_campaign`] (a
-//! [`CampaignSpec`] describes a whole sweep; [`CampaignRunner`] executes the
-//! cells and can persist them to a resumable store). This module re-exports
-//! both layers and adds the conveniences the experiment definitions share.
+//! The construction machinery lives in [`dradio_scenario`] (a
+//! [`Scenario`](dradio_scenario::Scenario) pins down one combination,
+//! [`ScenarioRunner`] fans trials across threads) and the orchestration
+//! machinery in [`dradio_campaign`] (a [`CampaignSpec`] describes a whole
+//! sweep; [`CampaignRunner`] executes the cells and can persist them to a
+//! resumable store). This module re-exports both layers and adds the
+//! conveniences the experiment definitions share.
 //!
 //! Experiments run their campaigns **in memory** — persistence is the
 //! `repro campaign` subcommands' concern — and look measurements up by

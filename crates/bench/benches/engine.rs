@@ -137,9 +137,9 @@ fn bench_rounds(c: &mut Criterion) {
         &built,
         &gilbert_elliott,
     );
-    // Past the dense floor, the random geometric network's automatic layout
-    // is CSR rows alone: reception walks sorted rows while `Iid` coins are
-    // heard at their listeners.
+    // The random geometric network's automatic layout is CSR rows alone
+    // (its edges fill far less than 1/16 of a matrix): reception walks
+    // sorted rows while `Iid` coins are heard at their listeners.
     let (_, random, iid) = topologies(4096)
         .into_iter()
         .find(|(name, ..)| *name == "random")

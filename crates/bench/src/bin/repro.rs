@@ -954,8 +954,9 @@ fn peak_rss_bytes() -> Option<u64> {
 
 /// `repro bench --scale [--scale-n N]`: broadcast at ~N nodes (default one
 /// million) on a grid and a random-geometric network. Both build their rows
-/// in O(n + m) and stay on CSR above the density threshold — the bit matrix
-/// those sizes would need (~116 GiB at 10⁶ nodes) is never allocated — and
+/// in O(n + m) and stay on CSR, their edges filling far less than 1/16 of a
+/// matrix — the bit matrix those sizes would need (~116 GiB at 10⁶ nodes)
+/// is never allocated — and
 /// the report records build/run timings, the dense-vs-CSR memory estimates
 /// for both layers, and the process's peak RSS. Always writes
 /// `BENCH_sparse.json`.

@@ -510,18 +510,7 @@ fn run_cell(
     .record_mode(cell.record_mode)
     .curve(cell.curve);
     let (measurement, trials_run) = match cell.trials {
-        TrialPolicy::Fixed(trials) => {
-            let measurement = if cell.curve {
-                // Stream each trial's collision curve into the measurement:
-                // trial-index order, no per-trial retention. The runner's
-                // curve path does exactly that, through one executor.
-                runner.run_trials(trials).map_err(at_cell)?
-            } else {
-                Measurement::from_trials(&runner.collect_trials(trials).map_err(at_cell)?)
-                    .map_err(at_cell)?
-            };
-            (measurement, trials)
-        }
+        TrialPolicy::Fixed(trials) => (runner.run_trials(trials).map_err(at_cell)?, trials),
         TrialPolicy::Adaptive {
             min,
             max,

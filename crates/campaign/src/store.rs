@@ -837,6 +837,30 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_is_malformed_not_a_crash() {
+        // 100 000 open brackets would overflow a recursive parser's stack;
+        // the parser stops at its nesting limit, so the line is just one
+        // more malformed record.
+        let path = temp_path("deep");
+        {
+            let mut store = ResultStore::open(&path).unwrap();
+            store.append(record(8)).unwrap();
+        }
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&"[".repeat(100_000));
+        text.push('\n');
+        std::fs::write(&path, &text).unwrap();
+        let err = ResultStore::open(&path).expect_err("a terminated malformed line is refused");
+        assert!(matches!(err, CampaignError::Store { .. }), "{err}");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let report = ResultStore::fsck(&path).unwrap();
+        assert_eq!(report.records, 1);
+        assert_eq!(report.malformed_lines, vec![2]);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn malformed_interior_lines_are_hard_errors() {
         let path = temp_path("interior");
         {

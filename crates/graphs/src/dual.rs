@@ -487,7 +487,8 @@ mod tests {
     #[test]
     fn constructors_apply_the_automatic_layout_to_both_layers() {
         use crate::topology;
-        // Small networks are dense whichever generator built them.
+        // Networks whose edges fill at least 1/16 of the matrix are dense,
+        // whichever generator built them.
         let (g, gp) = triangle_line();
         assert_eq!(
             g.backend(),
@@ -502,7 +503,11 @@ mod tests {
             assert_eq!(dual.graph_backend(), GraphBackend::Dense);
             assert_eq!(dual.g_prime().backend(), GraphBackend::Dense);
         }
-        // Past the floor, a sparse network keeps its rows alone ...
+        // A sparser network keeps its rows alone, small or large ...
+        assert_eq!(
+            topology::line(30).unwrap().graph_backend(),
+            GraphBackend::Csr
+        );
         let line = topology::line(3000).unwrap();
         assert_eq!(line.graph_backend(), GraphBackend::Csr);
         assert_eq!(line.g_prime().backend(), GraphBackend::Csr);

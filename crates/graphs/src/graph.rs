@@ -72,7 +72,8 @@ impl fmt::Display for Edge {
 pub enum GraphBackend {
     /// Sorted rows plus an attached row-aligned adjacency bit matrix: O(n²)
     /// extra bits, O(1) edge queries, and word-parallel row scans. The right
-    /// choice for the paper's small dense networks.
+    /// choice where rows are full enough that a word scan beats a walk, as
+    /// in the paper's dual cliques.
     Dense,
     /// Sorted rows alone (compressed sparse rows: offsets + targets): O(n + m)
     /// memory, O(log deg) edge queries. The only layout that fits
@@ -89,23 +90,14 @@ impl fmt::Display for GraphBackend {
     }
 }
 
-/// Largest vertex count for which [`auto_backend`] always picks
-/// [`GraphBackend::Dense`]. Below this floor the whole bit matrix is at most
-/// half a megabyte, every registered campaign store was produced dense, and
-/// the word-parallel reception scans are fastest — so small networks never
-/// change layout out from under existing byte-stability pins.
-pub const DENSE_AUTO_MAX_NODES: usize = 2048;
-
 /// Picks the layout for an `n`-vertex network whose unreliable layer
-/// carries `expected_edges` undirected edges: dense below the
-/// [`DENSE_AUTO_MAX_NODES`] floor (bit-exact compatibility with existing
-/// stores, fastest at that scale), dense above it only when rows are full
-/// enough that word scans beat list walks (m ≥ n²/16), CSR otherwise.
+/// carries `expected_edges` undirected edges: dense when the edges fill at
+/// least 1/16 of the bit matrix (`16·m ≥ n²`, so rows average at least
+/// n/8 entries and the executor's word-AND over a row beats walking it),
+/// CSR otherwise. Dual cliques and cliques stay dense; lines, stars, grids,
+/// trees and sparse random graphs get CSR rows at every size.
 /// [`DualGraph`](crate::DualGraph)'s constructors apply it to every network.
 pub fn auto_backend(n: usize, expected_edges: u64) -> GraphBackend {
-    if n <= DENSE_AUTO_MAX_NODES {
-        return GraphBackend::Dense;
-    }
     let dense_pays = expected_edges.saturating_mul(16) >= (n as u64).saturating_mul(n as u64);
     if dense_pays {
         GraphBackend::Dense
@@ -130,11 +122,11 @@ pub fn csr_bytes_estimate(n: usize, expected_edges: u64) -> u64 {
 
 /// One adjacency row, in the shape the graph's layout scans fastest.
 ///
-/// Hot-path consumers (the executor's reception strategies) match on this
-/// once per listener and run the layout-appropriate scan: word intersection
-/// against a packed transmitter bitset for [`NeighborRow::Dense`], a sorted
-/// neighbor walk for [`NeighborRow::Sparse`]. Both enumerate the same
-/// neighbor set in the same ascending order.
+/// The executor's pull step matches on this once per listener and scans
+/// the row in its own shape: word intersection against the packed
+/// transmitter bitset for [`NeighborRow::Dense`], a sorted neighbor walk
+/// for [`NeighborRow::Sparse`]. Both enumerate the same neighbor set in
+/// the same ascending order.
 #[derive(Debug, Clone, Copy)]
 pub enum NeighborRow<'a> {
     /// A packed bitset row (dense layout): bit `v` (word `v / 64`, bit
@@ -150,9 +142,10 @@ pub enum NeighborRow<'a> {
 /// offset per vertex into one flat target array — so `neighbors`, `degree`,
 /// `edges` and equality have a single body. A [`DualGraph`](crate::DualGraph)
 /// additionally attaches a packed bit matrix to both of its layers when
-/// [`auto_backend`] says dense: [`Graph::neighbor_row`] then hands out whole
-/// rows as word slices, which the simulator intersects with its packed
-/// transmitter bitset to resolve reception 64 candidates at a time, and
+/// [`auto_backend`] says dense, that is when the edges fill at least 1/16
+/// of it: [`Graph::neighbor_row`] then hands out whole rows as word
+/// slices, which the simulator intersects with its packed transmitter
+/// bitset to resolve reception 64 candidates at a time, and
 /// [`Graph::has_edge`] answers in O(1). [`Graph::backend`] reports which of
 /// the two shapes is in use.
 ///
@@ -952,15 +945,20 @@ mod tests {
 
     #[test]
     fn auto_backend_keeps_small_and_dense_graphs_dense() {
-        // Everything at or below the floor stays dense, no matter how sparse.
-        assert_eq!(auto_backend(8, 1), GraphBackend::Dense);
-        assert_eq!(auto_backend(DENSE_AUTO_MAX_NODES, 10), GraphBackend::Dense);
-        // Above the floor, sparse graphs go CSR ...
-        assert_eq!(auto_backend(1_000_000, 2_000_000), GraphBackend::Csr);
-        assert_eq!(auto_backend(100_000, 400_000), GraphBackend::Csr);
-        // ... while near-complete ones stay dense.
+        // Rows filling at least 1/16 of the matrix keep it, at any size: a
+        // small clique, a small dual clique's G', a near-complete large graph.
+        assert_eq!(auto_backend(8, 28), GraphBackend::Dense);
+        assert_eq!(auto_backend(256, 256 * 255 / 2), GraphBackend::Dense);
         let n = 4096u64;
         assert_eq!(auto_backend(4096, n * (n - 1) / 2), GraphBackend::Dense);
+        // Exactly at the threshold, 16·m = n², the matrix stays.
+        assert_eq!(auto_backend(64, 256), GraphBackend::Dense);
+        assert_eq!(auto_backend(64, 255), GraphBackend::Csr);
+        // Sparser graphs get CSR rows whatever their size, small ones too.
+        assert_eq!(auto_backend(8, 1), GraphBackend::Csr);
+        assert_eq!(auto_backend(2048, 10), GraphBackend::Csr);
+        assert_eq!(auto_backend(1_000_000, 2_000_000), GraphBackend::Csr);
+        assert_eq!(auto_backend(100_000, 400_000), GraphBackend::Csr);
     }
 
     #[test]

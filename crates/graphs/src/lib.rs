@@ -52,7 +52,7 @@ pub use error::GraphError;
 pub use geometry::{Embedding, Point};
 pub use graph::{
     auto_backend, csr_bytes_estimate, dense_bytes_estimate, CsrBuilder, Edge, Graph, GraphBackend,
-    GraphBuilder, NeighborRow, DENSE_AUTO_MAX_NODES,
+    GraphBuilder, NeighborRow,
 };
 pub use node::NodeId;
 pub use regions::RegionDecomposition;

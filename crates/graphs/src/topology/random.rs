@@ -272,8 +272,8 @@ mod tests {
         // E[m] = 0.002 * 5000*4999/2 ≈ 25_000; a 3x window is
         // astronomically safe.
         assert!(a.edge_count() > 8_000 && a.edge_count() < 75_000);
-        // Past DENSE_AUTO_MAX_NODES, the dual graph keeps sparse samples on
-        // CSR rows; small or dense parameters get the bit matrix.
+        // The dual graph keeps sparse samples on CSR rows; dense
+        // parameters get the bit matrix.
         let dual = sparse_erdos_renyi_dual(5000, 0.002, &mut ChaCha8Rng::seed_from_u64(7)).unwrap();
         assert_eq!(dual.g(), &a);
         assert_eq!(dual.graph_backend(), crate::GraphBackend::Csr);

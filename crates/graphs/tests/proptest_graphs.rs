@@ -65,7 +65,7 @@ proptest! {
             let want: Vec<NodeId> = rows[u.index()].iter().copied().collect();
             prop_assert_eq!(g.neighbors(u), want.as_slice());
         }
-        let dual = DualGraph::static_model(g.clone());
+        let dual = DualGraph::static_model(g.clone()).with_graph_backend(GraphBackend::Dense);
         prop_assert_eq!(dual.graph_backend(), GraphBackend::Dense);
         prop_assert_eq!(dual.g(), &g);
         for u in g.nodes() {

@@ -196,7 +196,7 @@ pub enum AlgorithmSpec {
     ///
     /// The name is recorded for serialized specs; the factory itself is not
     /// serialized, so building a deserialized `Custom` spec fails with
-    /// [`ScenarioError::CustomUnavailable`](crate::ScenarioError::CustomUnavailable)
+    /// [`ScenarioError::CustomUnavailable`]
     /// unless re-attached.
     Custom {
         /// Descriptive name of the attached algorithm.

@@ -655,15 +655,20 @@ mod tests {
 
     #[test]
     fn forced_layouts_convert_networks_without_changing_them() {
+        // A small grid gets CSR rows; forcing the matrix on and off again
+        // never changes the network.
         let spec = TopologySpec::Grid { cols: 6, rows: 5 };
         let auto = spec.build().unwrap();
-        assert_eq!(auto.dual.graph_backend(), GraphBackend::Dense);
-        let forced = auto.dual.with_graph_backend(GraphBackend::Csr);
-        assert_eq!(forced.graph_backend(), GraphBackend::Csr);
-        assert_eq!(forced.g_prime().backend(), GraphBackend::Csr);
+        assert_eq!(auto.dual.graph_backend(), GraphBackend::Csr);
+        let forced = auto.dual.with_graph_backend(GraphBackend::Dense);
+        assert_eq!(forced.graph_backend(), GraphBackend::Dense);
+        assert_eq!(forced.g_prime().backend(), GraphBackend::Dense);
         // Structurally the same network, differently stored.
         assert_eq!(auto.dual.as_ref(), &forced);
-        assert_eq!(forced.with_graph_backend(GraphBackend::Dense), forced);
+        let back = forced.with_graph_backend(GraphBackend::Csr);
+        assert_eq!(back.graph_backend(), GraphBackend::Csr);
+        assert_eq!(back.g_prime().backend(), GraphBackend::Csr);
+        assert_eq!(back, forced);
         // Construction metadata is structural, not storage-dependent.
         let bracelet = TopologySpec::Bracelet { k: 3 }.build().unwrap();
         let csr = BuiltTopology {
@@ -682,11 +687,13 @@ mod tests {
 
     #[test]
     fn memory_estimates_resolve_the_heuristic() {
-        // A small grid stays dense; a million-node grid resolves to CSR, and
-        // the same grid with the matrix attached would be astronomically
-        // larger.
+        // A dual clique keeps the matrix and a small grid does not; a
+        // million-node grid resolves to CSR too, and the same grid with the
+        // matrix attached would be astronomically larger.
+        let clique = TopologySpec::DualClique { n: 64 };
+        assert_eq!(clique.memory_estimate().unwrap().0, GraphBackend::Dense);
         let small = TopologySpec::Grid { cols: 6, rows: 5 };
-        assert_eq!(small.memory_estimate().unwrap().0, GraphBackend::Dense);
+        assert_eq!(small.memory_estimate().unwrap().0, GraphBackend::Csr);
         let big = TopologySpec::Grid {
             cols: 1000,
             rows: 1000,
@@ -701,8 +708,9 @@ mod tests {
             "a dense million-node matrix is >100 GiB"
         );
         // The estimate predicts the layout the dual graph picks when it
-        // builds the network, on both sides of the dense floor.
+        // builds the network, on both sides of the density floor.
         for spec in [
+            clique,
             small,
             TopologySpec::Line { n: 3000 },
             TopologySpec::Grid { cols: 50, rows: 50 },

@@ -29,12 +29,14 @@
 //!
 //! A round costs what happens in it. A process that declares itself
 //! dormant ([`Process::next_wake`]) is not called: it listens, its
-//! transmit probability reads 0, and silence reaches it unnoticed. When
-//! the transmitters' rows hold fewer entries than there are nodes,
-//! reception *pushes* them, hearing each row at its listening neighbours,
-//! so a dormant listener nobody reached costs one check. Each node's
-//! feedback follows its own reception, and only awake nodes and nodes
-//! that heard something other than silence get it.
+//! transmit probability reads 0, and silence reaches it unnoticed. A round
+//! with at most `row_words` transmitters, or whose transmitters' rows hold
+//! fewer entries than there are nodes, is *pushed*: each transmitter's row
+//! is heard at its listening neighbours, so a dormant listener nobody
+//! reached costs one check. Any other round is *pulled*: each listener
+//! scans its own row in the layout's shape. Each node's feedback follows
+//! its own reception, and only awake nodes and nodes that heard something
+//! other than silence get it.
 //!
 //! [`TrialExecutor::execute`] is *deterministically equivalent* to building
 //! a fresh `Simulator` with the same seed and running it: the per-node and
@@ -492,17 +494,19 @@ impl TrialExecutor {
             } else {
                 self.dual.g()
             };
-            // Push: when the transmitters' rows hold fewer entries than
-            // there are nodes, hear each row at its listening neighbours
-            // (G's rows are disjoint from the dynamic edges, and G' rows
-            // come with nothing heard), so every listener starts from what
-            // it heard alone, and a dormant listener nobody reached costs
-            // one check. Dense rounds pull instead (below).
-            let reach: usize = scratch.transmitters.iter().map(|&v| g.degree(v)).sum();
-            let push = reach < n;
+            // Push a short round: when it has at most `row_words`
+            // transmitters, or their rows hold fewer entries than there are
+            // nodes, hear each row at its listening neighbours (G's rows are
+            // disjoint from the dynamic edges, and G' rows come with nothing
+            // heard). Every listener then starts from what it heard alone,
+            // and a dormant listener nobody reached costs one check. Any
+            // other round is pulled: each listener scans its own row below.
+            let transmitters = &scratch.transmitters;
+            let push = transmitter_count <= g.row_words()
+                || transmitters.iter().map(|&v| g.degree(v)).sum::<usize>() < n;
             if push {
                 let bits = &scratch.transmitter_bits;
-                for &v in &scratch.transmitters {
+                for &v in transmitters {
                     for &w in g.neighbors(v) {
                         if !bit(bits, w.index()) {
                             hear(&mut scratch.heard, w.index(), v.index());
@@ -515,10 +519,6 @@ impl TrialExecutor {
             // and stop evaluation never need the allocation.
             let mut deliveries: Vec<Delivery> = Vec::new(); // lint: allow(D3) -- Vec::new is allocation-free; pushes happen only for recorded rounds
             let mut round_collisions = 0usize;
-            let words = g.row_words();
-            // Below this transmitter count, probing each transmitter with
-            // O(1) bit queries beats scanning the whole adjacency row.
-            let probe_transmitters = transmitter_count <= words;
             let bits = &scratch.transmitter_bits;
             for u in NodeId::all(n) {
                 let u_idx = u.index();
@@ -534,37 +534,19 @@ impl TrialExecutor {
                 } else {
                     // Count transmitting neighbors, capped at 2 (the collision
                     // rule only distinguishes 0 / 1 / "several"), starting
-                    // from what u heard (over dynamic edges, and in a push
-                    // round over every edge). A dense round adds u's row,
-                    // picking the cheapest of three equivalent strategies:
-                    // walk the sorted row testing transmitter bits (low
-                    // degree, or CSR), probe each transmitter with O(1) edge
-                    // queries (few transmitters), or intersect the packed row
-                    // with the transmitter bitset. Each stops once the count
-                    // reaches 2, and a unique sender is unique whichever
-                    // order it is found in, so all of them agree.
+                    // from what u heard (over dynamic edges, and in a pushed
+                    // round over every edge). A pulled round adds u's row in
+                    // the layout's shape: a packed row is ANDed with the
+                    // transmitter bitset word by word, a sorted row is
+                    // walked. Both stop once the count reaches 2, and a
+                    // unique sender is unique whichever order it is found
+                    // in, so the layouts agree.
                     let (mut count, mut sender) = match std::mem::take(&mut scratch.heard[u_idx]) {
                         0 => (0, 0),
                         HEARD_SEVERAL => (2, 0),
                         mark => (1, mark as usize - 1),
                     };
-                    let degree = g.degree(u);
-                    if push || count >= 2 {
-                        // Nothing to add: the rows were pushed, or it is
-                        // already a collision.
-                    } else if degree <= transmitter_count && degree <= words * 2 {
-                        count_row(g.neighbors(u), bits, &mut count, &mut sender);
-                    } else if probe_transmitters {
-                        for &v in &scratch.transmitters {
-                            if g.has_edge(u, v) {
-                                count += 1;
-                                if count >= 2 {
-                                    break;
-                                }
-                                sender = v.index();
-                            }
-                        }
-                    } else {
+                    if !push && count < 2 {
                         match g.neighbor_row(u) {
                             NeighborRow::Dense(row) => {
                                 for (w, &row_word) in row.iter().enumerate() {
@@ -690,10 +672,10 @@ impl std::fmt::Debug for TrialExecutor {
 /// round records are additionally built per round).
 ///
 /// The transmitter set is kept both as a sorted `Vec<NodeId>` (for history
-/// records and transmitter probing) and as a packed `u64` bitset aligned
-/// with the dense rows of [`dradio_graphs::Graph::neighbor_row`], so
-/// reception resolves 64 candidate neighbors per word instead of chasing
-/// adjacency rows. Active dynamic edges leave no adjacency behind: each is
+/// records and pushed rounds) and as a packed `u64` bitset aligned with the
+/// dense rows of [`dradio_graphs::Graph::neighbor_row`], so a pulled round
+/// resolves 64 candidate neighbors per word instead of chasing adjacency
+/// rows. Active dynamic edges leave no adjacency behind: each is
 /// heard (`hear`) at its listening endpoint when the link step produces it,
 /// and reception reads and zeroes what every listener heard.
 #[derive(Debug)]

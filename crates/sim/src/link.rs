@@ -11,7 +11,7 @@ use crate::action::Action;
 use crate::history::History;
 use crate::process::{Assignment, ProcessFactory};
 use crate::round::Round;
-use crate::sampling::bernoulli_threshold;
+use crate::sampling::{bernoulli_fill, bernoulli_threshold, for_each_coin};
 
 /// The three classic adversary capability classes of randomized analysis,
 /// in increasing order of power.
@@ -534,26 +534,15 @@ impl<'a> GePlan<'a> {
         dual: &DualGraph,
         chains: &'a mut Vec<bool>,
     ) -> GePlan<'a> {
-        let m = dual.dynamic_index().len();
         chains.clear();
-        match CoinRule::of(p_start_good) {
-            CoinRule::Never => chains.resize(m, false),
-            CoinRule::Always => chains.resize(m, true),
-            CoinRule::Below(threshold) => {
-                // Every chain starts bad and flips to good on its coin.
-                let resume = rng.get_word_pos();
-                rng.set_word_pos(begin);
-                chains.resize(m, false);
-                step_chains(chains, [threshold; 2], rng);
-                rng.set_word_pos(resume);
-            }
-        }
+        chains.resize(dual.dynamic_index().len(), false);
+        let resume = rng.get_word_pos();
+        rng.set_word_pos(begin);
+        bernoulli_fill(rng, p_start_good, chains);
+        rng.set_word_pos(resume);
         GePlan { chains, flip }
     }
 }
-
-/// Coins [`step_chains`] reads from the stream at once.
-const CHAIN_COINS: usize = 256;
 
 // lint: hot-path
 /// Hears the dynamic edges of a round that reception can see: each edge `k`
@@ -582,16 +571,11 @@ fn hear_present(
 /// Draws one coin per chain from `rng`, in order, and flips each chain
 /// whose coin is below its state's threshold in `flip` (see
 /// [`GePlan::flip`]): the same coins `bernoulli` would draw one by one,
-/// read [`CHAIN_COINS`] at a time.
+/// read in bulk.
 fn step_chains(chains: &mut [bool], flip: [u64; 2], rng: &mut ChaCha8Rng) {
-    let mut coins = [[0u8; 8]; CHAIN_COINS];
-    for chunk in chains.chunks_mut(CHAIN_COINS) {
-        let coins = &mut coins[..chunk.len()];
-        rng.fill_bytes(coins.as_flattened_mut());
-        for (good, coin) in chunk.iter_mut().zip(coins.iter()) {
-            *good ^= (u64::from_le_bytes(*coin) >> 11) < flip[usize::from(*good)];
-        }
-    }
+    for_each_coin(rng, chains, |good, coin| {
+        *good ^= coin < flip[usize::from(*good)]
+    });
 }
 // lint: end-hot-path
 

@@ -32,6 +32,56 @@ pub fn bernoulli(rng: &mut dyn RngCore, p: f64) -> bool {
     uniform_f64(rng) < p
 }
 
+/// Sets each entry of `out`, in order, to the sample [`bernoulli`]`(rng, p)`
+/// would draw for it, and leaves `rng` where those calls would: one coin
+/// per entry for `0 < p < 1`, none otherwise. The coins are read in bulk
+/// through `fill_bytes`, whose bytes are those of successive `next_u64`
+/// words (the `RngCore` default, which `ChaCha8Rng` keeps).
+///
+/// # Example
+///
+/// ```
+/// use dradio_sim::sampling::{bernoulli, bernoulli_fill};
+/// use rand::SeedableRng;
+/// use rand_chacha::ChaCha8Rng;
+/// let (mut bulk, mut one_by_one) = (ChaCha8Rng::seed_from_u64(3), ChaCha8Rng::seed_from_u64(3));
+/// let mut samples = [false; 1000];
+/// bernoulli_fill(&mut bulk, 0.3, &mut samples);
+/// assert!(samples.iter().all(|&s| s == bernoulli(&mut one_by_one, 0.3)));
+/// ```
+pub fn bernoulli_fill(rng: &mut dyn RngCore, p: f64, out: &mut [bool]) {
+    if p <= 0.0 || p >= 1.0 {
+        out.fill(p >= 1.0);
+        return;
+    }
+    let threshold = bernoulli_threshold(p);
+    for_each_coin(rng, out, |sample, coin| *sample = coin < threshold);
+}
+
+/// Coins [`for_each_coin`] reads from the stream at once.
+const BULK_COINS: usize = 256;
+
+// lint: hot-path
+/// Passes each entry of `slots` to `each`, in order, with one coin: the 53
+/// bits `next_u64() >> 11` that [`uniform_f64`] scales, of the very words
+/// one `next_u64` call per entry would draw, read [`BULK_COINS`] at a time
+/// through `fill_bytes` (see [`bernoulli_fill`]).
+pub(crate) fn for_each_coin<T>(
+    rng: &mut dyn RngCore,
+    slots: &mut [T],
+    mut each: impl FnMut(&mut T, u64),
+) {
+    let mut coins = [[0u8; 8]; BULK_COINS];
+    for chunk in slots.chunks_mut(BULK_COINS) {
+        let coins = &mut coins[..chunk.len()];
+        rng.fill_bytes(coins.as_flattened_mut());
+        for (slot, coin) in chunk.iter_mut().zip(coins.iter()) {
+            each(slot, u64::from_le_bytes(*coin) >> 11);
+        }
+    }
+}
+// lint: end-hot-path
+
 /// The integer threshold `T` with
 /// `uniform_f64(x) < p  ⟺  (x >> 11) < T` for `0 < p < 1`, so the
 /// engine can replay [`bernoulli`] on raw words without the float.
@@ -141,6 +191,29 @@ mod tests {
                 let scalar = ((x >> 11) as f64 * scale) < rate;
                 let by_threshold = (x >> 11) < bernoulli_threshold(rate);
                 assert_eq!(scalar, by_threshold, "k {k} probe {probe}");
+            }
+        }
+    }
+
+    #[test]
+    fn bernoulli_fill_draws_the_coins_bernoulli_would() {
+        // Lengths around the bulk size, from stream offsets that split a
+        // block, at every kind of probability.
+        let b = BULK_COINS;
+        for p in [-1.0, 0.0, 0.3, 0.5, 1.0 - 1e-12, 1.0, 2.0] {
+            for len in [0, 1, 7, b - 1, b, b + 1, 3 * b + 5] {
+                for skip in [0, 1, 3] {
+                    let mut bulk = ChaCha8Rng::seed_from_u64(7);
+                    for _ in 0..skip {
+                        bulk.next_u32();
+                    }
+                    let mut one_by_one = bulk.clone();
+                    let mut out = vec![false; len];
+                    bernoulli_fill(&mut bulk, p, &mut out);
+                    let want: Vec<bool> = (0..len).map(|_| bernoulli(&mut one_by_one, p)).collect();
+                    assert_eq!(out, want, "p {p} len {len} skip {skip}");
+                    assert_eq!(bulk.next_u64(), one_by_one.next_u64(), "p {p} len {len}");
+                }
             }
         }
     }

@@ -4,10 +4,12 @@
 use std::sync::Arc;
 
 use dradio_graphs::topology::{self, GeometricConfig};
-use dradio_graphs::{DualGraph, NodeId};
+use dradio_graphs::{DualGraph, GraphBackend, NodeId};
+use dradio_sim::sampling::bernoulli;
 use dradio_sim::{
-    Action, Assignment, Message, MessageKind, Process, ProcessContext, ProcessFactory, Role, Round,
-    SimConfig, Simulator, StaticLinks, StopCondition,
+    Action, AdversaryClass, AdversarySetup, AdversaryView, Assignment, ExecutionOutcome,
+    LinkDecision, LinkProcess, Message, MessageKind, Process, ProcessContext, ProcessFactory, Role,
+    Round, SimConfig, Simulator, StaticLinks, StopCondition,
 };
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
@@ -63,6 +65,94 @@ fn arb_network() -> impl Strategy<Value = DualGraph> {
     ]
 }
 
+/// [`arb_network`], plus dual cliques and random geometric networks whose
+/// adjacency rows span two or three 64-bit words.
+fn arb_wide_network() -> impl Strategy<Value = DualGraph> {
+    prop_oneof![
+        arb_network(),
+        (33usize..80).prop_map(|half| topology::dual_clique(2 * half).unwrap()),
+        (65usize..180, 0u64..100).prop_map(|(n, seed)| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let side = (n as f64 / 3.0).sqrt();
+            topology::random_geometric(&GeometricConfig::new(n, side, 1.5), &mut rng)
+                .unwrap_or_else(|_| topology::line(n).unwrap())
+        }),
+    ]
+}
+
+/// Every node transmits its own message with probability `lo` in even
+/// rounds and `hi` in odd ones, so short rounds (a few transmitters,
+/// which reception pushes) alternate with crowded ones (which reception
+/// pulls once the transmitters' rows reach every node).
+struct Alternating {
+    lo: f64,
+    hi: f64,
+    msg: Message,
+}
+
+impl Process for Alternating {
+    fn on_round(&mut self, round: Round, rng: &mut dyn RngCore) -> Action {
+        let p = if round.index().is_multiple_of(2) {
+            self.lo
+        } else {
+            self.hi
+        };
+        if bernoulli(rng, p) {
+            Action::Transmit(self.msg.clone())
+        } else {
+            Action::Listen
+        }
+    }
+}
+
+/// An oblivious link process that lists a random half of the dynamic
+/// edges each round, drawn from its own stream.
+#[derive(Default)]
+struct SubsetLinks(Option<Arc<DualGraph>>);
+
+impl LinkProcess for SubsetLinks {
+    fn class(&self) -> AdversaryClass {
+        AdversaryClass::Oblivious
+    }
+
+    fn on_start(&mut self, setup: &AdversarySetup<'_>, _rng: &mut dyn RngCore) {
+        self.0 = Some(Arc::clone(setup.dual));
+    }
+
+    fn decide(&mut self, _view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> LinkDecision {
+        let Some(dual) = &self.0 else {
+            return LinkDecision::none();
+        };
+        let edges = dual.dynamic_edges().iter().copied();
+        LinkDecision::from_edges(edges.filter(|_| rng.next_u32() & 1 == 1).collect())
+    }
+}
+
+/// Runs [`Alternating`] talkers on every node for 12 recorded rounds, with
+/// no (`links == 0`), every (`1`) or a random listed half (`2`) of the
+/// dynamic edges on.
+fn run_alternating(dual: DualGraph, lo: f64, hi: f64, seed: u64, links: u8) -> ExecutionOutcome {
+    let n = dual.len();
+    let factory: ProcessFactory = Arc::new(move |ctx: &ProcessContext| {
+        let msg = Message::plain(ctx.id, DATA, ctx.id.index() as u64);
+        Box::new(Alternating { lo, hi, msg }) as Box<dyn Process>
+    });
+    let link: Box<dyn LinkProcess> = match links {
+        0 => Box::new(StaticLinks::none()),
+        1 => Box::new(StaticLinks::all()),
+        _ => Box::<SubsetLinks>::default(),
+    };
+    Simulator::new(
+        dual,
+        factory,
+        Assignment::relays(n),
+        link,
+        SimConfig::default().with_seed(seed).with_max_rounds(12),
+    )
+    .expect("valid simulation")
+    .run(StopCondition::max_rounds())
+}
+
 fn run(
     dual: DualGraph,
     p: f64,
@@ -92,48 +182,59 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every delivery is to a listening node from a transmitting node that is
-    /// its neighbor in the round topology, and a receiver never has two
-    /// transmitting neighbors in that round.
+    /// The collision rule, both ways: in every round, the deliveries are
+    /// exactly the listeners with one transmitting neighbour in the round
+    /// topology (`G` plus the round's active dynamic edges), each from that
+    /// neighbour, and the collisions are exactly the listeners with two or
+    /// more. The network runs in both layouts, which must agree outcome for
+    /// outcome, under no, all, or a random listed subset of its dynamic
+    /// edges; the alternating transmit probabilities mix pushed and pulled
+    /// rounds within one execution.
     #[test]
     fn deliveries_respect_collision_rule(
-        dual in arb_network(),
+        dual in arb_wide_network(),
         seed in 0u64..1000,
-        p in 0.05f64..0.9,
-        all_links in any::<bool>(),
+        lo in 0.0f64..0.15,
+        hi in 0.3f64..0.9,
+        links in 0u8..3,
     ) {
-        let outcome = run(dual.clone(), p, seed, 12, all_links);
-        for record in outcome.history.records() {
-            for d in &record.deliveries {
-                // The receiver did not transmit.
-                prop_assert!(!record.transmitters.contains(&d.receiver));
-                // The sender transmitted.
-                prop_assert!(record.transmitters.contains(&d.sender));
-                // Sender and receiver are adjacent in the round topology.
-                let g_edge = dual.g().has_edge(d.receiver, d.sender);
-                let dyn_edge = record
-                    .active_dynamic_edges
-                    .iter()
-                    .any(|e| e.touches(d.receiver) && e.touches(d.sender));
-                prop_assert!(g_edge || dyn_edge);
-                // No other neighbor of the receiver transmitted.
-                let mut transmitting_neighbors = 0;
-                for &t in &record.transmitters {
-                    let adjacent = dual.g().has_edge(d.receiver, t)
-                        || record.active_dynamic_edges.iter().any(|e| e.touches(d.receiver) && e.touches(t));
-                    if adjacent {
-                        transmitting_neighbors += 1;
-                    }
-                }
-                prop_assert_eq!(transmitting_neighbors, 1);
+        let n = dual.len();
+        let dense = run_alternating(dual.with_graph_backend(GraphBackend::Dense), lo, hi, seed, links);
+        let csr = run_alternating(dual.with_graph_backend(GraphBackend::Csr), lo, hi, seed, links);
+        prop_assert_eq!(&dense, &csr, "the two layouts disagree");
+        let records = dense.history.records();
+        prop_assert_eq!(records.len(), 12);
+        prop_assert_eq!(dense.collisions_per_round.len(), 12);
+        for (record, &collisions) in records.iter().zip(&dense.collisions_per_round) {
+            let transmits = |v: NodeId| record.transmitters.binary_search(&v).is_ok();
+            // Each listener's transmitting neighbours in the round topology.
+            let mut senders: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+            for u in NodeId::all(n).filter(|&u| !transmits(u)) {
+                senders[u.index()].extend(dual.g().neighbors(u).iter().filter(|&&v| transmits(v)));
             }
-            // At most one delivery per receiver per round.
-            let mut receivers: Vec<NodeId> = record.deliveries.iter().map(|d| d.receiver).collect();
-            let before = receivers.len();
-            receivers.sort_unstable();
-            receivers.dedup();
-            prop_assert_eq!(before, receivers.len());
+            for edge in &record.active_dynamic_edges {
+                let (a, b) = edge.endpoints();
+                prop_assert!(dual.g_prime().has_edge(a, b) && !dual.g().has_edge(a, b));
+                match (transmits(a), transmits(b)) {
+                    (true, false) => senders[b.index()].push(a),
+                    (false, true) => senders[a.index()].push(b),
+                    _ => {}
+                }
+            }
+            let want: Vec<(NodeId, NodeId)> = NodeId::all(n)
+                .filter(|u| senders[u.index()].len() == 1)
+                .map(|u| (u, senders[u.index()][0]))
+                .collect();
+            let got: Vec<(NodeId, NodeId)> =
+                record.deliveries.iter().map(|d| (d.receiver, d.sender)).collect();
+            prop_assert_eq!(got, want, "round {}", record.round);
+            for d in &record.deliveries {
+                prop_assert_eq!(d.message.source(), d.sender);
+            }
+            let colliding = senders.iter().filter(|s| s.len() >= 2).count();
+            prop_assert_eq!(collisions, colliding, "round {}", record.round);
         }
+        prop_assert_eq!(dense.metrics.collisions, dense.collisions_per_round.iter().sum::<usize>());
     }
 
     /// Identical seeds give identical executions; different seeds are allowed

@@ -1,12 +1,12 @@
 //! Offline stand-in for the slice of `rayon` this workspace uses:
-//! `(range).into_par_iter().map(f).collect::<Vec<_>>()` and the
-//! per-worker-state variant `map_init(init, f)`.
+//! `(range).into_par_iter().map_init(init, f).collect::<Vec<_>>()`.
 //!
 //! Work really is fanned out across OS threads (one per available core,
 //! capped by the job count) with dynamic self-scheduling over an atomic
 //! index, and results are written back by index — so output order equals
 //! input order regardless of scheduling, exactly like rayon's indexed
-//! parallel iterators.
+//! parallel iterators. `collect` returns only once every worker thread has
+//! exited, thread-local destructors included.
 
 #![forbid(unsafe_code)]
 
@@ -39,18 +39,6 @@ impl IntoParallelIterator for Range<usize> {
 }
 
 impl ParRange {
-    /// Maps each index through `f` in parallel.
-    pub fn map<T, F>(self, f: F) -> ParMap<F>
-    where
-        F: Fn(usize) -> T + Sync,
-        T: Send,
-    {
-        ParMap {
-            range: self.range,
-            f,
-        }
-    }
-
     /// Maps each index through `f` in parallel, threading a per-worker state
     /// created by `init` through every call that worker makes — rayon's
     /// `map_init`. Like rayon, `init` may be invoked more than once (here:
@@ -67,62 +55,6 @@ impl ParRange {
             init,
             f,
         }
-    }
-}
-
-/// The result of [`ParRange::map`], awaiting a `collect`.
-pub struct ParMap<F> {
-    range: Range<usize>,
-    f: F,
-}
-
-impl<F> ParMap<F> {
-    /// Runs the map on every index, in parallel, and collects the results in
-    /// index order.
-    pub fn collect<T, C>(self) -> C
-    where
-        F: Fn(usize) -> T + Sync,
-        T: Send,
-        C: From<Vec<T>>,
-    {
-        let start = self.range.start;
-        let len = self.range.end.saturating_sub(start);
-        if len == 0 {
-            return Vec::new().into();
-        }
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(len);
-        if threads <= 1 {
-            let out: Vec<T> = (start..self.range.end).map(&self.f).collect();
-            return out.into();
-        }
-
-        let slots: Vec<Mutex<Option<T>>> = (0..len).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let f = &self.f;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= len {
-                        break;
-                    }
-                    let value = f(start + i);
-                    *slots[i].lock().expect("no panics hold the slot lock") = Some(value);
-                });
-            }
-        });
-        let out: Vec<T> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("worker threads joined")
-                    .expect("every index was scheduled exactly once")
-            })
-            .collect();
-        out.into()
     }
 }
 
@@ -165,18 +97,29 @@ impl<INIT, F> ParMapInit<INIT, F> {
         let init = &self.init;
         let f = &self.f;
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut state = init();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= len {
-                            break;
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut state = init();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= len {
+                                break;
+                            }
+                            let value = f(&mut state, start + i);
+                            *slots[i].lock().expect("no panics hold the slot lock") = Some(value);
                         }
-                        let value = f(&mut state, start + i);
-                        *slots[i].lock().expect("no panics hold the slot lock") = Some(value);
-                    }
-                });
+                    })
+                })
+                .collect();
+            // The scope alone waits only until each closure has returned;
+            // joining waits until each thread has exited, its thread-local
+            // destructors (allocator caches among them) included, so no
+            // worker outlives the call that spawned it.
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         let out: Vec<T> = slots
@@ -203,28 +146,33 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread::ThreadId;
 
+    /// `map` as this workspace writes it: `map_init` with no state.
+    fn par_map<T: Send>(range: std::ops::Range<usize>, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        range
+            .into_par_iter()
+            .map_init(|| (), |(), i| f(i))
+            .collect()
+    }
+
     #[test]
     fn collect_preserves_index_order() {
-        let out: Vec<usize> = (0..1000).into_par_iter().map(|i| i * 2).collect();
+        let out = par_map(0..1000, |i| i * 2);
         assert_eq!(out, (0..1000).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_range_collects_empty() {
-        let out: Vec<usize> = (5..5).into_par_iter().map(|i| i).collect();
+        let out = par_map(5..5, |i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn every_index_runs_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let out: Vec<usize> = (0..257)
-            .into_par_iter()
-            .map(|i| {
-                counter.fetch_add(1, Ordering::Relaxed);
-                i
-            })
-            .collect();
+        let out = par_map(0..257, |i| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            i
+        });
         assert_eq!(counter.load(Ordering::Relaxed), 257);
         assert_eq!(out.len(), 257);
     }
@@ -268,14 +216,11 @@ mod tests {
 
     #[test]
     fn work_spreads_across_threads_when_cores_allow() {
-        let ids: Vec<ThreadId> = (0..64)
-            .into_par_iter()
-            .map(|_| {
-                // Give the scheduler a chance to interleave.
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                std::thread::current().id()
-            })
-            .collect();
+        let ids = par_map(0..64, |_| {
+            // Give the scheduler a chance to interleave.
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::current().id()
+        });
         let distinct: HashSet<ThreadId> = ids.into_iter().collect();
         let cores = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -286,5 +231,51 @@ mod tests {
                 "expected parallel execution on {cores} cores"
             );
         }
+    }
+
+    /// Counts the exits of the threads that touched [`EXIT_PROBE`].
+    static EXITS: AtomicUsize = AtomicUsize::new(0);
+
+    struct ExitProbe;
+
+    impl Drop for ExitProbe {
+        fn drop(&mut self) {
+            // A slow teardown, like a thread handing back its allocator
+            // cache, holds the thread open after its closure has returned.
+            // Joining waits for it whatever its length; the delay only makes
+            // a `collect` that returns without joining fail reliably.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            EXITS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static EXIT_PROBE: ExitProbe = const { ExitProbe };
+    }
+
+    #[test]
+    fn collect_returns_after_every_worker_has_exited() {
+        let caller = std::thread::current().id();
+        let workers = AtomicUsize::new(0);
+        let out: Vec<usize> = (0..64)
+            .into_par_iter()
+            .map_init(
+                || {
+                    // Each spawned worker registers a thread-local destructor,
+                    // which runs only when its thread exits.
+                    if std::thread::current().id() != caller {
+                        EXIT_PROBE.with(|_| {});
+                        workers.fetch_add(1, Ordering::SeqCst);
+                    }
+                },
+                |(), i| i,
+            )
+            .collect();
+        assert_eq!(out, (0..64).collect::<Vec<_>>());
+        assert_eq!(
+            EXITS.load(Ordering::SeqCst),
+            workers.load(Ordering::SeqCst),
+            "every worker thread has exited when collect returns"
+        );
     }
 }

@@ -160,15 +160,23 @@ fn render_string(s: &str, out: &mut String) {
 
 // ---- parsing ---------------------------------------------------------------
 
+/// How deeply arrays and maps may nest, as in `serde_json`'s default
+/// recursion limit. The parser recurses once per level, so without a bound
+/// a long run of `[` would overflow the stack instead of failing.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and maps open around the current position.
+    depth: usize,
 }
 
 fn parse(text: &str) -> Result<Value> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -222,8 +230,18 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == RECURSION_LIMIT {
+                    return Err(Error::new(format!(
+                        "recursion limit exceeded at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.seq() } else { self.map() };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -443,6 +461,26 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("nul").is_err());
         assert!(from_str::<bool>("7").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_recursion_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(RECURSION_LIMIT)).is_ok());
+        let err = parse(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("recursion limit exceeded at byte {RECURSION_LIMIT}")
+        );
+        // Maps count toward the same limit, and an unclosed run of 100 000
+        // brackets fails at the limit before it can exhaust the stack.
+        let maps = "{\"a\":".repeat(RECURSION_LIMIT + 1);
+        assert!(parse(&maps)
+            .unwrap_err()
+            .to_string()
+            .contains("recursion limit"));
+        let err = from_str::<Vec<u64>>(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
     }
 
     #[test]

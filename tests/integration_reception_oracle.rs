@@ -94,9 +94,9 @@ fn hub_counts(outcomes: &[ExecutionOutcome]) -> (usize, usize) {
 fn a_listening_hub_receives_and_collides_at_the_closed_form_rates() {
     let link: LinkFactory = Arc::new(|| Box::new(StaticLinks::none()) as Box<dyn LinkProcess>);
     for k in [2usize, 8, 32] {
-        let dense = Arc::new(topology::star(k + 1).unwrap());
-        assert_eq!(dense.graph_backend(), GraphBackend::Dense);
-        let csr = Arc::new(dense.with_graph_backend(GraphBackend::Csr));
+        let star = topology::star(k + 1).unwrap();
+        let dense = Arc::new(star.with_graph_backend(GraphBackend::Dense));
+        let csr = Arc::new(star.with_graph_backend(GraphBackend::Csr));
         for p in [0.05, 0.3] {
             let reception = k as f64 * p * (1.0 - p).powi(k as i32 - 1);
             let collision = 1.0 - (1.0 - p).powi(k as i32) - reception;

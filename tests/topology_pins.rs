@@ -10,7 +10,7 @@
 #[allow(dead_code)]
 mod support;
 
-use dradio::graphs::{DualGraph, Graph, DENSE_AUTO_MAX_NODES};
+use dradio::graphs::{DualGraph, Graph};
 use dradio::prelude::*;
 use dradio::sim::derive_stream_seed;
 
@@ -142,12 +142,12 @@ fn benchmark_topologies_keep_their_networks_and_layouts() {
         (
             TopologySpec::Grid { cols: 16, rows: 16 },
             0xc96d7c23dbb8d91b,
-            GraphBackend::Dense,
+            GraphBackend::Csr,
         ),
         (
             perfbench_geo(1024, seed),
             0xc5f0cb7d5875823a,
-            GraphBackend::Dense,
+            GraphBackend::Csr,
         ),
         (
             perfbench_geo(16384, seed),
@@ -167,7 +167,9 @@ fn benchmark_topologies_keep_their_networks_and_layouts() {
 
 #[test]
 fn streamed_families_pin_both_sides_of_the_dense_floor() {
-    assert_eq!(DENSE_AUTO_MAX_NODES, 2048);
+    // The matrix is attached where the edges fill at least 1/16 of it, at
+    // any size: these streamed sparse networks, on either side of the
+    // 2 048-node floor the rule once had, all get CSR rows ...
     let pins = [
         (
             TopologySpec::Grid { cols: 45, rows: 45 },
@@ -197,15 +199,37 @@ fn streamed_families_pin_both_sides_of_the_dense_floor() {
         ),
     ];
     for (spec, _) in &pins {
-        let n = spec.node_count().expect("declarative sizes");
-        let expected = if n <= DENSE_AUTO_MAX_NODES {
-            GraphBackend::Dense
-        } else {
-            GraphBackend::Csr
-        };
-        assert_eq!(build(spec).graph_backend(), expected, "{}", spec.label());
+        assert_eq!(
+            build(spec).graph_backend(),
+            GraphBackend::Csr,
+            "{}",
+            spec.label()
+        );
     }
     check(&pins);
+    // ... while the same generators, filled past the density floor, keep
+    // the matrix.
+    let filled = [
+        TopologySpec::RandomGeometric {
+            n: 300,
+            side: 4.0,
+            r: 3.0,
+            seed: 5,
+        },
+        TopologySpec::SparseErdosRenyi {
+            n: 300,
+            p: 0.2,
+            seed: 9,
+        },
+    ];
+    for spec in &filled {
+        assert_eq!(
+            build(spec).graph_backend(),
+            GraphBackend::Dense,
+            "{}",
+            spec.label()
+        );
+    }
 }
 
 #[test]
