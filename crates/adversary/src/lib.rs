@@ -27,6 +27,7 @@
 pub mod oblivious;
 pub mod offline;
 pub mod online;
+mod scan;
 
 #[cfg(test)]
 pub(crate) mod test_support;

@@ -22,8 +22,12 @@
 use std::sync::Arc;
 
 use dradio_graphs::{DualGraph, Edge, NodeId};
-use dradio_sim::{AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess};
+use dradio_sim::{
+    Action, AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess,
+};
 use rand::RngCore;
+
+use crate::scan;
 
 /// The omniscient offline adaptive blocker.
 #[derive(Debug, Clone, Default)]
@@ -31,9 +35,9 @@ pub struct OmniscientOffline {
     /// If non-empty, only these nodes are protected from receiving.
     protect: Vec<NodeId>,
     dual: Option<Arc<DualGraph>>,
-    /// The round's transmitters, ascending: scratch, cleared per round, so
-    /// rounds reuse its capacity.
-    transmitters: Vec<NodeId>,
+    /// The round's transmitters, one bit per node: scratch, refilled per
+    /// round.
+    transmitting: Vec<u64>,
 }
 
 impl OmniscientOffline {
@@ -43,7 +47,7 @@ impl OmniscientOffline {
         OmniscientOffline {
             protect: Vec::new(),
             dual: None,
-            transmitters: Vec::new(),
+            transmitting: Vec::new(),
         }
     }
 
@@ -52,7 +56,7 @@ impl OmniscientOffline {
         OmniscientOffline {
             protect: nodes,
             dual: None,
-            transmitters: Vec::new(),
+            transmitting: Vec::new(),
         }
     }
 
@@ -74,37 +78,27 @@ impl LinkProcess for OmniscientOffline {
         let (Some(dual), Some(actions)) = (self.dual.as_ref(), view.actions()) else {
             return LinkDecision::none();
         };
-        self.transmitters.clear();
-        self.transmitters.extend(
-            actions
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.is_transmit())
-                .map(|(i, _)| NodeId::new(i)),
-        );
-        let transmitters = &self.transmitters;
-        if transmitters.is_empty() {
+        let n = dual.len();
+        if !scan::refill(&mut self.transmitting, n, actions, Action::is_transmit) {
             return LinkDecision::none();
         }
+        let transmitting = &self.transmitting;
         let mut active: Vec<Edge> = Vec::new();
-        for u in NodeId::all(dual.len()) {
-            if actions[u.index()].is_transmit() || !self.is_protected(u) {
+        for u in NodeId::all(n) {
+            if scan::is_marked(transmitting, u.index()) || !self.is_protected(u) {
                 continue;
             }
-            let reliable_transmitting: usize = dual
-                .g_neighbors(u)
-                .iter()
-                .filter(|v| actions[v.index()].is_transmit())
-                .count();
+            let reliable_transmitting =
+                scan::marked_neighbors(dual.g().neighbor_row(u), transmitting)
+                    .take(2)
+                    .count();
             if reliable_transmitting != 1 {
                 // Either already silent or already a collision: nothing to do.
                 continue;
             }
-            // Find a second transmitter reachable over a dynamic edge.
-            if let Some(&blocker) = transmitters
-                .iter()
-                .find(|&&t| dual.g_prime().has_edge(u, t) && !dual.g().has_edge(u, t))
-            {
+            // The lowest-numbered second transmitter reachable over a
+            // dynamic edge.
+            if let Some(blocker) = scan::marked_dynamic_neighbors(dual, u, transmitting).next() {
                 active.push(Edge::new(u, blocker));
             }
         }
@@ -128,11 +122,111 @@ impl LinkProcess for OmniscientOffline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{run_with_beacon, setup_ctx, talker_factory, DATA};
-    use dradio_graphs::topology;
-    use dradio_sim::{Action, Assignment, Message, Round, SimConfig, Simulator, StopCondition};
-    use rand::SeedableRng;
+    use crate::test_support::{arb_small_dual, run_with_beacon, setup_ctx, talker_factory, DATA};
+    use dradio_graphs::{topology, GraphBackend};
+    use dradio_sim::{Assignment, Message, Round, SimConfig, Simulator, StopCondition};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// The attack as first written: the round's transmitters listed in
+    /// ascending order, each listener's transmitting `G` neighbours
+    /// counted over its whole row, and its blocker found by edge queries
+    /// down the list.
+    fn reference(
+        attacker: &OmniscientOffline,
+        dual: &DualGraph,
+        view: &AdversaryView<'_>,
+    ) -> LinkDecision {
+        let Some(actions) = view.actions() else {
+            return LinkDecision::none();
+        };
+        let transmitters: Vec<NodeId> = actions
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.is_transmit())
+            .map(|(i, _)| NodeId::new(i))
+            .collect();
+        if transmitters.is_empty() {
+            return LinkDecision::none();
+        }
+        let mut active: Vec<Edge> = Vec::new();
+        for u in NodeId::all(dual.len()) {
+            if actions[u.index()].is_transmit() || !attacker.is_protected(u) {
+                continue;
+            }
+            let reliable_transmitting = dual
+                .g_neighbors(u)
+                .iter()
+                .filter(|v| actions[v.index()].is_transmit())
+                .count();
+            if reliable_transmitting != 1 {
+                continue;
+            }
+            if let Some(&blocker) = transmitters
+                .iter()
+                .find(|&&t| dual.g_prime().has_edge(u, t) && !dual.g().has_edge(u, t))
+            {
+                active.push(Edge::new(u, blocker));
+            }
+        }
+        active.sort_unstable();
+        active.dedup();
+        LinkDecision::from_edges(active)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn decisions_match_the_list_reference(dual in arb_small_dual(), seed in any::<u64>()) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = dual.len();
+            let msg = Message::plain(NodeId::new(0), DATA, 0);
+            for layout in [GraphBackend::Dense, GraphBackend::Csr] {
+                let dual = Arc::new(dual.with_graph_backend(layout));
+                let (_, factory, assignment) = setup_ctx(&dual);
+                let setup = AdversarySetup {
+                    dual: &dual,
+                    factory: &factory,
+                    assignment: &assignment,
+                    horizon: 10,
+                };
+                // Every node protected, a random subset (with a node past
+                // the network), and the empty list, which protects all.
+                let subset: Vec<NodeId> = NodeId::all(n + 1).filter(|_| rng.gen_bool(0.5)).collect();
+                let attackers = [
+                    OmniscientOffline::new(),
+                    OmniscientOffline::protecting(subset),
+                    OmniscientOffline::protecting(Vec::new()),
+                ];
+                for mut attacker in attackers {
+                    attacker.on_start(&setup, &mut rng);
+                    for round in 0..8 {
+                        // Nobody, one node in expectation, or a share of
+                        // the network transmits.
+                        let density = [0.0, 1.0 / n as f64, 0.1, 0.5, 0.9][round % 5];
+                        let actions: Vec<Action> = (0..n)
+                            .map(|_| {
+                                if rng.gen_bool(density) {
+                                    Action::Transmit(msg.clone())
+                                } else {
+                                    Action::Listen
+                                }
+                            })
+                            .collect();
+                        let view = AdversaryView::new(Round::new(round), n, None, None, Some(&actions));
+                        let decision = attacker.decide(&view, &mut rng);
+                        prop_assert_eq!(
+                            &decision,
+                            &reference(&attacker, &dual, &view),
+                            "{} on {} nodes, round {}", layout, n, round
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn blocks_a_lone_reliable_delivery_when_a_second_transmitter_exists() {

@@ -16,6 +16,8 @@ use dradio_graphs::{DualGraph, Edge, NodeId};
 use dradio_sim::{AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess};
 use rand::RngCore;
 
+use crate::scan;
+
 /// Greedy collision-provoking online adaptive attacker.
 #[derive(Debug, Clone)]
 pub struct GreedyCollisionOnline {
@@ -27,6 +29,9 @@ pub struct GreedyCollisionOnline {
     /// Expected-transmitter level the attacker tries to reach when attacking.
     target: f64,
     dual: Option<Arc<DualGraph>>,
+    /// The round's nodes with a nonzero transmit probability, one bit per
+    /// node: scratch, refilled per round.
+    nonzero: Vec<u64>,
     /// One receiver's grey-zone transmitters `(p, v)`: scratch, cleared
     /// per receiver, so rounds reuse its capacity.
     candidates: Vec<(f64, NodeId)>,
@@ -41,6 +46,7 @@ impl GreedyCollisionOnline {
             danger_high: 1.8,
             target: 3.0,
             dual: None,
+            nonzero: Vec::new(),
             candidates: Vec::new(),
         }
     }
@@ -78,18 +84,28 @@ impl LinkProcess for GreedyCollisionOnline {
         let (Some(dual), Some(probs)) = (self.dual.as_ref(), view.transmit_probabilities()) else {
             return LinkDecision::none();
         };
+        // Only nodes with a nonzero probability are summed or become
+        // candidates. A skipped ±0.0 term changes no partial sum but the
+        // sign of a zero one, which no comparison below can tell apart; a
+        // NaN is nonzero, so it still poisons its sums. With no such node
+        // every candidate list is empty.
+        let n = dual.len();
+        if !scan::refill(&mut self.nonzero, n, probs, |&p| p != 0.0) {
+            return LinkDecision::none();
+        }
+        let nonzero = &self.nonzero;
         let history = view.history();
         let mut active: Vec<Edge> = Vec::new();
-        for u in NodeId::all(dual.len()) {
+        for u in NodeId::all(n) {
             // Nodes that already received something are no longer interesting
             // frontier targets.
-            if let Some(h) = history {
-                if h.received_any(u) {
-                    continue;
-                }
+            if history.is_some_and(|h| h.received_any(u)) {
+                continue;
             }
             let reliable_expectation: f64 =
-                dual.g_neighbors(u).iter().map(|v| probs[v.index()]).sum();
+                scan::marked_neighbors(dual.g().neighbor_row(u), nonzero)
+                    .map(|v| probs[v.index()])
+                    .sum();
             if reliable_expectation < self.danger_low || reliable_expectation > self.danger_high {
                 continue;
             }
@@ -98,10 +114,8 @@ impl LinkProcess for GreedyCollisionOnline {
             let candidates = &mut self.candidates;
             candidates.clear();
             candidates.extend(
-                dual.g_prime_neighbors(u)
-                    .iter()
-                    .filter(|v| !dual.g().has_edge(u, **v))
-                    .map(|&v| (probs[v.index()], v))
+                scan::marked_dynamic_neighbors(dual, u, nonzero)
+                    .map(|v| (probs[v.index()], v))
                     .filter(|(p, _)| *p > 0.0),
             );
             candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
@@ -134,11 +148,122 @@ impl LinkProcess for GreedyCollisionOnline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{setup_ctx, talker_factory};
-    use dradio_graphs::topology;
+    use crate::test_support::{arb_small_dual, random_history, setup_ctx, talker_factory};
+    use dradio_graphs::{topology, GraphBackend};
     use dradio_sim::{Assignment, History, Round, SimConfig, Simulator, StopCondition};
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// The attack as first written: each receiver's expectation summed over
+    /// its whole `G` row, its grey candidates found by filtering its `G'`
+    /// row with edge queries.
+    fn reference(
+        attacker: &GreedyCollisionOnline,
+        dual: &DualGraph,
+        view: &AdversaryView<'_>,
+    ) -> LinkDecision {
+        let Some(probs) = view.transmit_probabilities() else {
+            return LinkDecision::none();
+        };
+        let history = view.history();
+        let mut active: Vec<Edge> = Vec::new();
+        for u in NodeId::all(dual.len()) {
+            if let Some(h) = history {
+                if h.received_any(u) {
+                    continue;
+                }
+            }
+            let reliable_expectation: f64 =
+                dual.g_neighbors(u).iter().map(|v| probs[v.index()]).sum();
+            if reliable_expectation < attacker.danger_low
+                || reliable_expectation > attacker.danger_high
+            {
+                continue;
+            }
+            let mut candidates: Vec<(f64, NodeId)> = dual
+                .g_prime_neighbors(u)
+                .iter()
+                .filter(|v| !dual.g().has_edge(u, **v))
+                .map(|&v| (probs[v.index()], v))
+                .filter(|(p, _)| *p > 0.0)
+                .collect();
+            candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+            let mut expectation = reliable_expectation;
+            for (p, v) in candidates {
+                if expectation >= attacker.target {
+                    break;
+                }
+                expectation += p;
+                active.push(Edge::new(u, v));
+            }
+        }
+        active.sort_unstable();
+        active.dedup();
+        LinkDecision::from_edges(active)
+    }
+
+    /// A transmit probability from a menu that holds every value the sums
+    /// and masks must treat exactly: both zeros, NaN, negative values, tiny
+    /// and ordinary ones, and values at or past the overload target.
+    fn probability(rng: &mut ChaCha8Rng) -> f64 {
+        match rng.gen_range(0..10u32) {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            3 => f64::NAN,
+            4 => -rng.gen_range(0.0..1.0),
+            5 => 3.0,
+            6 => f64::INFINITY,
+            7 => 1e-300,
+            _ => rng.gen_range(0.0..1.0),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn decisions_match_the_list_reference(dual in arb_small_dual(), seed in any::<u64>()) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = dual.len();
+            for layout in [GraphBackend::Dense, GraphBackend::Csr] {
+                let dual = Arc::new(dual.with_graph_backend(layout));
+                let (_, factory, assignment) = setup_ctx(&dual);
+                let setup = AdversarySetup {
+                    dual: &dual,
+                    factory: &factory,
+                    assignment: &assignment,
+                    horizon: 10,
+                };
+                // The default zone, and one around zero with a low target.
+                let attackers = [
+                    GreedyCollisionOnline::new(),
+                    GreedyCollisionOnline::new()
+                        .with_danger_zone(-1.0, 2.5)
+                        .with_target(1.5),
+                ];
+                for mut attacker in attackers {
+                    attacker.on_start(&setup, &mut rng);
+                    for round in 0..8 {
+                        // Some rounds have no nonzero probability at all.
+                        let quiet = round % 4 == 0;
+                        let probs: Vec<f64> = (0..n)
+                            .map(|_| if quiet { [0.0, -0.0][rng.gen_range(0..2usize)] } else { probability(&mut rng) })
+                            .collect();
+                        let history = (round % 3 != 0).then(|| random_history(n, &mut rng));
+                        let view =
+                            AdversaryView::new(Round::new(round), n, history.as_ref(), Some(&probs), None);
+                        let decision = attacker.decide(&view, &mut rng);
+                        prop_assert_eq!(
+                            &decision,
+                            &reference(&attacker, &dual, &view),
+                            "{} on {} nodes, round {}", layout, n, round
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn started(dual: &DualGraph) -> (GreedyCollisionOnline, ChaCha8Rng) {
         let (dual_clone, factory, assignment) = setup_ctx(dual);

@@ -1,14 +1,21 @@
 //! Shared fixtures for adversary unit tests.
 
+// lint: allow-file(D4) -- compiled only for unit tests, whose fixtures are
+// fixed known-good networks; a broken fixture should fail the test loudly
+
 use std::sync::Arc;
 
-use dradio_graphs::{DualGraph, NodeId};
+use dradio_graphs::topology::{self, GeometricConfig};
+use dradio_graphs::{DualGraph, Graph, NodeId};
 use dradio_sim::sampling::bernoulli;
 use dradio_sim::{
-    Action, Assignment, ExecutionOutcome, LinkProcess, Message, MessageKind, Process,
-    ProcessContext, ProcessFactory, Role, Round, SimConfig, Simulator, StopCondition,
+    Action, Assignment, Delivery, ExecutionOutcome, History, LinkProcess, Message, MessageKind,
+    Process, ProcessContext, ProcessFactory, Role, Round, RoundRecord, SimConfig, Simulator,
+    StopCondition,
 };
-use rand::RngCore;
+use proptest::prelude::*;
+use rand::{Rng, RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 pub const DATA: MessageKind = MessageKind::new(1);
 
@@ -77,7 +84,72 @@ pub fn run_with_beacon(
         link,
         SimConfig::default().with_seed(seed).with_max_rounds(rounds),
     )
-    // lint: allow(D4) -- test-support harness; inputs are fixed known-good specs
     .expect("valid simulation")
     .run(StopCondition::max_rounds())
+}
+
+/// Small networks for the reference tests: dual cliques whose rows span one
+/// to three words, bracelets, grid-geometric and random geometric
+/// deployments, and arbitrary `G ⊆ G'` ([`arbitrary_dual`]).
+pub fn arb_small_dual() -> impl Strategy<Value = DualGraph> {
+    prop_oneof![
+        (2usize..75).prop_map(|half| topology::dual_clique(2 * half).unwrap()),
+        (2usize..5).prop_map(|k| topology::bracelet(k).unwrap().into_dual()),
+        (2usize..10, 2usize..10)
+            .prop_map(|(cols, rows)| topology::grid_geometric(cols, rows, 1.0, 1.5).unwrap()),
+        (10usize..150, any::<u64>()).prop_map(|(n, seed)| {
+            let side = (n as f64 / 3.0).sqrt();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            topology::random_geometric(&GeometricConfig::new(n, side, 1.5), &mut rng)
+                .unwrap_or_else(|_| arbitrary_dual(n, seed))
+        }),
+        (2usize..150, any::<u64>()).prop_map(|(n, seed)| arbitrary_dual(n, seed)),
+    ]
+}
+
+/// An arbitrary dual graph on `n` nodes: each pair joins `G'` with one
+/// probability and then `G` with another, each drawn from a few levels, so
+/// `G` may be empty or all of `G'`, and either layer may be disconnected.
+pub fn arbitrary_dual(n: usize, seed: u64) -> DualGraph {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let p_prime = [0.03, 0.3, 0.9][rng.gen_range(0..3usize)];
+    let p_reliable = [0.0, 0.4, 1.0][rng.gen_range(0..3usize)];
+    let (mut g, mut g_prime) = (Vec::new(), Vec::new());
+    for u in 0..n {
+        for v in u + 1..n {
+            if rng.gen_bool(p_prime) {
+                g_prime.push((u, v));
+                if rng.gen_bool(p_reliable) {
+                    g.push((u, v));
+                }
+            }
+        }
+    }
+    DualGraph::new(
+        Graph::from_edges(n, g).unwrap(),
+        Graph::from_edges(n, g_prime).unwrap(),
+    )
+    .unwrap()
+}
+
+/// A history of one round in which exactly the nodes `rng` picks, at a
+/// density it also picks, received something.
+pub fn random_history(n: usize, rng: &mut impl Rng) -> History {
+    let density = [0.0, 0.2, 0.7, 1.0][rng.gen_range(0..4usize)];
+    let deliveries = NodeId::all(n)
+        .filter(|_| rng.gen_bool(density))
+        .map(|u| Delivery {
+            receiver: u,
+            sender: u,
+            message: Message::plain(u, DATA, 0),
+        })
+        .collect();
+    let mut history = History::new(n);
+    history.push(RoundRecord {
+        round: Round::ZERO,
+        transmitters: Vec::new(),
+        active_dynamic_edges: Vec::new(),
+        deliveries,
+    });
+    history
 }

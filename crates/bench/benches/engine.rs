@@ -15,6 +15,11 @@
 //!   initialization on the 1024-node random geometric network under `Iid`
 //!   links, where most processes are dormant and most rounds are resolved
 //!   by pushing the few transmitters' rows (mean per `GEO_ROUNDS` rounds).
+//!   `dual_clique_greedy_collision/256` and `dual_clique_omniscient/256` run
+//!   the registered Bgi broadcast from node 0 on the dual clique for
+//!   `BGI_ROUNDS` rounds under the greedy and omniscient attacks, which
+//!   decide from each round's transmit probabilities and actions (mean per
+//!   `BGI_ROUNDS` rounds).
 //! * `trials_per_sec/*` times many *short* executions (the shape of most
 //!   campaign cells) through a reused [`dradio_sim::TrialExecutor`] versus a
 //!   fresh simulator per trial — isolating per-trial setup amortization,
@@ -42,7 +47,8 @@ use dradio_scenario::{
     ProblemSpec, RecordMode, Summary, TopologySpec,
 };
 use dradio_sim::{
-    derive_stream_seed, Assignment, ExecutionOutcome, SimConfig, Simulator, StopCondition,
+    derive_stream_seed, Assignment, ExecutionOutcome, ProcessFactory, SimConfig, Simulator,
+    StopCondition,
 };
 
 /// Rounds per measured workload run.
@@ -137,6 +143,30 @@ fn bench_rounds(c: &mut Criterion) {
         &built,
         &gilbert_elliott,
     );
+    // The greedy and omniscient attacks against the registered Bgi
+    // broadcast from node 0, the shape of the benchmark's adaptive cells.
+    // Not through the uniform beacons: at P = 0.1 every receiver's reliable
+    // expectation is about 12.7, outside the greedy attack's danger zone,
+    // so its candidate path would never run.
+    for (name, adversary) in [
+        (
+            "dual_clique_greedy_collision",
+            AdversarySpec::GreedyCollision,
+        ),
+        ("dual_clique_omniscient", AdversarySpec::Omniscient),
+    ] {
+        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                let factory = GlobalAlgorithm::Bgi.factory(n, built.dual.max_degree());
+                let assignment = Assignment::global(n, NodeId::new(0));
+                registered_workload(&built, factory, assignment, &adversary, BGI_ROUNDS, seed)
+                    .metrics
+                    .deliveries
+            });
+        });
+    }
     // The random geometric network's automatic layout is CSR rows alone
     // (its edges fill far less than 1/16 of a matrix): reception walks
     // sorted rows while `Iid` coins are heard at their listeners.
@@ -158,11 +188,17 @@ fn bench_rounds(c: &mut Criterion) {
     let built = random.build().expect("bench topology builds");
     let n = built.dual.len();
     assert!(GeoConfig::scaled(n, built.dual.max_degree()).init_rounds() > GEO_ROUNDS);
+    // Every fourth node a broadcaster.
+    let broadcasters: Vec<NodeId> = (0..n).step_by(4).map(NodeId::new).collect();
     group.bench_with_input(BenchmarkId::new("geo_local_init", n), &n, |b, _| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            geo_init_workload(&built, &iid, seed).metrics.deliveries
+            let factory = LocalAlgorithm::Geo.factory(n, built.dual.max_degree());
+            let assignment = Assignment::local(n, &broadcasters);
+            registered_workload(&built, factory, assignment, &iid, GEO_ROUNDS, seed)
+                .metrics
+                .deliveries
         });
     });
     group.finish();
@@ -171,24 +207,28 @@ fn bench_rounds(c: &mut Criterion) {
 /// Rounds of the Geo initialization bench.
 const GEO_ROUNDS: usize = 200;
 
-/// `GEO_ROUNDS` rounds of the registered Geo algorithm on `built` under
-/// `adversary` from round 0, every fourth node a broadcaster, keeping no
-/// history.
-fn geo_init_workload(
+/// Rounds of the adaptive-attack benches: the benchmark's adaptive horizon.
+const BGI_ROUNDS: usize = 256;
+
+/// `rounds` rounds of a registered algorithm's processes (`factory`, with
+/// roles from `assignment`) on `built` under `adversary` from round 0,
+/// keeping no history.
+fn registered_workload(
     built: &BuiltTopology,
+    factory: ProcessFactory,
+    assignment: Assignment,
     adversary: &AdversarySpec,
+    rounds: usize,
     seed: u64,
 ) -> ExecutionOutcome {
-    let n = built.dual.len();
-    let broadcasters: Vec<NodeId> = (0..n).step_by(4).map(NodeId::new).collect();
     Simulator::new(
         Arc::clone(&built.dual),
-        LocalAlgorithm::Geo.factory(n, built.dual.max_degree()),
-        Assignment::local(n, &broadcasters),
+        factory,
+        assignment,
         adversary.build(built).expect("bench adversary builds"),
         SimConfig::default()
             .with_seed(seed)
-            .with_max_rounds(GEO_ROUNDS)
+            .with_max_rounds(rounds)
             .with_record_mode(RecordMode::None),
     )
     .expect("bench simulator builds")

@@ -22,10 +22,13 @@
 //! round ran `decide` over all dynamic edges, the legacy-backend fixture
 //! with the last binary in which the graph layout was a per-group spec
 //! knob, the adaptive fixture with the last binary in which adaptive
-//! adversaries forced full recording, and the dormancy fixture with the last
-//! binary in which every process ran every round. If any of these tests
-//! fails, the store format has drifted — bump a format version rather than
-//! editing the fixtures.
+//! adversaries forced full recording, the dormancy fixture with the last
+//! binary in which every process ran every round, and the adaptive CSR
+//! fixture with the last binary in which the greedy and omniscient attacks
+//! walked neighbour lists and queried edges (captured before their scans
+//! of packed node bitsets landed). If any of these tests fails, the store
+//! format has drifted — bump a format version rather than editing the
+//! fixtures.
 
 use std::sync::Arc;
 
@@ -244,6 +247,28 @@ const DORMANCY_STORE: &str = concat!(
     r#"{"key":"951270f18a15845e","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"RoundRobin"},"adversary":{"Iid":{"p":0.5}},"problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":5.666666666666667,"std_dev":3.0550504633038935,"min":3.0,"max":9.0,"median":5.0,"p95":9.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
     "\n",
     r#"{"key":"b66d56479e31b0cd","cell":{"scenario":{"topology":{"DualClique":{"n":16}},"algorithm":{"Global":"RoundRobin"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":7,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":9.0,"std_dev":0.0,"min":9.0,"max":9.0,"median":9.0,"p95":9.0},"completion_rate":1.0,"mean_collisions":0.0}}"#,
+    "\n",
+);
+
+/// The three adaptive attacks on a grid-geometric deployment whose
+/// automatic layout is CSR rows alone (242 dynamic edges), so every
+/// receiver's row is walked, never ANDed as packed words.
+const ADAPTIVE_CSR_CAMPAIGN: &str = r#"{"name":"adaptive-csr-pin","seed":5,"trials":{"Fixed":3},"groups":[{"topologies":[{"GridGeometric":{"cols":12,"rows":12,"spacing":1.0,"r":1.5}}],"algorithms":[{"Global":"Bgi"},{"Global":"Permuted"}],"adversaries":[{"DenseSparse":{"density_factor":null}},"GreedyCollision","Omniscient"],"problems":[{"GlobalFrom":0}],"seed":null,"trials":null,"rounds":{"Fixed":300},"collision_detection":false,"record_mode":"None","curve":false}]}"#;
+
+/// The store the last binary whose greedy and omniscient attacks walked
+/// neighbour lists wrote for [`ADAPTIVE_CSR_CAMPAIGN`], byte for byte.
+const ADAPTIVE_CSR_STORE: &str = concat!(
+    r#"{"key":"cbfc87347689ca0e","cell":{"scenario":{"topology":{"GridGeometric":{"cols":12,"rows":12,"spacing":1.0,"r":1.5}},"algorithm":{"Global":"Bgi"},"adversary":{"DenseSparse":{"density_factor":null}},"problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":83.0,"std_dev":8.0,"min":75.0,"max":91.0,"median":83.0,"p95":91.0},"completion_rate":1.0,"mean_collisions":761.0}}"#,
+    "\n",
+    r#"{"key":"ce18e25e5ba9fe26","cell":{"scenario":{"topology":{"GridGeometric":{"cols":12,"rows":12,"spacing":1.0,"r":1.5}},"algorithm":{"Global":"Bgi"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":98.66666666666667,"std_dev":8.504900548115383,"min":90.0,"max":107.0,"median":99.0,"p95":107.0},"completion_rate":1.0,"mean_collisions":539.0}}"#,
+    "\n",
+    r#"{"key":"572ca60e811f6ca3","cell":{"scenario":{"topology":{"GridGeometric":{"cols":12,"rows":12,"spacing":1.0,"r":1.5}},"algorithm":{"Global":"Bgi"},"adversary":"Omniscient","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":141.0,"std_dev":24.331050121192877,"min":125.0,"max":169.0,"median":129.0,"p95":169.0},"completion_rate":1.0,"mean_collisions":1488.3333333333333}}"#,
+    "\n",
+    r#"{"key":"80f9cd00ccb05bce","cell":{"scenario":{"topology":{"GridGeometric":{"cols":12,"rows":12,"spacing":1.0,"r":1.5}},"algorithm":{"Global":"Permuted"},"adversary":{"DenseSparse":{"density_factor":null}},"problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":105.66666666666667,"std_dev":14.153915830374762,"min":97.0,"max":122.0,"median":98.0,"p95":122.0},"completion_rate":1.0,"mean_collisions":648.6666666666666}}"#,
+    "\n",
+    r#"{"key":"dbc2b2b312166ee6","cell":{"scenario":{"topology":{"GridGeometric":{"cols":12,"rows":12,"spacing":1.0,"r":1.5}},"algorithm":{"Global":"Permuted"},"adversary":"GreedyCollision","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":113.33333333333333,"std_dev":5.507570547286102,"min":108.0,"max":119.0,"median":113.0,"p95":119.0},"completion_rate":1.0,"mean_collisions":449.3333333333333}}"#,
+    "\n",
+    r#"{"key":"2144ca8857157763","cell":{"scenario":{"topology":{"GridGeometric":{"cols":12,"rows":12,"spacing":1.0,"r":1.5}},"algorithm":{"Global":"Permuted"},"adversary":"Omniscient","problem":{"GlobalFrom":0},"seed":5,"max_rounds":300,"collision_detection":false},"trials":{"Fixed":3},"record_mode":"None"},"trials_run":3,"measurement":{"rounds":{"count":3,"mean":138.0,"std_dev":21.93171219946131,"min":113.0,"max":154.0,"median":147.0,"p95":154.0},"completion_rate":1.0,"mean_collisions":943.3333333333334}}"#,
     "\n",
 );
 
@@ -618,10 +643,33 @@ fn adaptive_cells_reproduce_the_store_full_recording_wrote() {
 }
 
 #[test]
+fn adaptive_csr_cells_reproduce_the_store_list_scans_wrote() {
+    // The greedy and omniscient attacks now scan each row against a packed
+    // node bitset in the row's own shape; on CSR rows that is a walk with a
+    // bit test. The bytes must not move.
+    let spec: CampaignSpec = serde_json::from_str(ADAPTIVE_CSR_CAMPAIGN).unwrap();
+    let cells = spec.expand().unwrap();
+    let built = cells[0].scenario.topology.build().unwrap();
+    assert_eq!(built.dual.graph_backend(), GraphBackend::Csr);
+    assert_eq!(built.dual.dynamic_index().len(), 242);
+    let path = temp_path("adaptive-csr");
+    let mut store = ResultStore::open(&path).unwrap();
+    CampaignRunner::new(&spec).run(&mut store).unwrap();
+    drop(store);
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        ADAPTIVE_CSR_STORE,
+        "the adaptive CSR cells drifted from the store list scans wrote"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn adaptive_cells_remeasure_on_both_layouts() {
-    // The dual clique and the random geometric graph are dense by default;
-    // on forced CSR rows every cell still measures its stored bytes.
-    for line in ADAPTIVE_STORE.lines() {
+    // The dual clique and the random geometric graph are dense by default,
+    // the grid-geometric deployment CSR; on the other layout every cell
+    // still measures its stored bytes.
+    for line in ADAPTIVE_STORE.lines().chain(ADAPTIVE_CSR_STORE.lines()) {
         for layout in [GraphBackend::Dense, GraphBackend::Csr] {
             assert_line_remeasures_on(line, layout);
         }

@@ -74,11 +74,17 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs one benchmark over an input value.
+    /// Runs one benchmark over an input value, unless the harness's name
+    /// filter skips it.
     pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher, &I),
     {
+        if let Some(filter) = &self.criterion.filter {
+            if !format!("{}/{}", self.name, id).contains(filter.as_str()) {
+                return self;
+            }
+        }
         let mut bencher = Bencher {
             iterations: if self.criterion.test_mode {
                 1
@@ -121,16 +127,34 @@ impl BenchmarkGroup<'_> {
 pub struct Criterion {
     ran: usize,
     test_mode: bool,
+    /// Runs only the benchmarks whose `group/id` contains this.
+    filter: Option<String>,
 }
 
 impl Criterion {
-    /// Builds a harness configured from the benchmark binary's command line
-    /// (mirroring the real crate's `--test` flag, which runs every benchmark
-    /// exactly once without measuring — the CI smoke mode).
+    /// Builds a harness configured from the benchmark binary's command line,
+    /// mirroring the real crate: `--test` runs every selected benchmark
+    /// exactly once without measuring (the CI smoke mode), and the first
+    /// argument that is not a flag selects the benchmarks whose `group/id`
+    /// contains it (`cargo bench --bench engine -- engine_round`). Other
+    /// flags, such as the `--bench` cargo appends, are ignored.
     pub fn from_args() -> Self {
+        Criterion::from_arg_list(std::env::args().skip(1))
+    }
+
+    fn from_arg_list(args: impl IntoIterator<Item = String>) -> Self {
+        let (mut test_mode, mut filter) = (false, None);
+        for arg in args {
+            if arg == "--test" {
+                test_mode = true;
+            } else if !arg.starts_with('-') && filter.is_none() {
+                filter = Some(arg);
+            }
+        }
         Criterion {
             ran: 0,
-            test_mode: std::env::args().any(|arg| arg == "--test"),
+            test_mode,
+            filter,
         }
     }
 
@@ -199,6 +223,45 @@ mod tests {
     #[test]
     fn id_formats_as_name_slash_parameter() {
         assert_eq!(BenchmarkId::new("bgi", 64).to_string(), "bgi/64");
+    }
+
+    /// Runs `engine_round/a/1`, `engine_round/b/1` and `other/a/1` under a
+    /// harness built from `list`, returning how often each closure ran and
+    /// how many benchmarks the harness counted.
+    fn run_filtered(list: &[&str]) -> ([usize; 3], usize) {
+        let mut criterion = Criterion::from_arg_list(list.iter().map(|arg| arg.to_string()));
+        let mut calls = [0usize; 3];
+        for (group, name, slot) in [
+            ("engine_round", "a", 0),
+            ("engine_round", "b", 1),
+            ("other", "a", 2),
+        ] {
+            let mut group = criterion.benchmark_group(group);
+            group.sample_size(2);
+            group.bench_function(BenchmarkId::new(name, 1), |b| b.iter(|| calls[slot] += 1));
+            group.finish();
+        }
+        (calls, criterion.ran)
+    }
+
+    #[test]
+    fn the_first_non_flag_argument_filters_by_group_and_id() {
+        // Cargo appends `--bench`; no filter runs everything.
+        assert_eq!(run_filtered(&["--bench"]), ([3, 3, 3], 3));
+        // A skipped benchmark's closure never runs.
+        assert_eq!(run_filtered(&["--bench", "engine_round"]), ([3, 3, 0], 2));
+        assert_eq!(run_filtered(&["engine_round/b", "--bench"]), ([0, 3, 0], 1));
+        assert_eq!(run_filtered(&["a/1", "--bench", "other"]), ([3, 0, 3], 2));
+    }
+
+    #[test]
+    fn test_mode_combines_with_a_filter() {
+        assert_eq!(run_filtered(&["--test"]), ([2, 2, 2], 3));
+        assert_eq!(run_filtered(&["other", "--test"]), ([0, 0, 2], 1));
+        assert_eq!(
+            run_filtered(&["--test", "--bench", "round/a"]),
+            ([2, 0, 0], 1)
+        );
     }
 
     #[test]

@@ -23,14 +23,21 @@ fn algorithm_for(problem: &ProblemSpec) -> AlgorithmSpec {
 }
 
 /// The adversary classes every backend must agree under: oblivious static,
-/// oblivious randomized, and adaptive (which also exercises the dynamic
-/// round-adjacency scratch path).
+/// oblivious randomized, and the three adaptive attacks, which scan rows
+/// in the layout's shape themselves.
 fn adversaries() -> Vec<(&'static str, AdversarySpec)> {
     vec![
         ("static-none", AdversarySpec::StaticNone),
         ("static-all", AdversarySpec::StaticAll),
         ("iid", AdversarySpec::Iid { p: 0.5 }),
+        (
+            "dense-sparse",
+            AdversarySpec::DenseSparse {
+                density_factor: None,
+            },
+        ),
         ("greedy-collision", AdversarySpec::GreedyCollision),
+        ("omniscient", AdversarySpec::Omniscient),
     ]
 }
 
